@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from datetime import datetime, timezone
@@ -19,22 +20,20 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ParameterError, QpignnError
+from .errors import ContractError, IngestionError, ParameterError, QpignnError
 from .graphcore import SplitSpec, load_csv, save_csv
-from .harness import (DEFAULT_LAMBDA_GRID, DEFAULT_TUNE_BOUNDS,
-                      GRAPH_PRESETS, TrainConfig, ablation_suite,
-                      concentration_check, convergence_check, dataset_preset,
-                      experiment_csv_header, experiment_csv_row,
-                      gaussian_optimal_halfwidth, hoeffding_epsilon,
-                      lambda_sweep, lambda_tune, mcdiarmid_prob,
-                      robustness_suite, shift_matrix, split_experiment,
-                      train_baseline, train_qpignn, trajectory_csv)
-from .metrics import CSV_FIELDS, MetricsReport
+from .harness import (_ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
+                      DEFAULT_TUNE_BOUNDS, GRAPH_PRESETS, TrainConfig,
+                      ablation_suite, concentration_check, convergence_check,
+                      dataset_preset, experiment_csv_header,
+                      experiment_csv_row, gaussian_optimal_halfwidth,
+                      hoeffding_epsilon, lambda_sweep, lambda_tune,
+                      mcdiarmid_prob, robustness_suite, shift_matrix,
+                      split_experiment, train, trajectory_csv)
+from .metrics import CSV_FIELDS, METRIC_FIELDS
 from .metrics import report as metrics_report
-from .model import forward_intervals, load_checkpoint, save_checkpoint
-
-_DEFAULT_VARIANT = {"qpi": "dual", "width_only": "dual", "mse_only": "dual",
-                    "sqr": "sqr", "rqr_adj": "rqr", "mse_mcdropout": "dual"}
+from .model import (VARIANTS, forward_intervals, load_checkpoint,
+                    save_checkpoint)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,10 +84,8 @@ def _add_train(p: _Parser) -> None:
     p.add_argument("--lambda", dest="lambda_width", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loss", default="qpi",
-                   choices=("qpi", "width_only", "mse_only", "sqr",
-                            "rqr_adj", "mse_mcdropout"))
-    p.add_argument("--variant", default=None,
-                   choices=("dual", "fixed_margin", "single", "sqr", "rqr"),
+                   choices=tuple(_ALLOWED_VARIANTS))
+    p.add_argument("--variant", default=None, choices=VARIANTS,
                    help="defaults to the natural head for --loss")
     p.add_argument("--dropout", type=float, default=0.2)
     p.add_argument("--hidden", type=int, default=64)
@@ -133,16 +130,20 @@ def _dataset_from_args(args):
 
 
 def _config_from_args(args) -> TrainConfig:
-    variant = args.variant or _DEFAULT_VARIANT[args.loss]
-    return TrainConfig(epochs=args.epochs, lr=args.lr,
-                       weight_decay=args.weight_decay, alpha=args.alpha,
-                       lambda_width=args.lambda_width, seed=args.seed,
-                       model_variant=variant, loss_kind=args.loss,
-                       dropout_p=args.dropout, hidden=args.hidden,
-                       sqrt_lr_decay=not args.no_sqrt_decay,
-                       width_norm=args.width_norm,
-                       smooth_coverage=args.smooth_coverage,
-                       mc_passes=args.mc_passes)
+    variant = args.variant or _ALLOWED_VARIANTS[args.loss][0]
+    try:
+        return TrainConfig(epochs=args.epochs, lr=args.lr,
+                           weight_decay=args.weight_decay, alpha=args.alpha,
+                           lambda_width=args.lambda_width, seed=args.seed,
+                           model_variant=variant, loss_kind=args.loss,
+                           dropout_p=args.dropout, hidden=args.hidden,
+                           sqrt_lr_decay=not args.no_sqrt_decay,
+                           width_norm=args.width_norm,
+                           smooth_coverage=args.smooth_coverage,
+                           mc_passes=args.mc_passes)
+    except ContractError as exc:
+        # A --loss/--variant pair the config rejects is a usage error.
+        raise ParameterError(str(exc)) from exc
 
 
 def _stamp(args) -> list[str]:
@@ -169,10 +170,13 @@ def _write_table(args, out: Path, name: str, header: str,
 
 
 def _report_json(rep, **extra) -> dict:
-    d = {f: getattr(rep, f) for f in
-         ("picp", "mpiw", "nmpiw", "mpe", "sharpness", "winkler", "cwc")}
+    d = {f: getattr(rep, f) for f in METRIC_FIELDS}
     d.update(extra)
     return d
+
+
+def _without(row: dict, key: str) -> dict:
+    return {k: v for k, v in row.items() if k != key}
 
 
 # ---------------------------------------------------------------------------
@@ -190,12 +194,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     out = _outdir(args, "train")
-    cfg = _config_from_args(args)
-    trainer = train_qpignn if cfg.loss_kind in ("qpi", "width_only",
-                                                "mse_only") else train_baseline
-    model, rec = trainer(ds, cfg)
+    model, rec = train(ds, cfg)
 
     (out / "trajectory.csv").write_text(trajectory_csv(rec))
     save_checkpoint(model, out / "checkpoint.json")
@@ -242,9 +244,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     out = _outdir(args, "sweep")
-    cfg = _config_from_args(args)
     if args.tune:
         lo, hi = (float(x) for x in args.bounds.split(","))
         result = lambda_tune(ds, cfg, bounds=(lo, hi), budget=args.budget,
@@ -273,9 +275,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     out = _outdir(args, "ablate")
-    cfg = _config_from_args(args)
     seeds = tuple(int(s) for s in args.seeds.split(","))
     table = ablation_suite(ds, cfg, seeds=seeds, jobs=args.jobs)
 
@@ -286,7 +288,7 @@ def _cmd_ablate(args) -> int:
                 rep, f"ablate-{row['setting']}-s{seed}", label,
                 row["setting"], row["lambda_width"], seed,
                 experiment="ablate", kind=row["setting"]))
-        jrows.append({k: v for k, v in row.items() if k != "per_seed"})
+        jrows.append(_without(row, "per_seed"))
     _write_table(args, out, "ablation", experiment_csv_header(), rows, jrows)
 
     summary = ["setting," + ",".join(
@@ -306,25 +308,22 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_robust(args) -> int:
+    cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     out = _outdir(args, "robust")
-    cfg = _config_from_args(args)
     table = robustness_suite(ds, cfg, jobs=args.jobs)
 
     header = (experiment_csv_header() + ",coverage_retention,width_growth")
     rows, jrows = [], []
     for row in table:
-        rep = MetricsReport(picp=row["picp"], mpiw=row["mpiw"],
-                            nmpiw=row["nmpiw"], mpe=row["mpe"],
-                            sharpness=row["sharpness"], winkler=row["winkler"],
-                            cwc=row["cwc"], n_eval=-1, alpha=cfg.alpha)
-        base = experiment_csv_row(rep, f"robust-{row['kind']}-{row['level']:g}",
+        base = experiment_csv_row(row["report"],
+                                  f"robust-{row['kind']}-{row['level']:g}",
                                   label, cfg.model_variant, cfg.lambda_width,
                                   cfg.seed, experiment="robust",
                                   kind=row["kind"], level=f"{row['level']:g}")
         rows.append(base + f",{row['coverage_retention']:.10g}"
                            f",{row['width_growth']:.10g}")
-        jrows.append(dict(row))
+        jrows.append(_without(row, "report"))
     _write_table(args, out, "robustness", header, rows, jrows)
     _echo_config(args, out)
     for row in table:
@@ -334,9 +333,9 @@ def _cmd_robust(args) -> int:
 
 
 def _cmd_shift(args) -> int:
+    cfg = _config_from_args(args)
     out = _outdir(args, "shift")
     families = tuple(args.families.split(","))
-    cfg = _config_from_args(args)
     matrix = shift_matrix(families, cfg, nodes=args.nodes, runs=args.runs,
                           data_seed=args.data_seed, family=args.family,
                           noise_sigma=args.noise_sigma,
@@ -362,24 +361,19 @@ def _cmd_shift(args) -> int:
 
 
 def _cmd_splits(args) -> int:
+    cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     out = _outdir(args, "splits")
-    cfg = _config_from_args(args)
     kinds = tuple(args.kinds.split(","))
     table = split_experiment(ds, cfg, kinds=kinds, jobs=args.jobs)
 
     rows, jrows = [], []
     for row in table:
-        rep = MetricsReport(picp=row["picp"], mpiw=row["mpiw"],
-                            nmpiw=row["nmpiw"], mpe=row["mpe"],
-                            sharpness=row["sharpness"], winkler=row["winkler"],
-                            cwc=row["cwc"], n_eval=row["test_size"],
-                            alpha=cfg.alpha)
-        rows.append(experiment_csv_row(rep, f"splits-{row['kind']}", label,
-                                       cfg.model_variant, cfg.lambda_width,
-                                       cfg.seed, experiment="splits",
-                                       kind=row["kind"]))
-        jrows.append(dict(row))
+        rows.append(experiment_csv_row(row["report"], f"splits-{row['kind']}",
+                                       label, cfg.model_variant,
+                                       cfg.lambda_width, cfg.seed,
+                                       experiment="splits", kind=row["kind"]))
+        jrows.append(_without(row, "report"))
     _write_table(args, out, "splits", experiment_csv_header(), rows, jrows)
     _echo_config(args, out)
     for row in table:
@@ -418,15 +412,19 @@ def _cmd_report(args) -> int:
     fields = list(CSV_FIELDS)
     groups: dict[tuple, list[dict]] = {}
     for path in args.inputs:
-        for line in Path(path).read_text().splitlines():
-            if not line or line.startswith("#") or line.startswith(fields[0]):
-                continue
-            cells = line.split(",")
-            if len(cells) < len(fields):
-                continue
-            row = dict(zip(fields, cells))
-            key = (row["dataset"], row["model"], row["lambda"])
-            groups.setdefault(key, []).append(row)
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            for cells in reader:
+                if not cells or cells[0].startswith("#") \
+                        or cells[0] == fields[0]:
+                    continue
+                if len(cells) < len(fields):
+                    raise IngestionError(
+                        f"{path}:{reader.line_num}: expected at least "
+                        f"{len(fields)} columns, got {len(cells)}")
+                row = dict(zip(fields, cells))
+                key = (row["dataset"], row["model"], row["lambda"])
+                groups.setdefault(key, []).append(row)
 
     header = "dataset,model,lambda,n_rows," + ",".join(
         f"{f}_mean,{f}_std" for f in ("picp", "mpiw", "cwc"))

@@ -478,6 +478,21 @@ def _read_rows(path: str | Path, header: bool) -> list[tuple[int, list[str]]]:
     return rows
 
 
+def _finite_floats(path: str | Path, lineno: int,
+                   cells: list[str]) -> list[float]:
+    vals = []
+    for cell in cells:
+        try:
+            val = float(cell)
+        except ValueError as exc:
+            raise IngestionError(
+                f"{path}:{lineno}: bad float {cell!r}") from exc
+        if not np.isfinite(val):
+            raise IngestionError(f"{path}:{lineno}: non-finite value {cell!r}")
+        vals.append(val)
+    return vals
+
+
 def load_csv(edges_path: str | Path, features_path: str | Path,
              targets_path: str | Path, header: bool = False,
              split_spec: SplitSpec | None = None) -> Dataset:
@@ -486,18 +501,15 @@ def load_csv(edges_path: str | Path, features_path: str | Path,
     ``edges`` holds one ``src,dst`` pair per line, ``features`` one row
     of floats per node, ``targets`` one float per node.  Node count is
     taken from the targets file; every edge endpoint must be a valid
-    index.  Errors cite the offending file, line and value.
+    index; features and targets must be finite.  Errors cite the
+    offending file, line and value.
     """
     targets = []
     for lineno, row in _read_rows(targets_path, header):
         if len(row) != 1:
             raise IngestionError(
                 f"{targets_path}:{lineno}: expected a single target value")
-        try:
-            targets.append(float(row[0]))
-        except ValueError as exc:
-            raise IngestionError(
-                f"{targets_path}:{lineno}: bad float {row[0]!r}") from exc
+        targets += _finite_floats(targets_path, lineno, row)
     if not targets:
         raise IngestionError(f"{targets_path}: no target rows")
     n = len(targets)
@@ -505,11 +517,7 @@ def load_csv(edges_path: str | Path, features_path: str | Path,
     feats: list[list[float]] = []
     width = None
     for lineno, row in _read_rows(features_path, header):
-        try:
-            vals = [float(cell) for cell in row]
-        except ValueError as exc:
-            raise IngestionError(
-                f"{features_path}:{lineno}: bad float in row") from exc
+        vals = _finite_floats(features_path, lineno, row)
         if width is None:
             width = len(vals)
         elif len(vals) != width:

@@ -13,6 +13,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import diffkit as dk
 from .errors import ContractError, ParameterError, TrainingError
@@ -21,18 +22,16 @@ from .graphcore import (Dataset, PerturbSpec, SplitSpec, gen_ba, gen_chain,
                         synth_dataset)
 from .losses import (LossConfig, mse_loss, qpi_total_loss, rqr_adj_loss,
                      sqr_loss, width_loss)
-from .metrics import CSV_FIELDS, MetricsReport, csv_row, report
+from .metrics import (CSV_FIELDS, METRIC_FIELDS, MetricsReport, csv_row,
+                      interval_stats, report)
 from .model import (IntervalSet, Model, ModelConfig, forward_intervals,
                     init_model, mc_dropout_interval)
 from .optim import AdamState, adam_step, grad_norm
 from .rng import derive_seed, keyed_rng
 
-QPI_LOSS_KINDS = ("qpi", "width_only", "mse_only")
-BASELINE_LOSS_KINDS = ("sqr", "rqr_adj", "mse_mcdropout")
-
-# Variants each loss kind may train.  The interval losses run on any of
-# the interval heads; the quantile and baseline losses are tied to the
-# architecture they parameterize.
+# Variants each loss kind may train, its default first.  The interval
+# losses run on any of the interval heads; the quantile and baseline
+# losses are tied to the architecture they parameterize.
 _ALLOWED_VARIANTS = {
     "qpi": ("dual", "fixed_margin", "single"),
     "width_only": ("dual", "fixed_margin", "single"),
@@ -103,6 +102,8 @@ class TrainConfig:
             raise ContractError(
                 f"loss_kind {self.loss_kind!r} cannot train "
                 f"model_variant {self.model_variant!r}")
+        if self.mc_passes < 2:
+            raise ParameterError("mc_passes must be >= 2")
 
     def loss_config(self) -> LossConfig:
         return LossConfig(alpha=self.alpha, lambda_width=self.lambda_width,
@@ -208,21 +209,6 @@ class ConcentrationReport:
 # Single-run training
 # ---------------------------------------------------------------------------
 
-def _interval_stats(iv: IntervalSet, y: np.ndarray,
-                    mask: np.ndarray) -> tuple[float, float, float]:
-    """(coverage, mean width, violation) of an interval set over a mask."""
-    low = iv.low_values[mask]
-    up = iv.up_values[mask]
-    ym = y[mask]
-    inside = (ym >= low) & (ym <= up)
-    viol = np.where(ym < low, low - ym, 0.0) + np.where(ym > up, ym - up, 0.0)
-    return float(inside.mean()), float((up - low).mean()), float(viol.mean())
-
-
-def _point_intervals(center: np.ndarray) -> IntervalSet:
-    return IntervalSet.from_arrays(center, center)
-
-
 def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
                 lcfg: LossConfig, ep: int):
     """Build one epoch's loss node.
@@ -238,43 +224,32 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
 
     if cfg.loss_kind == "sqr":
         node = sqr_loss(model, ds, mask, seed=ep_seed)
+        tape = node.tape
         iv = forward_intervals(model, ds.graph, ds.features, alpha=cfg.alpha)
-        cov, wid, viol = _interval_stats(iv, y, mask)
-        return node, node.tape, dict(coverage=cov, width=wid,
-                                     loss=node.item(), violation=viol)
+    else:
+        tape = dk.Tape()
+        iv = forward_intervals(model, ds.graph, ds.features, tape=tape,
+                               train_mode=True, seed=ep_seed, alpha=cfg.alpha)
+        if cfg.loss_kind == "qpi":
+            node = qpi_total_loss(iv, y, mask, lcfg).node
+        elif cfg.loss_kind == "width_only":
+            # Coverage terms off: only the width penalty reaches the tape.
+            node = dk.scale(width_loss(iv, mask, cfg.width_norm),
+                            cfg.lambda_width)
+        elif cfg.loss_kind == "rqr_adj":
+            node = rqr_adj_loss(iv.low, iv.up, y, mask, cfg.alpha,
+                                cfg.rqr_lambda, cfg.gamma_order)
+        elif cfg.loss_kind in ("mse_only", "mse_mcdropout"):
+            center = dk.scale(dk.add(iv.low, iv.up), 0.5)
+            node = mse_loss(center, y, mask)
+            iv = IntervalSet.from_arrays(center.value, center.value)
+        else:
+            raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
 
-    tape = dk.Tape()
-    iv = forward_intervals(model, ds.graph, ds.features, tape=tape,
-                           train_mode=True, seed=ep_seed, alpha=cfg.alpha)
-
-    if cfg.loss_kind == "qpi":
-        bd = qpi_total_loss(iv, y, mask, lcfg)
-        wid = float(iv.widths()[mask].mean())
-        return bd.node, tape, dict(coverage=bd.empirical_coverage, width=wid,
-                                   loss=bd.total, violation=bd.violation_term)
-
-    if cfg.loss_kind == "width_only":
-        # Coverage terms off: only the width penalty reaches the tape.
-        node = dk.scale(width_loss(iv, mask, cfg.width_norm), cfg.lambda_width)
-        cov, wid, viol = _interval_stats(iv, y, mask)
-        return node, tape, dict(coverage=cov, width=wid,
-                                loss=node.item(), violation=viol)
-
-    if cfg.loss_kind == "rqr_adj":
-        node = rqr_adj_loss(iv.low, iv.up, y, mask, cfg.alpha,
-                            cfg.rqr_lambda, cfg.gamma_order)
-        cov, wid, viol = _interval_stats(iv, y, mask)
-        return node, tape, dict(coverage=cov, width=wid,
-                                loss=node.item(), violation=viol)
-
-    if cfg.loss_kind in ("mse_only", "mse_mcdropout"):
-        center = dk.scale(dk.add(iv.low, iv.up), 0.5)
-        node = mse_loss(center, y, mask)
-        cov, wid, viol = _interval_stats(_point_intervals(center.value), y, mask)
-        return node, tape, dict(coverage=cov, width=wid,
-                                loss=node.item(), violation=viol)
-
-    raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
+    st = interval_stats(iv, y, mask)
+    return node, tape, dict(coverage=st.coverage, width=float(st.width.mean()),
+                            loss=node.item(),
+                            violation=float(st.violation.mean()))
 
 
 def _final_intervals(model: Model, ds: Dataset, cfg: TrainConfig) -> IntervalSet:
@@ -287,7 +262,15 @@ def _final_intervals(model: Model, ds: Dataset, cfg: TrainConfig) -> IntervalSet
     return forward_intervals(model, ds.graph, ds.features, alpha=cfg.alpha)
 
 
-def _train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, RunRecord]:
+def train(ds: Dataset,
+          cfg: TrainConfig | None = None) -> tuple[Model, RunRecord]:
+    """Full-batch training of any loss kind: forward, loss, backward, Adam.
+
+    The joint interval loss and its ablations train the interval heads;
+    the reference objectives (SQR, RQR-adj, MSE+MC-dropout) train the
+    architecture each is tied to, as ``TrainConfig`` enforces.
+    """
+    cfg = cfg or TrainConfig()
     lcfg = cfg.loss_config()
     mcfg = ModelConfig(in_dim=ds.feat_dim, hidden=cfg.hidden,
                        variant=cfg.model_variant, dropout_p=cfg.dropout_p)
@@ -325,25 +308,9 @@ def _train(ds: Dataset, cfg: TrainConfig) -> tuple[Model, RunRecord]:
     return model, rec
 
 
-def train_qpignn(ds: Dataset, cfg: TrainConfig | None = None) -> tuple[Model, RunRecord]:
-    """Full-batch interval training: encode, dual-head, loss, Adam step.
-
-    Accepts the joint loss and its two single-term ablations;
-    quantile-style objectives go through train_baseline.
-    """
-    cfg = cfg or TrainConfig()
-    if cfg.loss_kind not in QPI_LOSS_KINDS:
-        raise ContractError(
-            f"train_qpignn handles {QPI_LOSS_KINDS}, got {cfg.loss_kind!r}")
-    return _train(ds, cfg)
-
-
-def train_baseline(ds: Dataset, cfg: TrainConfig) -> tuple[Model, RunRecord]:
-    """Train one of the reference objectives (SQR, RQR-adj, MSE+MC-dropout)."""
-    if cfg.loss_kind not in BASELINE_LOSS_KINDS:
-        raise ContractError(
-            f"train_baseline handles {BASELINE_LOSS_KINDS}, got {cfg.loss_kind!r}")
-    return _train(ds, cfg)
+# Public aliases of ``train``.
+train_qpignn = train
+train_baseline = train
 
 
 # ---------------------------------------------------------------------------
@@ -357,13 +324,18 @@ def selection_objective(val: MetricsReport, alpha: float) -> float:
 
 def _sweep_eval(args) -> SweepEntry:
     ds, cfg, lam = args
-    _, rec = _train(ds, replace(cfg, lambda_width=lam))
+    _, rec = train(ds, replace(cfg, lambda_width=lam))
     val, test = rec.reports["val"], rec.reports["test"]
     return SweepEntry(lam, val, test, selection_objective(val, cfg.alpha))
 
 
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ParameterError("jobs must be >= 1")
+
+
 def _pmap(fn, items, jobs: int):
-    if jobs <= 1:
+    if jobs == 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
@@ -381,6 +353,7 @@ def _width_trend_flags(entries) -> tuple[str, ...]:
 def lambda_sweep(ds: Dataset, cfg: TrainConfig | None = None,
                  grid=DEFAULT_LAMBDA_GRID, jobs: int = 1) -> SweepResult:
     """Train one model per grid value and pick the best by the objective."""
+    _check_jobs(jobs)
     cfg = cfg or TrainConfig()
     grid = tuple(float(g) for g in grid)
     if not grid:
@@ -403,6 +376,7 @@ def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
     sweep uses, computed on the validation mask.  `budget` caps the
     total number of training runs.
     """
+    _check_jobs(jobs)
     cfg = cfg or TrainConfig()
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < lo < hi:
@@ -460,12 +434,10 @@ ABLATION_SETTINGS = (
     ("single_head", "single", "qpi", None),
 )
 
-_METRIC_FIELDS = ("picp", "mpiw", "nmpiw", "mpe", "sharpness", "winkler", "cwc")
-
 
 def _seed_run(args) -> MetricsReport:
     ds, cfg = args
-    _, rec = _train(ds, cfg)
+    _, rec = train(ds, cfg)
     return rec.reports["test"]
 
 
@@ -477,6 +449,7 @@ def ablation_suite(ds: Dataset, cfg: TrainConfig | None = None,
     width-only reductions, a plain MSE fit of the same architecture,
     and the fixed-margin / single-head variants under the joint loss.
     """
+    _check_jobs(jobs)
     cfg = cfg or TrainConfig()
     rows = []
     for name, variant, loss_kind, lam in ABLATION_SETTINGS:
@@ -488,7 +461,7 @@ def ablation_suite(ds: Dataset, cfg: TrainConfig | None = None,
         row = {"setting": name, "variant": variant, "loss_kind": loss_kind,
                "lambda_width": lam_eff, "n_seeds": len(seeds),
                "per_seed": tuple(reports)}
-        for f in _METRIC_FIELDS:
+        for f in METRIC_FIELDS:
             vals = np.array([getattr(r, f) for r in reports])
             row[f + "_mean"] = float(vals.mean())
             row[f + "_std"] = float(vals.std())
@@ -509,11 +482,13 @@ def robustness_suite(ds: Dataset, cfg: TrainConfig | None = None,
 
     The level-0 row of every kind is the one unperturbed run (trained
     once and shared), so its metrics are identical across kinds by
-    construction.
+    construction.  Each row also carries its test ``MetricsReport``
+    under ``"report"``.
     """
+    _check_jobs(jobs)
     cfg = cfg or TrainConfig()
     levels = levels if levels is not None else DEFAULT_PERTURB_LEVELS
-    _, clean = _train(ds, cfg)
+    _, clean = train(ds, cfg)
     base = clean.reports["test"]
 
     specs = []
@@ -537,14 +512,14 @@ def robustness_suite(ds: Dataset, cfg: TrainConfig | None = None,
 def _robust_run(args) -> MetricsReport:
     ds, cfg, kind, level, pseed = args
     pds = perturb(ds, PerturbSpec(kind, level, seed=pseed))
-    _, rec = _train(pds, cfg)
+    _, rec = train(pds, cfg)
     return rec.reports["test"]
 
 
 def _robust_row(kind: str, level: float, rep: MetricsReport,
                 base: MetricsReport) -> dict:
-    row = {"kind": kind, "level": level}
-    for f in _METRIC_FIELDS:
+    row = {"kind": kind, "level": level, "report": rep}
+    for f in METRIC_FIELDS:
         row[f] = getattr(rep, f)
     row["coverage_retention"] = rep.picp / base.picp if base.picp > 0 else float("nan")
     row["width_growth"] = rep.mpiw / base.mpiw if base.mpiw > 0 else float("nan")
@@ -586,7 +561,7 @@ def dataset_preset(name: str, nodes: int, seed: int, family: str = "basic",
 
 def _shift_cell(args):
     ds_i, cfg = args
-    model, _ = _train(ds_i, cfg)
+    model, _ = train(ds_i, cfg)
     return model
 
 
@@ -601,6 +576,7 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
     mask of a foreign graph is privileged.  The width penalty defaults
     to 0.5, the published protocol for this table.
     """
+    _check_jobs(jobs)
     families = tuple(families)
     if len(families) < 2:
         raise ParameterError("shift matrix needs at least 2 families")
@@ -634,7 +610,11 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
                      kinds=("random", "degree", "community"),
                      ratios=(0.6, 0.2, 0.2), split_seed: int = 0,
                      jobs: int = 1) -> list[dict]:
-    """Re-split one dataset by each strategy, retrain, report test metrics."""
+    """Re-split one dataset by each strategy, retrain, report test metrics.
+
+    Each row also carries its test ``MetricsReport`` under ``"report"``.
+    """
+    _check_jobs(jobs)
     kinds = tuple(kinds)
     if len(kinds) < 2:
         raise ParameterError("split experiment needs >= 2 kinds")
@@ -649,8 +629,8 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
     for kind, d, rep in zip(kinds, variants, reports):
         row = {"kind": kind, "train_size": int(d.train_mask.sum()),
                "val_size": int(d.val_mask.sum()),
-               "test_size": int(d.test_mask.sum())}
-        for f in _METRIC_FIELDS:
+               "test_size": int(d.test_mask.sum()), "report": rep}
+        for f in METRIC_FIELDS:
             row[f] = getattr(rep, f)
         rows.append(row)
     return rows
@@ -678,48 +658,11 @@ def mcdiarmid_prob(n: int, eps: float) -> float:
     return 2.0 * math.exp(-2.0 * n * eps * eps)
 
 
-# Rational approximation of the standard normal quantile (the classic
-# three-branch minimax fit; absolute error under 1e-9 on (0, 1)).
-_INVNORM_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-              -2.759285104469687e+02, 1.383577518672690e+02,
-              -3.066479806614716e+01, 2.506628277459239e+00)
-_INVNORM_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-              -1.556989798598866e+02, 6.680131188771972e+01,
-              -1.328068155288572e+01)
-_INVNORM_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-              -2.400758277161838e+00, -2.549732539343734e+00,
-              4.374664141464968e+00, 2.938163982698783e+00)
-_INVNORM_D = (7.784695709041462e-03, 3.224671290700398e-01,
-              2.445134137142996e+00, 3.754408661907416e+00)
-_INVNORM_PLOW = 0.02425
-
-
 def inv_norm_cdf(p: float) -> float:
-    """Quantile of the standard normal via rational approximation.
-
-    One Halley refinement step on top of the minimax fit brings the
-    absolute error below 1e-13, comfortably inside the 1e-8 contract.
-    """
+    """Quantile of the standard normal."""
     if not 0.0 < p < 1.0:
         raise ParameterError("p must lie in the open interval (0, 1)")
-    a, b, c, d = _INVNORM_A, _INVNORM_B, _INVNORM_C, _INVNORM_D
-    if p < _INVNORM_PLOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    elif p <= 1.0 - _INVNORM_PLOW:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-            (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    # Halley refinement against the exact CDF.
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(x * x / 2.0)
-    return x - u / (1.0 + x * u / 2.0)
+    return float(ndtri(p))
 
 
 def gaussian_optimal_halfwidth(sigma: float, alpha: float) -> float:
@@ -731,15 +674,11 @@ def gaussian_optimal_halfwidth(sigma: float, alpha: float) -> float:
     return sigma * inv_norm_cdf(1.0 - alpha / 2.0)
 
 
-def _norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def _rule_cover_prob(low: float, up: float, distribution: str) -> float:
     if up < low:
         raise ParameterError("interval rule must have low <= up")
     if distribution == "gaussian":
-        return _norm_cdf(up) - _norm_cdf(low)
+        return float(ndtr(up) - ndtr(low))
     if distribution == "uniform":
         return max(0.0, (min(up, 1.0) - max(low, -1.0)) / 2.0)
     raise ParameterError(f"unknown distribution {distribution!r}")

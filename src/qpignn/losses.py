@@ -24,8 +24,12 @@ from . import diffkit as dk
 from .diffkit import Tensor, constant
 from .errors import ContractError, ParameterError
 from .graphcore import Dataset
+from .metrics import interval_stats, picp
 from .model import IntervalSet, Model, sqr_forward
 from .rng import keyed_rng
+
+# Training-side name of the closed-interval coverage fraction.
+empirical_coverage = picp
 
 # Temperature of the optional logistic coverage surrogate.
 SMOOTH_COVERAGE_TEMPERATURE = 0.1
@@ -65,27 +69,6 @@ class LossBreakdown:
     node: Tensor = field(repr=False)
 
 
-def _masked(iv: IntervalSet, y: np.ndarray, mask: np.ndarray):
-    mask = np.asarray(mask).astype(bool)
-    if mask.shape != (len(iv),):
-        raise ContractError("mask length must match the interval set")
-    if not mask.any():
-        raise ContractError("mask selects no nodes")
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape != (len(iv),):
-        raise ContractError("targets must have one entry per node")
-    low = dk.masked_select(iv.low, mask)
-    up = dk.masked_select(iv.up, mask)
-    return low, up, y[mask].reshape(-1, 1)
-
-
-def empirical_coverage(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> float:
-    """Fraction of masked targets inside their closed interval."""
-    low, up, ym = _masked(iv, y, mask)
-    covered = (low.value <= ym) & (ym <= up.value)
-    return float(covered.mean())
-
-
 def violation_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> Tensor:
     """Mean distance of uncovered targets to their nearest bound.
 
@@ -93,10 +76,12 @@ def violation_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> Tensor:
     indicators are constants; gradient reaches the bounds through the
     distances, pushing a violated bound toward its target.
     """
-    low, up, ym = _masked(iv, y, mask)
-    below = (ym < low.value).astype(np.float64)
-    above = (ym > up.value).astype(np.float64)
-    yc = constant(ym)
+    st = interval_stats(iv, y, mask)
+    low = dk.masked_select(iv.low, st.mask)
+    up = dk.masked_select(iv.up, st.mask)
+    below = (st.y < st.low).astype(np.float64).reshape(-1, 1)
+    above = (st.y > st.up).astype(np.float64).reshape(-1, 1)
+    yc = constant(st.y)
     under = dk.scale(dk.sub(low, yc), below)   # (low - y) where y < low
     over = dk.scale(dk.sub(yc, up), above)     # (y - up) where y > up
     return dk.reduce_mean(dk.add(under, over))
@@ -118,37 +103,38 @@ def width_loss(iv: IntervalSet, mask: np.ndarray, width_norm: str = "l1") -> Ten
 def qpi_total_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
                    cfg: LossConfig) -> LossBreakdown:
     """Joint coverage/violation/width objective on the masked nodes."""
-    low, up, ym = _masked(iv, y, mask)
-    covered = (low.value <= ym) & (ym <= up.value)
-    c_hat = float(covered.mean())
+    st = interval_stats(iv, y, mask)
     target = 1.0 - cfg.alpha
 
-    viol = violation_loss(iv, y, mask)
-    width = width_loss(iv, mask, cfg.width_norm)
-    partial = dk.add(viol, dk.scale(width, cfg.lambda_width))
-
+    cov_term = None
     if cfg.smooth_coverage:
         # Logistic surrogate: product of two sigmoids per node peaks at 1
         # inside the interval and lets the squared term pass gradient.
         inv_t = 1.0 / SMOOTH_COVERAGE_TEMPERATURE
-        yc = constant(ym)
+        low = dk.masked_select(iv.low, st.mask)
+        up = dk.masked_select(iv.up, st.mask)
+        yc = constant(st.y)
         inside = dk.mul(dk.sigmoid(dk.scale(dk.sub(yc, low), inv_t)),
                         dk.sigmoid(dk.scale(dk.sub(up, yc), inv_t)))
         miss = dk.add_scalar(dk.reduce_mean(inside), -target)
         cov_term = dk.mul(miss, miss)
-        node = dk.add(cov_term, partial)
         coverage_value = cov_term.item()
     else:
         # Hard count: enters the total as a constant, no gradient.
-        coverage_value = (c_hat - target) ** 2
-        node = dk.add_scalar(partial, coverage_value)
+        coverage_value = (st.coverage - target) ** 2
+
+    viol = violation_loss(iv, y, mask)
+    width = width_loss(iv, mask, cfg.width_norm)
+    partial = dk.add(viol, dk.scale(width, cfg.lambda_width))
+    node = dk.add_scalar(partial, coverage_value) if cov_term is None \
+        else dk.add(cov_term, partial)
 
     return LossBreakdown(
         total=node.item(),
         coverage_term=coverage_value,
         violation_term=viol.item(),
         width_term=width.item(),
-        empirical_coverage=c_hat,
+        empirical_coverage=st.coverage,
         node=node,
     )
 
@@ -206,11 +192,11 @@ def rqr_w_loss(low: Tensor, up: Tensor, y: np.ndarray, mask: np.ndarray,
     Mean of (alpha + 2 lam - 1[low <= y <= up]) (y - low) (y - up)
     plus (lam / 2) (up - low)^2; the coverage indicator is constant.
     """
-    iv = IntervalSet(low, up)
-    low_m, up_m, ym = _masked(iv, y, mask)
-    covered = ((low_m.value <= ym) & (ym <= up_m.value)).astype(np.float64)
-    coeff = alpha + 2.0 * lam - covered
-    yc = constant(ym)
+    st = interval_stats(IntervalSet(low, up), y, mask)
+    low_m = dk.masked_select(low, st.mask)
+    up_m = dk.masked_select(up, st.mask)
+    coeff = alpha + 2.0 * lam - st.inside.astype(np.float64).reshape(-1, 1)
+    yc = constant(st.y)
     product = dk.mul(dk.sub(yc, low_m), dk.sub(yc, up_m))
     w = dk.sub(up_m, low_m)
     penalty = dk.scale(dk.mul(w, w), lam / 2.0)

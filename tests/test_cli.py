@@ -28,6 +28,23 @@ def test_bad_parameter_exits_1(tmp_path, capsys):
     assert not (tmp_path / "x").exists()  # no debris from failed runs
 
 
+def test_loss_variant_mismatch_exits_1(tmp_path, capsys):
+    code = run(["train", *FAST_DS, *FAST_TRAIN, "--loss", "sqr",
+                "--variant", "dual", "--out", str(tmp_path / "x")])
+    assert code == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_bad_jobs_and_mc_passes_exit_1(tmp_path, capsys):
+    for bad in (["sweep", "--grid", "0.1", "--jobs", "-3"],
+                ["sweep", "--grid", "0.1", "--jobs", "0"],
+                ["train", "--loss", "mse_mcdropout", "--mc-passes", "1"]):
+        assert run([*bad, *FAST_DS, *FAST_TRAIN,
+                    "--out", str(tmp_path / "x")]) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
 def test_runtime_error_exits_2(tmp_path, capsys):
     code = run(["eval", "--checkpoint", str(tmp_path / "missing.json"),
                 *FAST_DS, "--out", str(tmp_path / "y")])
@@ -169,6 +186,19 @@ def test_report_aggregates_runs(tmp_path, capsys):
     rows = (out / "summary.csv").read_text().strip().split("\n")
     assert len(rows) >= 2
     assert "picp_mean" in rows[0]
+
+
+def test_report_rejects_short_rows(tmp_path, capsys):
+    a = tmp_path / "a"
+    assert _train(a) == 0
+    metrics = a / "metrics.csv"
+    lines = metrics.read_text().splitlines()
+    metrics.write_text("\n".join(lines[:2] + ["x,y,z"] + lines[2:]) + "\n")
+    capsys.readouterr()
+    assert run(["report", "--inputs", str(metrics),
+                "--out", str(tmp_path / "summary")]) == 2
+    assert f"{metrics}:3: expected at least 12 columns, got 3" \
+        in capsys.readouterr().err
 
 
 def test_ablate_and_robust_small(tmp_path):

@@ -275,3 +275,18 @@ def test_load_csv_rejects_garbage(tmp_path):
     e.write_text("0,1\n")
     with pytest.raises(IngestionError):
         q.load_csv(e, f, t)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_load_csv_rejects_non_finite(tmp_path, bad):
+    e, f, t = tmp_path / "e.csv", tmp_path / "f.csv", tmp_path / "t.csv"
+    e.write_text("0,1\n")
+    f.write_text("1.0,2.0\n0.5,0.5\n")
+    t.write_text(f"1.0\n{bad}\n")
+    with pytest.raises(IngestionError,
+                       match=rf"t\.csv:2: non-finite value '{bad}'"):
+        q.load_csv(e, f, t)
+    t.write_text("1.0\n2.0\n")
+    f.write_text(f"1.0,2.0\n0.5,{bad}\n")
+    with pytest.raises(IngestionError, match=r"f\.csv:2: non-finite"):
+        q.load_csv(e, f, t)

@@ -52,12 +52,27 @@ def test_train_config_validation():
         TrainConfig(loss_kind="mse_mcdropout", model_variant="rqr")
 
 
-def test_entry_point_guards(small_ds):
-    with pytest.raises(ContractError):
-        train_qpignn(small_ds, TrainConfig(loss_kind="rqr_adj",
-                                           model_variant="rqr"))
-    with pytest.raises(ContractError):
-        train_baseline(small_ds, TrainConfig(loss_kind="qpi"))
+def test_train_is_the_single_entry_point(small_ds):
+    assert train_qpignn is q.train and train_baseline is q.train
+    for kind, variant in (("qpi", "dual"), ("rqr_adj", "rqr")):
+        cfg = TrainConfig(epochs=3, hidden=8, loss_kind=kind,
+                          model_variant=variant)
+        model, rec = q.train(small_ds, cfg)
+        assert model.config.variant == variant
+        assert rec.loss.shape == (3,) and np.all(np.isfinite(rec.loss))
+
+
+def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds):
+    with pytest.raises(ParameterError):
+        TrainConfig(loss_kind="mse_mcdropout", mc_passes=1)
+    cfg = TrainConfig(epochs=2, hidden=8)
+    for suite in (lambda j: lambda_sweep(small_ds, cfg, grid=(0.1,), jobs=j),
+                  lambda j: robustness_suite(small_ds, cfg, jobs=j),
+                  lambda j: ablation_suite(small_ds, cfg, seeds=(0,), jobs=j),
+                  lambda j: split_experiment(small_ds, cfg, jobs=j)):
+        for jobs in (0, -3):
+            with pytest.raises(ParameterError):
+                suite(jobs)
 
 
 def test_sweep_result_requires_chosen_in_entries():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError
 from qpignn.metrics import (CSV_FIELDS, CWC_ETA, CWC_GAMMA, cwc, csv_header,
-                            csv_row, mpe, mpiw, nmpiw, picp, report,
-                            sharpness, winkler)
+                            csv_row, interval_stats, mpe, mpiw, nmpiw, picp,
+                            report, sharpness, winkler)
 from qpignn.model import IntervalSet
 from qpignn.rng import keyed_rng
 
@@ -108,6 +108,24 @@ def test_error_paths():
         winkler(iv, y, ALL, 0.0)
     with pytest.raises(ParameterError):
         cwc(0.5, 0.9, 1.0)
+
+
+def test_interval_stats_violation_and_overshoot():
+    # Node 2 is crossed (low 2 > up 1) with its target between the bounds:
+    # it sits below low by 0.5 and above up by 0.5 at once.
+    iv = _iv([0.0, 0.0, 2.0, 0.0], [1.0, 1.0, 1.0, 1.0])
+    y = np.array([0.5, 3.0, 1.5, -1.0])
+    st_ = interval_stats(iv, y, ALL)
+    assert st_.inside.tolist() == [True, False, False, False]
+    assert st_.coverage == 0.25
+    np.testing.assert_array_equal(st_.width, [1.0, 1.0, -1.0, 1.0])
+    np.testing.assert_array_equal(st_.violation, [0.0, 2.0, 1.0, 1.0])
+    np.testing.assert_array_equal(st_.overshoot, [0.0, 2.0, 0.5, 1.0])
+    masked = interval_stats(iv, y, np.array([0, 1, 0, 1], bool))
+    assert masked.y.tolist() == [3.0, -1.0]
+    widths_only = interval_stats(iv, None, ALL)
+    assert widths_only.y is None and widths_only.violation is None
+    np.testing.assert_array_equal(widths_only.width, st_.width)
 
 
 finite = st.floats(-50, 50, allow_nan=False)
