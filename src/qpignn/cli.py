@@ -41,8 +41,18 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: usage error: {message}\n")
         raise SystemExit(1)
+
+
+def _worker_count(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {jobs}")
+    return jobs
 
 
 # ---------------------------------------------------------------------------
@@ -54,7 +64,7 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generated-at header line")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_worker_count, default=1,
                    help="parallel workers across independent runs")
 
 
@@ -100,6 +110,7 @@ def _add_train(p: _Parser) -> None:
 # ---------------------------------------------------------------------------
 
 def _outdir(args, default_name: str) -> Path:
+    """Create the output directory; called once the work has succeeded."""
     out = Path(args.out) if args.out else Path("runs") / default_name
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -196,8 +207,8 @@ def _cmd_gen(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "train")
     model, rec = train(ds, cfg)
+    out = _outdir(args, "train")
 
     (out / "trajectory.csv").write_text(trajectory_csv(rec))
     save_checkpoint(model, out / "checkpoint.json")
@@ -225,7 +236,6 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "eval")
     model = load_checkpoint(args.checkpoint)
     iv = forward_intervals(model, ds.graph, ds.features, alpha=args.alpha)
     run_id = f"eval-{Path(args.checkpoint).stem}"
@@ -237,6 +247,7 @@ def _cmd_eval(args) -> int:
                                        -1, experiment="eval", kind=mask_name))
         jrows.append(_report_json(rep, run_id=run_id, mask=mask_name,
                                   dataset=label))
+    out = _outdir(args, "eval")
     _write_table(args, out, "metrics", experiment_csv_header(), rows, jrows)
     _echo_config(args, out)
     print(f"evaluated {args.checkpoint} on {label}")
@@ -246,7 +257,6 @@ def _cmd_eval(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "sweep")
     if args.tune:
         lo, hi = (float(x) for x in args.bounds.split(","))
         result = lambda_tune(ds, cfg, bounds=(lo, hi), budget=args.budget,
@@ -266,6 +276,7 @@ def _cmd_sweep(args) -> int:
         jrows.append(_report_json(e.test, lambda_width=e.lambda_width,
                                   objective=e.objective,
                                   chosen=(marker == "chosen")))
+    out = _outdir(args, "sweep")
     _write_table(args, out, "sweep", experiment_csv_header(), rows, jrows)
     _echo_config(args, out)
     for flag in result.flags:
@@ -277,9 +288,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "ablate")
     seeds = tuple(int(s) for s in args.seeds.split(","))
     table = ablation_suite(ds, cfg, seeds=seeds, jobs=args.jobs)
+    out = _outdir(args, "ablate")
 
     rows, jrows = [], []
     for row in table:
@@ -310,8 +321,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_robust(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "robust")
     table = robustness_suite(ds, cfg, jobs=args.jobs)
+    out = _outdir(args, "robust")
 
     header = (experiment_csv_header() + ",coverage_retention,width_growth")
     rows, jrows = [], []
@@ -334,12 +345,12 @@ def _cmd_robust(args) -> int:
 
 def _cmd_shift(args) -> int:
     cfg = _config_from_args(args)
-    out = _outdir(args, "shift")
     families = tuple(args.families.split(","))
     matrix = shift_matrix(families, cfg, nodes=args.nodes, runs=args.runs,
                           data_seed=args.data_seed, family=args.family,
                           noise_sigma=args.noise_sigma,
                           feat_dim=args.feat_dim, jobs=args.jobs)
+    out = _outdir(args, "shift")
 
     header = "source_family,target_family,picp,mpiw,lambda,runs"
     rows, jrows = [], []
@@ -363,9 +374,9 @@ def _cmd_shift(args) -> int:
 def _cmd_splits(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "splits")
     kinds = tuple(args.kinds.split(","))
     table = split_experiment(ds, cfg, kinds=kinds, jobs=args.jobs)
+    out = _outdir(args, "splits")
 
     rows, jrows = [], []
     for row in table:
@@ -408,7 +419,6 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    out = _outdir(args, "report")
     fields = list(CSV_FIELDS)
     groups: dict[tuple, list[dict]] = {}
     for path in args.inputs:
@@ -441,6 +451,7 @@ def _cmd_report(args) -> int:
             jrow[f + "_std"] = float(vals.std())
         rows.append(",".join(cells))
         jrows.append(jrow)
+    out = _outdir(args, "report")
     _write_table(args, out, "summary", header, rows, jrows)
     _echo_config(args, out)
     print(f"aggregated {sum(len(v) for v in groups.values())} rows "

@@ -32,6 +32,9 @@ NEIGHBOR_MIX = 0.5
 
 _LABEL_PROP_ROUNDS = 20
 
+# Pair draws per block in ``gen_er``: 8 MB of doubles at a time.
+_ER_BLOCK = 1 << 20
+
 
 @dataclass(frozen=True, eq=False)
 class Graph:
@@ -68,14 +71,19 @@ class Graph:
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(off))
         if np.any(rows == col):
             raise ContractError("self loops are not allowed")
-        for v in range(n):
-            nb = col[off[v]:off[v + 1]]
-            if nb.size and (np.any(np.diff(nb) <= 0)):
-                raise ContractError(f"row {v} is not strictly sorted")
+        # Rows strictly sorted: every step inside a row must rise; steps
+        # that cross from one row into the next are exempt.
+        bad = np.diff(col) <= 0
+        starts = off[1:-1]
+        bad[starts[(starts > 0) & (starts < col.size)] - 1] = False
+        if bad.any():
+            raise ContractError(
+                f"row {rows[np.argmax(bad)]} is not strictly sorted")
         # Symmetry: the set of (row, col) pairs must equal its transpose.
+        # Sorted rows make the forward keys ascending already.
         fwd = rows * n + col
         bwd = col * n + rows
-        if not np.array_equal(np.sort(fwd), np.sort(bwd)):
+        if not np.array_equal(fwd, np.sort(bwd)):
             raise ContractError("adjacency is not symmetric")
 
     @property
@@ -99,27 +107,31 @@ class Graph:
 
 
 def from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a Graph from an iterable of (u, v) pairs.
+    """Build a Graph from an iterable of (u, v) pairs or an (m, 2) array.
 
     Symmetrises, removes duplicates and self loops, and sorts rows, so
     callers may hand over edges in any order and direction.
     """
     if num_nodes < 1:
         raise ParameterError("num_nodes must be >= 1")
-    arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if arr.size:
         if arr.min() < 0 or arr.max() >= num_nodes:
             bad = int(arr.max() if arr.max() >= num_nodes else arr.min())
             raise ParameterError(f"edge endpoint {bad} out of range")
         arr = arr[arr[:, 0] != arr[:, 1]]
-    both = np.vstack([arr, arr[:, ::-1]]) if arr.size else arr
-    if both.size:
-        both = np.unique(both, axis=0)
-        counts = np.bincount(both[:, 0], minlength=num_nodes)
-        offsets = np.concatenate([[0], np.cumsum(counts)])
-        return Graph(num_nodes, offsets, both[:, 1].copy())
+    # One key per directed pair; ascending keys are (u, v) in
+    # lexicographic order.  Sort and drop repeats by hand: a bare
+    # np.unique hashes, which is far slower on large integer arrays.
+    u, v = arr[:, 0], arr[:, 1]
+    keys = np.sort(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    rows, cols = np.divmod(keys, num_nodes)
     offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    return Graph(num_nodes, offsets, np.empty(0, dtype=np.int64))
+    np.cumsum(np.bincount(rows, minlength=num_nodes), out=offsets[1:])
+    return Graph(num_nodes, offsets, cols)
 
 
 def mean_adjacency(graph: Graph) -> sparse.csr_matrix:
@@ -148,15 +160,27 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     One uniform draw per unordered pair, taken in lexicographic order
     ((0,1), (0,2), ..., (n-2,n-1)); the pair is included iff its draw is
     below ``p``.  Fully determined by (n, p, seed).
+
+    The draws are taken in blocks of at most ``_ER_BLOCK`` pairs from one
+    stream, which yields the same values as a single draw, so memory is
+    O(block + edges); time is still O(n^2).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
-    iu, ju = np.triu_indices(n, k=1)
-    draws = keyed_rng(seed, "er").random(iu.size)
-    keep = draws < p
-    return from_edges(n, np.column_stack([iu[keep], ju[keep]]))
+    rng = keyed_rng(seed, "er")
+    # first[i] is the flat index of pair (i, i + 1); the n - 1 - i pairs
+    # (i, j > i) follow it.
+    first = np.arange(n - 1, dtype=np.int64)
+    first = first * (n - 1) - first * (first - 1) // 2
+    total = n * (n - 1) // 2
+    blocks = [np.empty((0, 2), dtype=np.int64)]
+    for lo in range(0, total, _ER_BLOCK):
+        k = lo + np.flatnonzero(rng.random(min(_ER_BLOCK, total - lo)) < p)
+        i = np.searchsorted(first, k, side="right") - 1
+        blocks.append(np.column_stack([i, k - first[i] + i + 1]))
+    return from_edges(n, np.concatenate(blocks))
 
 
 def gen_ba(n: int, m: int, seed: int) -> Graph:
@@ -194,22 +218,18 @@ def gen_grid(rows: int, cols: int) -> Graph:
     """Two-dimensional 4-neighbour lattice; node id is row * cols + col."""
     if rows < 1 or cols < 1:
         raise ParameterError("grid dimensions must be positive")
-    edges = []
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                edges.append((v, v + 1))
-            if r + 1 < rows:
-                edges.append((v, v + cols))
-    return from_edges(rows * cols, edges)
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    right = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
+    down = np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])
+    return from_edges(rows * cols, np.concatenate([right, down]))
 
 
 def gen_chain(n: int) -> Graph:
     """Path graph on n nodes."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    return from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    ids = np.arange(n, dtype=np.int64)
+    return from_edges(n, np.column_stack([ids[:-1], ids[1:]]))
 
 
 def gen_tree(branching: int, depth: int) -> Graph:
@@ -219,13 +239,8 @@ def gen_tree(branching: int, depth: int) -> Graph:
     if branching == 1:
         return gen_chain(depth + 1)
     total = (branching ** (depth + 1) - 1) // (branching - 1)
-    edges = []
-    for v in range(total):
-        for k in range(1, branching + 1):
-            child = v * branching + k
-            if child < total:
-                edges.append((v, child))
-    return from_edges(total, edges)
+    child = np.arange(1, total, dtype=np.int64)
+    return from_edges(total, np.column_stack([(child - 1) // branching, child]))
 
 
 # ---------------------------------------------------------------------------
@@ -336,17 +351,29 @@ def _masks_from_order(n: int, order: np.ndarray,
 
 
 def _propagate_labels(graph: Graph) -> np.ndarray:
-    """Synchronous label propagation, ties broken toward the lowest label."""
-    labels = np.arange(graph.num_nodes, dtype=np.int64)
-    off, col = graph.row_offsets, graph.col_indices
+    """Synchronous label propagation (Raghavan et al. 2007).
+
+    Every round, each node with neighbours takes the label most frequent
+    among them, ties broken toward the lowest label; all nodes update at
+    once from the previous round's labels, and isolated nodes keep their
+    own.  Stops after ``_LABEL_PROP_ROUNDS`` rounds or when a round
+    changes nothing.  Each round sorts the (node, neighbour label) keys
+    once, so it costs O(E log E) with no per-node Python work.
+    """
+    n = graph.num_nodes
+    labels = np.arange(n, dtype=np.int64)
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
     for _ in range(_LABEL_PROP_ROUNDS):
+        keys, counts = np.unique(rows * n + labels[graph.col_indices],
+                                 return_counts=True)
+        node, label = np.divmod(keys, n)
+        opens = np.diff(node, prepend=-1) != 0      # a node's first key
+        best = np.maximum.reduceat(counts, np.flatnonzero(opens))
+        hits = np.flatnonzero(counts == best[np.cumsum(opens) - 1])
+        # Keys ascend within a node, so its first hit is the lowest label.
+        first = hits[np.diff(node[hits], prepend=-1) != 0]
         nxt = labels.copy()
-        for v in range(graph.num_nodes):
-            nb = col[off[v]:off[v + 1]]
-            if nb.size == 0:
-                continue
-            uniq, counts = np.unique(labels[nb], return_counts=True)
-            nxt[v] = uniq[np.argmax(counts)]  # uniq ascending: lowest wins ties
+        nxt[node[first]] = label[first]
         if np.array_equal(nxt, labels):
             break
         labels = nxt
@@ -365,34 +392,24 @@ def split(graph: Graph, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.nda
         # lowest-degree fraction, test the highest.
         order = np.lexsort((np.arange(n), graph.degrees))
         return _masks_from_order(n, order, sizes)
-    # Community: whole communities go to train until its quota is met;
-    # the remaining nodes are split between val and test, so a community
-    # may straddle val/test but never train/test.
-    labels = _propagate_labels(graph)
-    comms: dict[int, list[int]] = {}
-    for v, lab in enumerate(labels):
-        comms.setdefault(int(lab), []).append(v)
-    ordered = sorted(comms.values(), key=lambda nodes: (-len(nodes), nodes[0]))
-    train_nodes: list[int] = []
-    i = 0
-    while len(train_nodes) < sizes[0] and i < len(ordered):
-        train_nodes.extend(ordered[i])
-        i += 1
-    rest: list[int] = []
-    for group in ordered[i:]:
-        rest.extend(group)
-    if not train_nodes or len(rest) < 2:
+    # Community: communities ordered by size (largest first, then by
+    # lowest node id), nodes ascending within each; whole communities go
+    # to train until its quota is met, and the remaining nodes are split
+    # between val and test, so a community may straddle val/test but
+    # never train/test.
+    _, first, comm, size = np.unique(_propagate_labels(graph), return_index=True,
+                                     return_inverse=True, return_counts=True)
+    rank = np.empty_like(first)
+    rank[np.lexsort((first, -size))] = np.arange(first.size)
+    order = np.argsort(rank[comm], kind="stable")
+    taken = np.cumsum(np.sort(size)[::-1])
+    n_train = int(taken[min(np.searchsorted(taken, sizes[0]), taken.size - 1)])
+    n_rest = n - n_train
+    if n_rest < 2:
         raise ParameterError("community split leaves an empty mask")
     val_share = spec.ratios[1] / (spec.ratios[1] + spec.ratios[2])
-    n_val = int(round(len(rest) * val_share))
-    n_val = min(max(n_val, 1), len(rest) - 1)
-    train = np.zeros(n, dtype=bool)
-    val = np.zeros(n, dtype=bool)
-    test = np.zeros(n, dtype=bool)
-    train[train_nodes] = True
-    val[rest[:n_val]] = True
-    test[rest[n_val:]] = True
-    return train, val, test
+    n_val = min(max(int(round(n_rest * val_share)), 1), n_rest - 1)
+    return _masks_from_order(n, order, (n_train, n_val, n_rest - n_val))
 
 
 def synth_dataset(graph: Graph, family: str, feat_dim: int,

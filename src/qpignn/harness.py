@@ -335,7 +335,13 @@ def _check_jobs(jobs: int) -> None:
 
 
 def _pmap(fn, items, jobs: int):
-    if jobs == 1:
+    """``[fn(it) for it in items]``, on up to ``jobs`` worker processes.
+
+    Never starts more workers than items; with one worker the items run
+    inline, since a pool would only add its start-up and transfers.
+    """
+    jobs = min(jobs, len(items))
+    if jobs <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))

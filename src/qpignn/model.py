@@ -308,7 +308,8 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Model:
-    """Rebuild a model, validating every parameter shape against the config."""
+    """Rebuild a model, validating every parameter's shape against the
+    config and rejecting non-finite values."""
     payload = json.loads(Path(path).read_text())
     config = ModelConfig(**payload["config"])
     expected = init_params(config, 0)
@@ -323,5 +324,8 @@ def load_checkpoint(path: str | Path) -> Model:
                 f"checkpoint shape {shape} for {name!r}, "
                 f"expected {expected.value(name).shape}")
         arr = np.asarray(stored[name]["values"], dtype=np.float64).reshape(shape)
+        if not np.all(np.isfinite(arr)):
+            # json reads NaN and Infinity without complaint.
+            raise ContractError(f"checkpoint parameter {name!r} is not finite")
         params.add(name, arr)
     return Model(config, params)

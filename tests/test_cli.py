@@ -37,18 +37,56 @@ def test_loss_variant_mismatch_exits_1(tmp_path, capsys):
 
 
 def test_bad_jobs_and_mc_passes_exit_1(tmp_path, capsys):
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text("")
     for bad in (["sweep", "--grid", "0.1", "--jobs", "-3"],
                 ["sweep", "--grid", "0.1", "--jobs", "0"],
+                ["train", "--jobs", "-3"],
+                ["train", "--jobs", "two"],
+                ["gen", "--jobs", "0"],
+                ["eval", "--checkpoint", str(metrics), "--jobs", "-1"],
+                ["sweep", "--tune", "--budget", "2"],
+                ["splits", "--kinds", "random"],
                 ["train", "--loss", "mse_mcdropout", "--mc-passes", "1"]):
-        assert run([*bad, *FAST_DS, *FAST_TRAIN,
-                    "--out", str(tmp_path / "x")]) == 1
+        train = FAST_TRAIN if bad[0] in ("train", "sweep", "splits") else []
+        assert run([*bad, *FAST_DS, *train,
+                    "--out", str(tmp_path / "x")]) == 1, bad
         assert "usage error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists(), bad  # no debris
+    assert run(["report", "--inputs", str(metrics), "--jobs", "0",
+                "--out", str(tmp_path / "x")]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_training_error_leaves_no_output_dir(tmp_path, capsys):
+    # a learning rate this large overflows the loss in the first steps
+    code = run(["train", *FAST_DS, *FAST_TRAIN, "--lr", "1e300",
+                "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_runtime_error_exits_2(tmp_path, capsys):
     code = run(["eval", "--checkpoint", str(tmp_path / "missing.json"),
                 *FAST_DS, "--out", str(tmp_path / "y")])
     assert code == 2
+
+
+def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
+    assert _train(tmp_path / "run") == 0
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    name = sorted(payload["params"])[0]
+    payload["params"][name]["values"][0] = float("inf")
+    ckpt.write_text(json.dumps(payload))
+    code = run(["eval", "--checkpoint", str(ckpt), *FAST_DS,
+                "--out", str(tmp_path / "y")])
+    assert code == 2
+    assert f"{name!r} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
 
 
 def test_theory_stdout(capsys):

@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qpignn as q
+import qpignn.graphcore as graphcore
 from qpignn.errors import ContractError, IngestionError, ParameterError
 from qpignn.graphcore import (DEFAULT_RATIOS, FEATURE_FAMILIES,
                               NEIGHBOR_MIX, PERTURB_KINDS, PerturbSpec,
                               SplitSpec, mean_adjacency, perturb, split)
+from qpignn.rng import keyed_rng
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +77,60 @@ def test_from_edges_dedupes_and_validates():
         q.from_edges(3, [(0, 5)])
     with pytest.raises(ContractError):
         q.Graph(2, np.array([0, 1, 2]), np.array([0, 0]))
+
+
+@pytest.mark.parametrize("n, offsets, cols, message", [
+    # path 0-1-2 with row 1 listed as [2, 0]
+    (3, [0, 1, 3, 4], [1, 2, 0, 1], "row 1 is not strictly sorted"),
+    # path 0-1-2 with neighbour 2 listed twice in row 1
+    (3, [0, 1, 4, 6], [1, 0, 2, 2, 1, 1], "row 1 is not strictly sorted"),
+    (2, [0, 1, 2], [0, 1], "self loops"),
+    (3, [0, 1, 1, 1], [1], "not symmetric"),
+    (2, [0, 1, 2], [1, 5], "out of range"),
+    (2, [0, 1, 2], [-1, 0], "out of range"),
+    (2, [0, 1, 3], [1, 0], "inconsistent"),
+    (2, [0, 2], [1, 0], "inconsistent"),
+    (2, [1, 1, 2], [1, 0], "inconsistent"),
+    (3, [0, 2, 1, 2], [1, 0], "non-decreasing"),
+    (0, [0], [], "at least one node"),
+])
+def test_validate_rejects_each_broken_invariant(n, offsets, cols, message):
+    with pytest.raises(ContractError, match=message):
+        q.Graph(n, np.array(offsets), np.array(cols, dtype=np.int64))
+
+
+def test_validate_allows_empty_rows_between_sorted_rows():
+    # rows 0 and 3 are empty; steps across row ends may fall
+    g = q.Graph(4, np.array([0, 0, 1, 2, 2]), np.array([2, 1]))
+    assert g.num_edges == 1
+
+
+def test_gen_er_blocks_equal_one_draw(monkeypatch):
+    n, p, seed = 40, 0.2, 3
+    iu, ju = np.triu_indices(n, k=1)
+    keep = keyed_rng(seed, "er").random(iu.size) < p
+    ref = q.from_edges(n, np.column_stack([iu[keep], ju[keep]]))
+    monkeypatch.setattr(graphcore, "_ER_BLOCK", 7)  # 780 pairs: 112 blocks
+    got = q.gen_er(n, p, seed)
+    assert np.array_equal(got.row_offsets, ref.row_offsets)
+    assert np.array_equal(got.col_indices, ref.col_indices)
+    assert q.gen_er(1, 0.5, seed).num_edges == 0
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 7)])
+def test_gen_grid_matches_nested_loops(rows, cols):
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                edges.append((v, v + 1))
+            if r + 1 < rows:
+                edges.append((v, v + cols))
+    ref = q.from_edges(rows * cols, edges)
+    got = q.gen_grid(rows, cols)
+    assert np.array_equal(got.row_offsets, ref.row_offsets)
+    assert np.array_equal(got.col_indices, ref.col_indices)
 
 
 def test_edge_pairs_round_trip(ring6):
@@ -182,6 +238,89 @@ def test_community_split_needs_structure():
     with pytest.raises(ParameterError):
         split(q.gen_er(200, 0.1, seed=0),
               SplitSpec(kind="community", ratios=DEFAULT_RATIOS, seed=0))
+
+
+def _reference_labels(graph):
+    """Per-node label propagation loop, the oracle for the array version."""
+    labels = np.arange(graph.num_nodes, dtype=np.int64)
+    off, col = graph.row_offsets, graph.col_indices
+    for _ in range(20):
+        nxt = labels.copy()
+        for v in range(graph.num_nodes):
+            nb = col[off[v]:off[v + 1]]
+            if nb.size == 0:
+                continue
+            uniq, counts = np.unique(labels[nb], return_counts=True)
+            nxt[v] = uniq[np.argmax(counts)]  # uniq ascending: lowest wins ties
+        if np.array_equal(nxt, labels):
+            break
+        labels = nxt
+    return labels
+
+
+def _reference_community_split(graph, spec):
+    """Dict-of-lists community grouping, the oracle for ``split``."""
+    n = graph.num_nodes
+    graphcore._mask_sizes(n, spec.ratios)
+    n_train = int(spec.ratios[0] * n)
+    comms = {}
+    for v, lab in enumerate(_reference_labels(graph)):
+        comms.setdefault(int(lab), []).append(v)
+    ordered = sorted(comms.values(), key=lambda nodes: (-len(nodes), nodes[0]))
+    train_nodes, i = [], 0
+    while len(train_nodes) < n_train and i < len(ordered):
+        train_nodes.extend(ordered[i])
+        i += 1
+    rest = [v for group in ordered[i:] for v in group]
+    if not train_nodes or len(rest) < 2:
+        raise ParameterError("community split leaves an empty mask")
+    val_share = spec.ratios[1] / (spec.ratios[1] + spec.ratios[2])
+    n_val = min(max(int(round(len(rest) * val_share)), 1), len(rest) - 1)
+    masks = np.zeros((3, n), dtype=bool)
+    masks[0, train_nodes] = True
+    masks[1, rest[:n_val]] = True
+    masks[2, rest[n_val:]] = True
+    return tuple(masks)
+
+
+def _assert_community_matches_reference(g):
+    assert np.array_equal(graphcore._propagate_labels(g), _reference_labels(g))
+    for ratios in (DEFAULT_RATIOS, (0.3, 0.4, 0.3), (0.8, 0.1, 0.1)):
+        spec = SplitSpec(kind="community", ratios=ratios, seed=0)
+        try:
+            want = _reference_community_split(g, spec)
+        except ParameterError:
+            with pytest.raises(ParameterError):
+                split(g, spec)
+            continue
+        got = split(g, spec)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40),
+       edges=st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)),
+                      max_size=80))
+def test_community_split_matches_reference_on_random_graphs(n, edges):
+    # endpoints folded into range; self loops and repeats are kept, so
+    # isolated nodes and tied neighbour labels are common
+    _assert_community_matches_reference(
+        q.from_edges(n, [(u % n, v % n) for u, v in edges]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: q.from_edges(12, []),               # no edges at all
+    lambda: q.from_edges(9, [(0, 1), (2, 3)]),  # mostly isolated
+    lambda: q.gen_grid(1, 1), lambda: q.gen_grid(1, 9),
+    lambda: q.gen_grid(10, 10), lambda: q.gen_grid(9, 13),
+    lambda: q.gen_chain(2), lambda: q.gen_chain(25),
+    lambda: q.gen_tree(2, 5), lambda: q.gen_tree(3, 3),
+    lambda: q.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # tied cycle
+    lambda: q.gen_ba(60, 2, seed=1), lambda: q.gen_er(50, 0.05, seed=2),
+])
+def test_community_split_matches_reference_on_presets(make):
+    _assert_community_matches_reference(make())
 
 
 def test_split_spec_validation():

@@ -231,6 +231,18 @@ def test_sweep_is_job_count_invariant(small_ds):
     assert [e.objective for e in a.entries] == [e.objective for e in b.entries]
 
 
+def test_single_item_runs_inline(small_ds, monkeypatch):
+    cfg = TrainConfig(epochs=3, hidden=8, seed=0)
+    serial = lambda_sweep(small_ds, cfg, grid=(0.1,), jobs=1)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-item map started a process pool")
+
+    monkeypatch.setattr(q.harness, "ProcessPoolExecutor", no_pool)
+    inline = lambda_sweep(small_ds, cfg, grid=(0.1,), jobs=2)
+    assert inline == serial
+
+
 def test_tune_beats_coarse_grid(tune_ds):
     cfg = TrainConfig(epochs=150, seed=0)
     res = lambda_tune(tune_ds, cfg, budget=9)

@@ -178,3 +178,16 @@ def test_checkpoint_rejects_tampering(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises((ContractError, q.IngestionError)):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
+    import json
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual"), 5)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    payload["params"]["pred.weight"]["values"][1] = bad
+    path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
+    with pytest.raises(ContractError, match="'pred.weight' is not finite"):
+        load_checkpoint(path)
