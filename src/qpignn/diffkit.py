@@ -7,6 +7,16 @@ with ``constant`` (or any expression whose inputs are all constants)
 carry no tape and evaluate forward-only, so the same code path serves
 both training and plain inference.
 
+Gradient buffers are allocated on first use.  A tracked tensor starts
+with ``grad = None``; the first gradient that reaches it becomes its
+buffer and later ones are added in place, so ``None`` after ``backward``
+means no gradient reached the tensor.  Pass-through adjoints (``add``,
+``sub``, ``add_scalar``, ``add_row_bias``) hand their output's gradient
+array on to their first input rather than copying it.  Adopting the
+first contribution gives the same values as adding it to zeros, up to
+the sign of zero entries; parameter buffers start at +0 and always add,
+so parameter gradients are unchanged bit for bit.
+
 Comparisons never flow gradient: coverage and violation indicators are
 computed on raw values and re-enter the graph as constant coefficients.
 """
@@ -36,8 +46,11 @@ def _as_matrix(value) -> np.ndarray:
 class Tensor:
     """A node in the computation graph: a value plus an adjoint slot.
 
-    ``grad`` is None for constants; for tracked tensors it is allocated
-    (zeroed) at creation and filled by ``backward``.
+    A tensor is tracked when ``tape`` is set.  ``grad`` is None for
+    constants and for tracked tensors no gradient has reached; ``backward``
+    allocates it on the first contribution.  A finished intermediate's
+    ``grad`` may share its array with an input's, because pass-through
+    adjoints hand the array on.
     """
 
     __slots__ = ("value", "grad", "tape")
@@ -80,29 +93,45 @@ class Tape:
         self._steps: list[Callable[[], None]] = []
 
     def leaf(self, value, grad: np.ndarray | None = None) -> Tensor:
-        """A tracked input.  When ``grad`` is given the adjoint
-        accumulates into that buffer in place (used for parameters)."""
+        """A tracked input.  Without ``grad`` its adjoint buffer is
+        allocated on first use; with ``grad`` the adjoint accumulates
+        into that buffer in place (used for parameters)."""
         arr = _as_matrix(value)
-        if grad is None:
-            grad = np.zeros_like(arr)
-        elif grad.shape != arr.shape:
+        if grad is not None and grad.shape != arr.shape:
             raise ShapeError("grad buffer shape must match the value")
         return Tensor(arr, grad, self)
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
 
+    def release(self) -> None:
+        """Drop the recorded closures; the tape cannot be replayed after.
+
+        Tensors, tape and closures form a reference cycle; breaking it
+        frees the buffers at once instead of at the next cyclic garbage
+        collection.  ``harness.train`` releases each tape one epoch late,
+        after the next loss node is built, so the freed blocks lie under
+        live ones and get reused.  Released at the end of its own epoch,
+        the top of the heap went back to the system and the next forward
+        pass faulted it in again, which made epochs slower.
+        """
+        self._steps.clear()
+
     def __len__(self) -> int:
         return len(self._steps)
 
 
 def backward(tape: Tape, loss: Tensor) -> None:
-    """Seed d(loss)/d(loss) = 1 and replay the tape in reverse."""
+    """Seed d(loss)/d(loss) = 1 and replay the tape in reverse.
+
+    Tracked tensors that no gradient reaches keep ``grad = None``;
+    parameter leaves add into their store's buffers.
+    """
     if loss.tape is not tape:
         raise ContractError("loss was not recorded on this tape")
     if loss.shape != (1, 1):
         raise ContractError("backward needs a scalar (1, 1) loss")
-    loss.grad[0, 0] += 1.0
+    _accumulate(loss, np.ones((1, 1)))
     for step in reversed(tape._steps):
         step()
 
@@ -119,10 +148,14 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _result(tape: Tape | None, value: np.ndarray) -> Tensor:
-    if tape is None:
-        return Tensor(value, None, None)
-    return Tensor(value, np.zeros_like(value), tape)
+def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``t.grad``.  The first contribution becomes the
+    buffer itself, or a copy of it when another input may adopt ``g``
+    too (``shared``)."""
+    if t.grad is None:
+        t.grad = g.copy() if shared else g
+    else:
+        t.grad += g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -133,32 +166,39 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
+# Every adjoint returns at once when no gradient reached its output.
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
     tape = _tape_of(a, b)
-    out = _result(tape, a.value @ b.value)
+    out = Tensor(a.value @ b.value, None, tape)
     if tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad @ b.value.T
-            if b.grad is not None:
-                b.grad += a.value.T @ out.grad
+            if out.grad is None:
+                return
+            if a.tape is not None:
+                _accumulate(a, out.grad @ b.value.T)
+            if b.tape is not None:
+                _accumulate(b, a.value.T @ out.grad)
         tape.record(step)
     return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum.  ``add(a, a)`` doubles: the second contribution
+    adds ``a``'s adopted buffer to itself."""
     _same_shape(a, b, "add")
     tape = _tape_of(a, b)
-    out = _result(tape, a.value + b.value)
+    out = Tensor(a.value + b.value, None, tape)
     if tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad
-            if b.grad is not None:
-                b.grad += out.grad
+            if out.grad is None:
+                return
+            if a.tape is not None:
+                _accumulate(a, out.grad)
+            if b.tape is not None:
+                _accumulate(b, out.grad, shared=a.tape is not None)
         tape.record(step)
     return out
 
@@ -166,13 +206,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     tape = _tape_of(a, b)
-    out = _result(tape, a.value - b.value)
+    out = Tensor(a.value - b.value, None, tape)
     if tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad
-            if b.grad is not None:
-                b.grad -= out.grad
+            if out.grad is None:
+                return
+            if a.tape is not None:
+                _accumulate(a, out.grad)
+            if b.tape is not None:
+                _accumulate(b, -out.grad)
         tape.record(step)
     return out
 
@@ -182,13 +224,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     the adjoint correctly doubles."""
     _same_shape(a, b, "mul")
     tape = _tape_of(a, b)
-    out = _result(tape, a.value * b.value)
+    out = Tensor(a.value * b.value, None, tape)
     if tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad * b.value
-            if b.grad is not None:
-                b.grad += out.grad * a.value
+            if out.grad is None:
+                return
+            if a.tape is not None:
+                _accumulate(a, out.grad * b.value)
+            if b.tape is not None:
+                _accumulate(b, out.grad * a.value)
         tape.record(step)
     return out
 
@@ -201,22 +245,22 @@ def scale(a: Tensor, k: float | np.ndarray) -> Tensor:
     k_arr = np.asarray(k, dtype=np.float64)
     if k_arr.ndim != 0 and k_arr.shape != a.shape:
         raise ShapeError(f"scale: coefficient shape {k_arr.shape} vs {a.shape}")
-    out = _result(a.tape, a.value * k_arr)
+    out = Tensor(a.value * k_arr, None, a.tape)
     if a.tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad * k_arr
+            if out.grad is not None:
+                _accumulate(a, out.grad * k_arr)
         a.tape.record(step)
     return out
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = _result(a.tape, a.value + c)
+    out = Tensor(a.value + c, None, a.tape)
     if a.tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad
+            if out.grad is not None:
+                _accumulate(a, out.grad)
         a.tape.record(step)
     return out
 
@@ -226,37 +270,27 @@ def add_row_bias(a: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (1, a.shape[1]):
         raise ShapeError(f"add_row_bias: bias {bias.shape} vs value {a.shape}")
     tape = _tape_of(a, bias)
-    out = _result(tape, a.value + bias.value)
+    out = Tensor(a.value + bias.value, None, tape)
     if tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad
-            if bias.grad is not None:
-                bias.grad += out.grad.sum(axis=0, keepdims=True)
+            if out.grad is None:
+                return
+            if a.tape is not None:
+                _accumulate(a, out.grad)
+            if bias.tape is not None:
+                _accumulate(bias, out.grad.sum(axis=0, keepdims=True))
         tape.record(step)
     return out
 
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly zero is taken as zero."""
-    out = _result(a.tape, np.maximum(a.value, 0.0))
+    out = Tensor(np.maximum(a.value, 0.0), None, a.tape)
     if a.tape is not None:
         mask = a.value > 0.0
         def step():
-            if a.grad is not None:
-                a.grad += out.grad * mask
-        a.tape.record(step)
-    return out
-
-
-def abs_(a: Tensor) -> Tensor:
-    """|x|; the subgradient at exactly zero is taken as zero."""
-    out = _result(a.tape, np.abs(a.value))
-    if a.tape is not None:
-        sign = np.sign(a.value)
-        def step():
-            if a.grad is not None:
-                a.grad += out.grad * sign
+            if out.grad is not None:
+                _accumulate(a, out.grad * mask)
         a.tape.record(step)
     return out
 
@@ -268,23 +302,24 @@ def softplus(a: Tensor) -> Tensor:
     is exact for very negative inputs and overflow-free for large ones.
     """
     x = a.value
-    out = _result(a.tape, np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))))
+    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), None,
+                 a.tape)
     if a.tape is not None:
         sig = expit(x)
         def step():
-            if a.grad is not None:
-                a.grad += out.grad * sig
+            if out.grad is not None:
+                _accumulate(a, out.grad * sig)
         a.tape.record(step)
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = expit(a.value)
-    out = _result(a.tape, s)
+    out = Tensor(s, None, a.tape)
     if a.tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad * s * (1.0 - s)
+            if out.grad is not None:
+                _accumulate(a, out.grad * s * (1.0 - s))
         a.tape.record(step)
     return out
 
@@ -299,8 +334,9 @@ def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
         raise ParameterError("dropout probability must lie in [0, 1)")
     if not train_mode or p == 0.0:
         return a
-    mask = (keyed_rng(seed, "dropout").random(a.shape) >= p) / (1.0 - p)
-    return scale(a, mask)
+    # The uniform draws' buffer is overwritten with the mask.
+    draws = keyed_rng(seed, "dropout").random(a.shape)
+    return scale(a, np.divide(draws >= p, 1.0 - p, out=draws))
 
 
 def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
@@ -313,11 +349,11 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
         raise ShapeError(
             f"aggregate: {h.shape[0]} rows for {graph.num_nodes} nodes")
     op = mean_adjacency(graph)
-    out = _result(h.tape, np.asarray(op @ h.value))
+    out = Tensor(np.asarray(op @ h.value), None, h.tape)
     if h.tape is not None:
         def step():
-            if h.grad is not None:
-                h.grad += op.T @ out.grad
+            if out.grad is not None:
+                _accumulate(h, op.T @ out.grad)
         h.tape.record(step)
     return out
 
@@ -327,11 +363,14 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask)
     if mask.dtype != np.bool_ or mask.shape != (a.shape[0],):
         raise ShapeError("mask must be a boolean vector with one entry per row")
-    out = _result(a.tape, a.value[mask])
+    out = Tensor(a.value[mask], None, a.tape)
     if a.tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad[mask] += out.grad
+            if out.grad is None:
+                return
+            if a.grad is None:
+                a.grad = np.zeros_like(a.value)
+            a.grad[mask] += out.grad
         a.tape.record(step)
     return out
 
@@ -339,32 +378,25 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= a.shape[1]:
         raise ShapeError(f"slice_cols: [{start}, {stop}) out of {a.shape}")
-    out = _result(a.tape, a.value[:, start:stop].copy())
+    out = Tensor(a.value[:, start:stop].copy(), None, a.tape)
     if a.tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad[:, start:stop] += out.grad
+            if out.grad is None:
+                return
+            if a.grad is None:
+                a.grad = np.zeros_like(a.value)
+            a.grad[:, start:stop] += out.grad
         a.tape.record(step)
     return out
 
 
 def reduce_mean(a: Tensor) -> Tensor:
     size = a.value.size
-    out = _result(a.tape, np.array([[a.value.mean()]]))
+    out = Tensor(np.array([[a.value.mean()]]), None, a.tape)
     if a.tape is not None:
         def step():
-            if a.grad is not None:
-                a.grad += out.grad[0, 0] / size
-        a.tape.record(step)
-    return out
-
-
-def reduce_sum(a: Tensor) -> Tensor:
-    out = _result(a.tape, np.array([[a.value.sum()]]))
-    if a.tape is not None:
-        def step():
-            if a.grad is not None:
-                a.grad += out.grad[0, 0]
+            if out.grad is not None:
+                _accumulate(a, np.full(a.shape, out.grad[0, 0] / size))
         a.tape.record(step)
     return out
 

@@ -9,6 +9,7 @@ about gradients.
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -134,20 +135,32 @@ def from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(num_nodes, offsets, cols)
 
 
+# One mean-adjacency operator per live Graph.  It is kept off the Graph
+# so that pickling a dataset (to sweep workers) does not carry it.
+_MEAN_ADJACENCY: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def mean_adjacency(graph: Graph) -> sparse.csr_matrix:
     """Row-stochastic adjacency: entry (v, u) is 1/deg(v) for u in N(v).
 
     Rows of isolated nodes are all zero, so multiplying by it realises
-    the convention that an empty neighbourhood averages to zero.
+    the convention that an empty neighbourhood averages to zero.  The
+    operator is built once per ``Graph`` object and shared by every
+    later call, so its ``data`` array is read-only.
     """
-    deg = graph.degrees.astype(np.float64)
-    inv = np.zeros_like(deg)
-    np.divide(1.0, deg, out=inv, where=deg > 0)
-    data = np.repeat(inv, graph.degrees)
-    return sparse.csr_matrix(
-        (data, graph.col_indices, graph.row_offsets),
-        shape=(graph.num_nodes, graph.num_nodes),
-    )
+    op = _MEAN_ADJACENCY.get(graph)
+    if op is None:
+        deg = graph.degrees.astype(np.float64)
+        inv = np.zeros_like(deg)
+        np.divide(1.0, deg, out=inv, where=deg > 0)
+        data = np.repeat(inv, graph.degrees)
+        op = sparse.csr_matrix(
+            (data, graph.col_indices, graph.row_offsets),
+            shape=(graph.num_nodes, graph.num_nodes),
+        )
+        op.data.flags.writeable = False
+        _MEAN_ADJACENCY[graph] = op
+    return op
 
 
 # ---------------------------------------------------------------------------

@@ -286,8 +286,14 @@ def train(ds: Dataset,
     gnorm = np.zeros(n_ep)
     viol = np.zeros(n_ep)
 
+    prev_tape = None
     for ep in range(n_ep):
         node, tape, stats = _epoch_loss(model, ds, cfg, lcfg, ep)
+        # Release the previous epoch's tape one epoch late, while this
+        # epoch's buffers are live (see ``Tape.release``).
+        if prev_tape is not None:
+            prev_tape.release()
+        prev_tape = tape
         if not math.isfinite(stats["loss"]):
             raise TrainingError("loss became non-finite", epoch=ep,
                                 diagnostics=stats)
@@ -298,6 +304,8 @@ def train(ds: Dataset,
         wid[ep] = stats["width"]
         loss[ep] = stats["loss"]
         viol[ep] = stats["violation"]
+    if prev_tape is not None:
+        prev_tape.release()
 
     iv = _final_intervals(model, ds, cfg)
     reports = {name: report(iv, ds.targets, mask, cfg.alpha)

@@ -1,4 +1,6 @@
 """Reverse-mode engine: every primitive checked against central differences."""
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from qpignn import diffkit as dk
 from qpignn.diffkit import (ParamStore, Tape, backward, constant,
                             finite_diff_check)
 from qpignn.errors import ContractError, ParameterError, ShapeError
+from qpignn.graphcore import PerturbSpec, perturb
 from qpignn.rng import keyed_rng
 
 
@@ -45,10 +48,8 @@ def test_elementwise_ops_gradients():
         p = params.leaves(tape)
         t = dk.mul(dk.sigmoid(p["a"]), dk.softplus(p["b"]))
         t = dk.add(t, dk.sub(p["a"], dk.scale(p["b"], 0.7)))
-        t = dk.add_scalar(dk.abs_(t), 1.5)
-        return dk.reduce_sum(t)
+        return dk.reduce_mean(dk.add_scalar(t, 1.5))
 
-    # abs has a kink at 0; the random fixture stays clear of it
     _check(f, ps)
 
 
@@ -77,7 +78,7 @@ def test_dropout_gradient_is_exact_per_seed():
         tape = Tape()
         p = params.leaves(tape)
         out = dk.dropout(p["w"], 0.4, seed=11, train_mode=True)
-        return dk.reduce_sum(dk.mul(out, out))
+        return dk.reduce_mean(dk.mul(out, out))
 
     # the mask is a deterministic function of the seed, so central
     # differences see the same mask and must agree exactly
@@ -108,7 +109,7 @@ def test_softplus_is_overflow_safe():
     np.testing.assert_allclose(out.value[0, 0], 800.0)
     np.testing.assert_allclose(out.value[1, 0], 0.0, atol=1e-12)
     np.testing.assert_allclose(out.value[2, 0], np.log(2.0))
-    loss = dk.reduce_sum(out)
+    loss = dk.reduce_mean(out)
     backward(tape, loss)
     assert np.isfinite(big.grad).all()
 
@@ -134,7 +135,7 @@ def test_backward_accumulates_and_zero_grads_resets():
     for _ in range(2):
         tape = Tape()
         p = ps.leaves(tape)
-        loss = dk.reduce_sum(dk.mul(p["w"], p["w"]))
+        loss = dk.reduce_mean(dk.mul(p["w"], p["w"]))
         backward(tape, loss)
     # two passes without zeroing: d(w^2)/dw = 2w = 4 per pass
     np.testing.assert_allclose(ps.grad("w"), [[8.0]])
@@ -151,14 +152,14 @@ def test_stop_gradient_via_constant_coefficients():
         tape = Tape()
         p = params.leaves(tape)
         coeff = (p["w"].value > 0).astype(float)  # indicator, no gradient
-        return dk.reduce_sum(dk.scale(p["w"], coeff))
+        return dk.reduce_mean(dk.scale(p["w"], coeff))
 
     _check(f, ps)
     tape = Tape()
     p = ps.leaves(tape)
-    loss = dk.reduce_sum(dk.scale(p["w"], np.array([[1.0], [0.0]])))
+    loss = dk.reduce_mean(dk.scale(p["w"], np.array([[1.0], [0.0]])))
     backward(tape, loss)
-    np.testing.assert_allclose(ps.grad("w"), [[1.0], [0.0]])
+    np.testing.assert_allclose(ps.grad("w"), [[0.5], [0.0]])
 
 
 def test_shape_and_contract_errors():
@@ -182,7 +183,7 @@ def test_tensor_item_requires_scalar():
     a = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
         a.item()
-    assert dk.reduce_sum(a).item() == 4.0
+    assert dk.reduce_mean(a).item() == 1.0
 
 
 def test_param_store_guards():
@@ -190,3 +191,121 @@ def test_param_store_guards():
     with pytest.raises(ParameterError):
         ps.add("w", np.ones((2, 2)))
     assert "w" in ps and len(ps) == 1 and ps.size == 4
+
+
+# ---------------------------------------------------------------------------
+# Lazy grad buffers, passed-on adjoints and released tapes
+# ---------------------------------------------------------------------------
+
+def test_unreached_tensors_keep_no_grad():
+    ps = _store(w=keyed_rng(0, "dk-lazy").standard_normal((3, 2)))
+    tape = Tape()
+    p = ps.leaves(tape)
+    x = tape.leaf(keyed_rng(1, "dk-lazy").standard_normal((4, 3)))
+    unused = tape.leaf(np.ones((4, 2)))
+    c = constant(np.ones((4, 2)))
+    h = dk.matmul(x, p["w"])
+    square = dk.mul(h, h)
+    dead = dk.sigmoid(square)  # recorded, but the loss ignores it
+    loss = dk.reduce_mean(dk.add(h, c))
+    backward(tape, loss)
+    assert dead.grad is None and square.grad is None
+    assert unused.grad is None and c.grad is None
+    assert h.grad is not None and x.grad is not None
+    np.testing.assert_allclose(h.grad, np.full((4, 2), 1 / 8))
+    # the parameter got only the live path's gradient
+    np.testing.assert_allclose(ps.grad("w"), x.value.T @ h.grad)
+
+
+def test_passed_on_adjoints_do_not_alias():
+    rng = keyed_rng(0, "dk-alias")
+    ps = _store(a=rng.standard_normal((4, 3)), b=rng.standard_normal((4, 3)),
+                w=rng.standard_normal((3, 3)), c=rng.standard_normal((1, 3)),
+                d=rng.standard_normal((1, 3)))
+
+    def doubled(params):
+        # add(t, t) runs its adjoint before sigmoid(t)'s: t adopts the
+        # sum's gradient, doubles it, then takes sigmoid's on top
+        tape = Tape()
+        p = params.leaves(tape)
+        t = dk.softplus(p["a"])
+        s = dk.sigmoid(t)
+        return dk.reduce_mean(dk.mul(dk.add(t, t), s))
+
+    def both_reused(params):
+        # both inputs of the sum receive more gradient afterwards
+        tape = Tape()
+        p = params.leaves(tape)
+        a, b = dk.softplus(p["a"]), dk.sigmoid(p["b"])
+        prod = dk.mul(a, b)
+        return dk.reduce_mean(dk.mul(dk.add(a, b), prod))
+
+    def self_difference(params):
+        tape = Tape()
+        p = params.leaves(tape)
+        t = dk.softplus(p["a"])
+        zero = dk.sub(t, t)
+        return dk.reduce_mean(dk.mul(dk.add(zero, t), dk.sub(t, zero)))
+
+    def bias_chain(params):
+        tape = Tape()
+        p = params.leaves(tape)
+        h = dk.matmul(dk.sigmoid(p["a"]), p["w"])
+        h = dk.add_row_bias(dk.add_row_bias(h, p["c"]), p["d"])
+        g = dk.add_scalar(dk.add_row_bias(h, p["c"]), 0.3)
+        return dk.reduce_mean(dk.mul(g, dk.relu(h)))
+
+    def scatter_into_used(params):
+        # later scatters land on a buffer that already holds gradient
+        tape = Tape()
+        p = params.leaves(tape)
+        t = dk.softplus(p["a"])
+        rows = np.array([True, False, True, True])
+        parts = [dk.mul(t, t), dk.slice_cols(t, 0, 2),
+                 dk.masked_select(t, rows), dk.slice_cols(t, 1, 3)]
+        total = dk.reduce_mean(parts[0])
+        for part in parts[1:]:
+            total = dk.add(total, dk.reduce_mean(part))
+        return total
+
+    for f in (doubled, both_reused, self_difference, bias_chain,
+              scatter_into_used):
+        err = finite_diff_check(f, ps, h=1e-5)
+        assert err < 1e-6, f"{f.__name__}: finite-difference mismatch {err}"
+
+
+def test_add_of_a_tensor_with_itself_doubles():
+    tape = Tape()
+    t = dk.scale(tape.leaf(np.array([[1.0, -2.0]])), 3.0)
+    backward(tape, dk.reduce_mean(dk.add(t, t)))
+    np.testing.assert_array_equal(t.grad, [[1.0, 1.0]])
+    tape = Tape()
+    t = dk.scale(tape.leaf(np.array([[1.0, -2.0]])), 3.0)
+    backward(tape, dk.reduce_mean(dk.sub(t, t)))
+    np.testing.assert_array_equal(t.grad, [[0.0, 0.0]])
+
+
+def test_release_drops_the_steps():
+    tape = Tape()
+    a = tape.leaf(np.ones((2, 2)))
+    dk.reduce_mean(dk.mul(a, a))
+    assert len(tape) == 2
+    tape.release()
+    assert len(tape) == 0
+
+
+def test_mean_adjacency_is_memoised_per_graph(small_ds):
+    before = pickle.dumps(small_ds)
+    op = dk.mean_adjacency(small_ds.graph)
+    assert dk.mean_adjacency(small_ds.graph) is op
+    assert not op.data.flags.writeable
+    with pytest.raises(ValueError):
+        op.data[0] = 1.0
+    # the graph's own arrays stay writeable, and the memo is not pickled
+    assert small_ds.graph.row_offsets.flags.writeable
+    assert small_ds.graph.col_indices.flags.writeable
+    assert pickle.dumps(small_ds) == before
+    dropped = perturb(small_ds, PerturbSpec("edge_dropout", 0.3, seed=2))
+    other = dk.mean_adjacency(dropped.graph)
+    assert other is not op
+    assert other.nnz == dropped.graph.col_indices.size < op.nnz

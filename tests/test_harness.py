@@ -4,6 +4,8 @@ Numeric expectations here were frozen from runs of this implementation
 after checking they satisfy the documented invariants; they guard
 against regressions, not against the laws of arithmetic.
 """
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +107,35 @@ def test_run_is_deterministic(small_ds):
     assert a.reports["test"] == b.reports["test"]
     _, c = train_qpignn(small_ds, TrainConfig(epochs=50, seed=5))
     assert not np.array_equal(a.loss, c.loss)
+
+
+def test_train_keeps_at_most_two_tapes_alive(small_ds, monkeypatch):
+    """Each epoch's tape is released one epoch late, so tapes never pile
+    up waiting for the cyclic collector (disabled here)."""
+    refs, live = [], []
+    backward, adam = q.diffkit.backward, q.harness.adam_step
+
+    def watched_backward(tape, loss):
+        # A tape's last closure lives exactly as long as its step list.
+        refs.append(weakref.ref(tape._steps[-1]))
+        return backward(tape, loss)
+
+    def counted_adam(*args, **kwargs):
+        live.append(sum(r() is not None for r in refs))
+        return adam(*args, **kwargs)
+
+    monkeypatch.setattr(q.diffkit, "backward", watched_backward)
+    monkeypatch.setattr(q.harness, "adam_step", counted_adam)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        train_qpignn(small_ds, TrainConfig(epochs=30, hidden=16, seed=0))
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(live) == 30
+    assert max(live) <= 2
+    assert all(r() is None for r in refs)
 
 
 def test_violation_decays_as_coverage_rises(small_ds):
