@@ -7,10 +7,12 @@ Measures the ``qpignn`` found under ``--src`` (default: this checkout's
     python scripts/bench_epoch.py --src OTHER/src --label before > before.json
     python scripts/bench_epoch.py --combine before.json after.json [more.json ...]
 
-Cases: ``er2k`` (2000-node ER, mean degree 8, random split, 150 epochs)
-and ``grid20k`` (141x142 grid, community split, 5 epochs), both with the
-default ``TrainConfig`` (hidden 64, dropout 0.2), as ``perfbench``
-trains them.  Each case runs ``harness.train`` ``--repeats`` times.
+Cases: ``er2k`` (2000-node ER, mean degree 8, random split, 150 epochs),
+``grid20k`` (141x142 grid, community split, 5 epochs) and ``grid200k``
+(447x448 grid, community split, 1 epoch plus the final evaluation), all
+with the default ``TrainConfig`` (hidden 64, dropout 0.2), as
+``perfbench`` trains them.  Each case runs ``harness.train``
+``--repeats`` times.
 ``epoch_ms`` is one run's wall time divided by its epochs (as
 ``perfbench`` reports it); ``minflt_per_epoch`` is the run's minor page
 faults (``ru_minflt``) per epoch; the phase split is each phase's median
@@ -19,7 +21,9 @@ over the run's epochs: ``forward_ms`` (the taped forward pass),
 (gradient norm and Adam step).  Every figure is given as the min and
 median over the runs.  ``digest`` hashes the last run's record, so two
 sides can be checked for identical output; ``peak_rss_mb`` is the
-process peak after all runs.
+process peak after all runs.  ``--combine`` adds, per case and side,
+the median epoch speed-up and the ``peak_rss_mb`` ratio against the
+first file; a case missing from a file (not run on that side) is null.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ from bench_graph_construction import _environment
 CASES = {
     "er2k": ("er", (2000,), "random", 150),
     "grid20k": ("grid", (141, 142), "community", 5),
+    "grid200k": ("grid", (447, 448), "community", 1),
 }
 DATA_SEED = 1
 PHASES = ("forward_ms", "loss_ms", "backward_ms", "adam_ms")
@@ -133,15 +138,20 @@ def main(argv=None) -> int:
     if args.combine:
         sides = [json.loads(Path(f).read_text()) for f in args.combine]
         base = sides[0]
+        names = dict.fromkeys(n for side in sides for n in side["cases"])
         cases = {}
-        for name, old in base["cases"].items():
+        for name in names:
+            old = base["cases"].get(name)
             row = {"before": old}
             for side in sides[1:]:
-                new = side["cases"][name]
-                row[side["label"]] = {
-                    **new, "same_digest": new["digest"] == old["digest"],
-                    "epoch_median_speedup":
-                        old["epoch_ms"]["median"] / new["epoch_ms"]["median"]}
+                new = side["cases"].get(name)
+                if new is not None and old is not None:
+                    new = {**new, "same_digest": new["digest"] == old["digest"],
+                           "epoch_median_speedup": old["epoch_ms"]["median"]
+                           / new["epoch_ms"]["median"],
+                           "peak_rss_ratio":
+                               new["peak_rss_mb"] / old["peak_rss_mb"]}
+                row[side["label"]] = new
             cases[name] = row
         print(json.dumps({"before": base["label"],
                           "compared": [s["label"] for s in sides[1:]],

@@ -7,15 +7,23 @@ with ``constant`` (or any expression whose inputs are all constants)
 carry no tape and evaluate forward-only, so the same code path serves
 both training and plain inference.
 
-Gradient buffers are allocated on first use.  A tracked tensor starts
-with ``grad = None``; the first gradient that reaches it becomes its
-buffer and later ones are added in place, so ``None`` after ``backward``
-means no gradient reached the tensor.  Pass-through adjoints (``add``,
-``sub``, ``add_scalar``, ``add_row_bias``) hand their output's gradient
-array on to their first input rather than copying it.  Adopting the
-first contribution gives the same values as adding it to zeros, up to
-the sign of zero entries; parameter buffers start at +0 and always add,
-so parameter gradients are unchanged bit for bit.
+Gradient buffers are allocated on first use.  A tracked tensor owns a
+small adjoint slot holding only its ``grad``, which starts as None; the
+first gradient that reaches it becomes its buffer and later ones are
+added in place.  Pass-through adjoints (``add``, ``sub``, ``add_scalar``,
+``add_row_bias``) hand their output's gradient array on to their first
+input rather than copying it.  Adopting the first contribution gives the
+same values as adding it to zeros, up to the sign of zero entries;
+parameter buffers start at +0 and always add, so parameter gradients are
+unchanged bit for bit.
+
+The tape keeps only what backward reads.  Each adjoint closes over
+slots and the few arrays it needs (a matmul the other operand's value,
+relu its mask, dropout its scaled mask), so every other forward value is
+freed as soon as the forward pass drops it.  Each adjoint takes its
+output's gradient out of the slot, so an intermediate's gradient is
+freed once passed on and after ``backward`` only leaves hold one.
+Untracked tensors have no slot and record nothing.
 
 Comparisons never flow gradient: coverage and violation indicators are
 computed on raw values and re-enter the graph as constant coefficients.
@@ -43,23 +51,35 @@ def _as_matrix(value) -> np.ndarray:
     return arr
 
 
+class _Slot:
+    """A tracked tensor's adjoint: its gradient and nothing else."""
+
+    __slots__ = ("grad",)
+
+    def __init__(self, grad: np.ndarray | None = None):
+        self.grad = grad
+
+
 class Tensor:
     """A node in the computation graph: a value plus an adjoint slot.
 
-    A tensor is tracked when ``tape`` is set.  ``grad`` is None for
-    constants and for tracked tensors no gradient has reached; ``backward``
-    allocates it on the first contribution.  A finished intermediate's
-    ``grad`` may share its array with an input's, because pass-through
-    adjoints hand the array on.
+    A tensor is tracked when ``tape`` is set, and only tracked tensors
+    own a slot.  ``grad`` reads the slot: None for constants, for tracked
+    tensors no gradient has reached, and for intermediates whose adjoint
+    has already passed their gradient on.  Leaves keep theirs.
     """
 
-    __slots__ = ("value", "grad", "tape")
+    __slots__ = ("value", "tape", "_slot")
 
-    def __init__(self, value: np.ndarray, grad: np.ndarray | None,
-                 tape: "Tape | None"):
+    def __init__(self, value: np.ndarray, tape: "Tape | None" = None,
+                 grad: np.ndarray | None = None):
         self.value = value
-        self.grad = grad
         self.tape = tape
+        self._slot = None if tape is None else _Slot(grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._slot is None else self._slot.grad
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -77,7 +97,7 @@ class Tensor:
 
 def constant(value) -> Tensor:
     """An untracked tensor: participates in math, never in gradients."""
-    return Tensor(_as_matrix(value).copy(), None, None)
+    return Tensor(_as_matrix(value).copy())
 
 
 class Tape:
@@ -99,21 +119,20 @@ class Tape:
         arr = _as_matrix(value)
         if grad is not None and grad.shape != arr.shape:
             raise ShapeError("grad buffer shape must match the value")
-        return Tensor(arr, grad, self)
+        return Tensor(arr, self, grad)
 
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
 
     def release(self) -> None:
-        """Drop the recorded closures; the tape cannot be replayed after.
+        """Drop the recorded closures, and with them the arrays their
+        adjoints read; the tape cannot be replayed after.
 
-        Tensors, tape and closures form a reference cycle; breaking it
-        frees the buffers at once instead of at the next cyclic garbage
-        collection.  ``harness.train`` releases each tape one epoch late,
-        after the next loss node is built, so the freed blocks lie under
-        live ones and get reused.  Released at the end of its own epoch,
-        the top of the heap went back to the system and the next forward
-        pass faulted it in again, which made epochs slower.
+        ``harness.train`` releases each tape one epoch late, after the
+        next loss node is built, so the freed blocks lie under live ones
+        and get reused.  Released at the end of its own epoch, the top of
+        the heap went back to the system and the next forward pass
+        faulted it in again, which made epochs slower.
         """
         self._steps.clear()
 
@@ -124,14 +143,14 @@ class Tape:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Seed d(loss)/d(loss) = 1 and replay the tape in reverse.
 
-    Tracked tensors that no gradient reaches keep ``grad = None``;
-    parameter leaves add into their store's buffers.
+    Afterwards only leaves hold ``grad``: every intermediate has passed
+    its gradient on.  Parameter leaves add into their store's buffers.
     """
     if loss.tape is not tape:
         raise ContractError("loss was not recorded on this tape")
     if loss.shape != (1, 1):
         raise ContractError("backward needs a scalar (1, 1) loss")
-    _accumulate(loss, np.ones((1, 1)))
+    _accumulate(loss._slot, np.ones((1, 1)))
     for step in reversed(tape._steps):
         step()
 
@@ -148,14 +167,46 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
     return tape
 
 
-def _accumulate(t: Tensor, g: np.ndarray, shared: bool = False) -> None:
-    """Add ``g`` into ``t.grad``.  The first contribution becomes the
+def _take(slot: _Slot) -> np.ndarray | None:
+    """Hand an output's gradient to its adjoint, emptying the slot."""
+    g, slot.grad = slot.grad, None
+    return g
+
+
+def _accumulate(slot: _Slot, g: np.ndarray, shared: bool = False) -> None:
+    """Add ``g`` into ``slot.grad``.  The first contribution becomes the
     buffer itself, or a copy of it when another input may adopt ``g``
     too (``shared``)."""
-    if t.grad is None:
-        t.grad = g.copy() if shared else g
+    if slot.grad is None:
+        slot.grad = g.copy() if shared else g
     else:
-        t.grad += g
+        slot.grad += g
+
+
+def _record_unary(out: Tensor, a: Tensor,
+                  adjoint: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Record the step of a one-input op: it passes ``adjoint(g)`` to
+    ``a``.  ``adjoint`` must close over arrays, never over a Tensor."""
+    so, sa = out._slot, a._slot
+    def step():
+        g = _take(so)
+        if g is not None:
+            _accumulate(sa, adjoint(g))
+    a.tape.record(step)
+
+
+def _record_scatter(out: Tensor, a: Tensor, index) -> None:
+    """Record the step of an op that keeps ``a.value[index]``: it adds
+    the gradient into ``a``'s at ``index``."""
+    so, sa, shape = out._slot, a._slot, a.shape
+    def step():
+        g = _take(so)
+        if g is None:
+            return
+        if sa.grad is None:
+            sa.grad = np.zeros(shape)
+        sa.grad[index] += g
+    a.tape.record(step)
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -166,21 +217,28 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
-# Every adjoint returns at once when no gradient reached its output.
+# An adjoint closes over its output's slot, its tracked inputs' slots
+# (None for constants) and the arrays it reads, never over a Tensor.  It
+# returns at once when no gradient reached its output.
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
     tape = _tape_of(a, b)
-    out = Tensor(a.value @ b.value, None, tape)
+    out = Tensor(a.value @ b.value, tape)
     if tape is not None:
+        so, sa, sb = out._slot, a._slot, b._slot
+        # Each operand's gradient reads only the other operand's value.
+        av = a.value if sb is not None else None
+        bv = b.value if sa is not None else None
         def step():
-            if out.grad is None:
+            g = _take(so)
+            if g is None:
                 return
-            if a.tape is not None:
-                _accumulate(a, out.grad @ b.value.T)
-            if b.tape is not None:
-                _accumulate(b, a.value.T @ out.grad)
+            if sa is not None:
+                _accumulate(sa, g @ bv.T)
+            if sb is not None:
+                _accumulate(sb, av.T @ g)
         tape.record(step)
     return out
 
@@ -190,15 +248,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     adds ``a``'s adopted buffer to itself."""
     _same_shape(a, b, "add")
     tape = _tape_of(a, b)
-    out = Tensor(a.value + b.value, None, tape)
+    out = Tensor(a.value + b.value, tape)
     if tape is not None:
+        so, sa, sb = out._slot, a._slot, b._slot
         def step():
-            if out.grad is None:
+            g = _take(so)
+            if g is None:
                 return
-            if a.tape is not None:
-                _accumulate(a, out.grad)
-            if b.tape is not None:
-                _accumulate(b, out.grad, shared=a.tape is not None)
+            if sa is not None:
+                _accumulate(sa, g)
+            if sb is not None:
+                _accumulate(sb, g, shared=sa is not None)
         tape.record(step)
     return out
 
@@ -206,15 +266,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
     tape = _tape_of(a, b)
-    out = Tensor(a.value - b.value, None, tape)
+    out = Tensor(a.value - b.value, tape)
     if tape is not None:
+        so, sa, sb = out._slot, a._slot, b._slot
         def step():
-            if out.grad is None:
+            g = _take(so)
+            if g is None:
                 return
-            if a.tape is not None:
-                _accumulate(a, out.grad)
-            if b.tape is not None:
-                _accumulate(b, -out.grad)
+            if sa is not None:
+                _accumulate(sa, g)
+            if sb is not None:
+                _accumulate(sb, -g)
         tape.record(step)
     return out
 
@@ -224,15 +286,18 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     the adjoint correctly doubles."""
     _same_shape(a, b, "mul")
     tape = _tape_of(a, b)
-    out = Tensor(a.value * b.value, None, tape)
+    out = Tensor(a.value * b.value, tape)
     if tape is not None:
+        so, sa, sb = out._slot, a._slot, b._slot
+        av, bv = a.value, b.value
         def step():
-            if out.grad is None:
+            g = _take(so)
+            if g is None:
                 return
-            if a.tape is not None:
-                _accumulate(a, out.grad * b.value)
-            if b.tape is not None:
-                _accumulate(b, out.grad * a.value)
+            if sa is not None:
+                _accumulate(sa, g * bv)
+            if sb is not None:
+                _accumulate(sb, g * av)
         tape.record(step)
     return out
 
@@ -245,23 +310,17 @@ def scale(a: Tensor, k: float | np.ndarray) -> Tensor:
     k_arr = np.asarray(k, dtype=np.float64)
     if k_arr.ndim != 0 and k_arr.shape != a.shape:
         raise ShapeError(f"scale: coefficient shape {k_arr.shape} vs {a.shape}")
-    out = Tensor(a.value * k_arr, None, a.tape)
+    out = Tensor(a.value * k_arr, a.tape)
     if a.tape is not None:
-        def step():
-            if out.grad is not None:
-                _accumulate(a, out.grad * k_arr)
-        a.tape.record(step)
+        _record_unary(out, a, lambda g: g * k_arr)
     return out
 
 
 def add_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.value + c, None, a.tape)
+    out = Tensor(a.value + c, a.tape)
     if a.tape is not None:
-        def step():
-            if out.grad is not None:
-                _accumulate(a, out.grad)
-        a.tape.record(step)
+        _record_unary(out, a, lambda g: g)
     return out
 
 
@@ -270,28 +329,27 @@ def add_row_bias(a: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (1, a.shape[1]):
         raise ShapeError(f"add_row_bias: bias {bias.shape} vs value {a.shape}")
     tape = _tape_of(a, bias)
-    out = Tensor(a.value + bias.value, None, tape)
+    out = Tensor(a.value + bias.value, tape)
     if tape is not None:
+        so, sa, sb = out._slot, a._slot, bias._slot
         def step():
-            if out.grad is None:
+            g = _take(so)
+            if g is None:
                 return
-            if a.tape is not None:
-                _accumulate(a, out.grad)
-            if bias.tape is not None:
-                _accumulate(bias, out.grad.sum(axis=0, keepdims=True))
+            if sa is not None:
+                _accumulate(sa, g)
+            if sb is not None:
+                _accumulate(sb, g.sum(axis=0, keepdims=True))
         tape.record(step)
     return out
 
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0); the subgradient at exactly zero is taken as zero."""
-    out = Tensor(np.maximum(a.value, 0.0), None, a.tape)
+    out = Tensor(np.maximum(a.value, 0.0), a.tape)
     if a.tape is not None:
         mask = a.value > 0.0
-        def step():
-            if out.grad is not None:
-                _accumulate(a, out.grad * mask)
-        a.tape.record(step)
+        _record_unary(out, a, lambda g: g * mask)
     return out
 
 
@@ -302,25 +360,18 @@ def softplus(a: Tensor) -> Tensor:
     is exact for very negative inputs and overflow-free for large ones.
     """
     x = a.value
-    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), None,
-                 a.tape)
+    out = Tensor(np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x))), a.tape)
     if a.tape is not None:
         sig = expit(x)
-        def step():
-            if out.grad is not None:
-                _accumulate(a, out.grad * sig)
-        a.tape.record(step)
+        _record_unary(out, a, lambda g: g * sig)
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
     s = expit(a.value)
-    out = Tensor(s, None, a.tape)
+    out = Tensor(s, a.tape)
     if a.tape is not None:
-        def step():
-            if out.grad is not None:
-                _accumulate(a, out.grad * s * (1.0 - s))
-        a.tape.record(step)
+        _record_unary(out, a, lambda g: g * s * (1.0 - s))
     return out
 
 
@@ -349,12 +400,9 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
         raise ShapeError(
             f"aggregate: {h.shape[0]} rows for {graph.num_nodes} nodes")
     op = mean_adjacency(graph)
-    out = Tensor(np.asarray(op @ h.value), None, h.tape)
+    out = Tensor(np.asarray(op @ h.value), h.tape)
     if h.tape is not None:
-        def step():
-            if out.grad is not None:
-                _accumulate(h, op.T @ out.grad)
-        h.tape.record(step)
+        _record_unary(out, h, lambda g: op.T @ g)
     return out
 
 
@@ -363,41 +411,26 @@ def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:
     mask = np.asarray(mask)
     if mask.dtype != np.bool_ or mask.shape != (a.shape[0],):
         raise ShapeError("mask must be a boolean vector with one entry per row")
-    out = Tensor(a.value[mask], None, a.tape)
+    out = Tensor(a.value[mask], a.tape)
     if a.tape is not None:
-        def step():
-            if out.grad is None:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            a.grad[mask] += out.grad
-        a.tape.record(step)
+        _record_scatter(out, a, mask)
     return out
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
     if not 0 <= start < stop <= a.shape[1]:
         raise ShapeError(f"slice_cols: [{start}, {stop}) out of {a.shape}")
-    out = Tensor(a.value[:, start:stop].copy(), None, a.tape)
+    out = Tensor(a.value[:, start:stop].copy(), a.tape)
     if a.tape is not None:
-        def step():
-            if out.grad is None:
-                return
-            if a.grad is None:
-                a.grad = np.zeros_like(a.value)
-            a.grad[:, start:stop] += out.grad
-        a.tape.record(step)
+        _record_scatter(out, a, (slice(None), slice(start, stop)))
     return out
 
 
 def reduce_mean(a: Tensor) -> Tensor:
-    size = a.value.size
-    out = Tensor(np.array([[a.value.mean()]]), None, a.tape)
+    shape, size = a.shape, a.value.size
+    out = Tensor(np.array([[a.value.mean()]]), a.tape)
     if a.tape is not None:
-        def step():
-            if out.grad is not None:
-                _accumulate(a, np.full(a.shape, out.grad[0, 0] / size))
-        a.tape.record(step)
+        _record_unary(out, a, lambda g: np.full(shape, g[0, 0] / size))
     return out
 
 
@@ -454,7 +487,7 @@ class ParamStore:
 
     def constants(self) -> dict[str, Tensor]:
         """Untracked views for forward-only evaluation."""
-        return {name: Tensor(self._values[name], None, None)
+        return {name: Tensor(self._values[name])
                 for name in self.names()}
 
     def copy(self) -> "ParamStore":

@@ -158,21 +158,32 @@ def _sage_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
     return dk.add_row_bias(dk.add(own, nbr), params[f"{prefix}.bias"])
 
 
-def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
-           dropout_p: float = 0.0, train_mode: bool = False,
-           seed: int = 0) -> Tensor:
-    """Two message-passing layers with ReLU, dropout after each ReLU."""
+def _first_layer(graph: Graph, x: Tensor,
+                 params: Mapping[str, Tensor]) -> Tensor:
+    """``relu(sage1(x))``: the encoder's first layer, before dropout."""
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"{x.shape[0]} feature rows for {graph.num_nodes} nodes")
     if x.shape[1] != params["sage1.self"].shape[0]:
         raise ShapeError(
             f"feature dim {x.shape[1]} vs encoder input "
             f"{params['sage1.self'].shape[0]}")
-    h = dk.relu(_sage_layer(graph, x, params, "sage1"))
+    return dk.relu(_sage_layer(graph, x, params, "sage1"))
+
+
+def _after_first_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
+                       dropout_p: float, train_mode: bool, seed: int) -> Tensor:
+    """The rest of ``encode``, from the first layer's output on."""
     h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 1), train_mode)
     h = dk.relu(_sage_layer(graph, h, params, "sage2"))
-    h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 2), train_mode)
-    return h
+    return dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 2), train_mode)
+
+
+def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
+           dropout_p: float = 0.0, train_mode: bool = False,
+           seed: int = 0) -> Tensor:
+    """Two message-passing layers with ReLU, dropout after each ReLU."""
+    return _after_first_layer(graph, _first_layer(graph, x, params), params,
+                              dropout_p, train_mode, seed)
 
 
 def qpi_forward(h: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
@@ -278,10 +289,12 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     if "pred.weight" not in model.params:
         raise ContractError("model has no point-prediction head")
     params = model.params.constants()
+    # The first layer has no dropout yet, so every pass shares it.
+    h1 = _first_layer(graph, constant(x), params)
     rows = []
     for t in range(passes):
-        h = encode(graph, constant(x), params, dropout_p, True,
-                   derive_seed(seed, "mc", t))
+        h = _after_first_layer(graph, h1, params, dropout_p, True,
+                               derive_seed(seed, "mc", t))
         yhat = dk.add_row_bias(dk.matmul(h, params["pred.weight"]),
                                params["pred.bias"])
         rows.append(yhat.value.ravel())

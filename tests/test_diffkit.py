@@ -1,5 +1,6 @@
 """Reverse-mode engine: every primitive checked against central differences."""
 import pickle
+import weakref
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_param_store_guards():
 
 
 # ---------------------------------------------------------------------------
-# Lazy grad buffers, passed-on adjoints and released tapes
+# Lazy grad buffers, passed-on adjoints, lifetimes and released tapes
 # ---------------------------------------------------------------------------
 
 def test_unreached_tensors_keep_no_grad():
@@ -211,10 +212,12 @@ def test_unreached_tensors_keep_no_grad():
     backward(tape, loss)
     assert dead.grad is None and square.grad is None
     assert unused.grad is None and c.grad is None
-    assert h.grad is not None and x.grad is not None
-    np.testing.assert_allclose(h.grad, np.full((4, 2), 1 / 8))
-    # the parameter got only the live path's gradient
-    np.testing.assert_allclose(ps.grad("w"), x.value.T @ h.grad)
+    # h passed d(loss)/dh = 1/8 on; both leaves under it got only the
+    # live path's gradient
+    assert h.grad is None
+    dh = np.full((4, 2), 1 / 8)
+    np.testing.assert_allclose(x.grad, dh @ ps.value("w").T)
+    np.testing.assert_allclose(ps.grad("w"), x.value.T @ dh)
 
 
 def test_passed_on_adjoints_do_not_alias():
@@ -275,14 +278,18 @@ def test_passed_on_adjoints_do_not_alias():
 
 
 def test_add_of_a_tensor_with_itself_doubles():
+    # d(loss)/dt is [[1, 1]] for add(t, t) and [[0, 0]] for sub(t, t);
+    # the leaf under scale(., 3) gets three times that
     tape = Tape()
-    t = dk.scale(tape.leaf(np.array([[1.0, -2.0]])), 3.0)
+    leaf = tape.leaf(np.array([[1.0, -2.0]]))
+    t = dk.scale(leaf, 3.0)
     backward(tape, dk.reduce_mean(dk.add(t, t)))
-    np.testing.assert_array_equal(t.grad, [[1.0, 1.0]])
+    np.testing.assert_array_equal(leaf.grad, [[3.0, 3.0]])
     tape = Tape()
-    t = dk.scale(tape.leaf(np.array([[1.0, -2.0]])), 3.0)
+    leaf = tape.leaf(np.array([[1.0, -2.0]]))
+    t = dk.scale(leaf, 3.0)
     backward(tape, dk.reduce_mean(dk.sub(t, t)))
-    np.testing.assert_array_equal(t.grad, [[0.0, 0.0]])
+    np.testing.assert_array_equal(leaf.grad, [[0.0, 0.0]])
 
 
 def test_release_drops_the_steps():
@@ -309,3 +316,77 @@ def test_mean_adjacency_is_memoised_per_graph(small_ds):
     other = dk.mean_adjacency(dropped.graph)
     assert other is not op
     assert other.nnz == dropped.graph.col_indices.size < op.nnz
+
+
+def _layer_loss(graph, tape, params, x):
+    """One encoder layer as ``model.encode`` builds it, on a tracked
+    input, under a linear head; returns the loss and the tensors made
+    on the way."""
+    h = tape.leaf(x)
+    agg = dk.csr_mean_aggregate(graph, h)
+    own, nbr = dk.matmul(h, params["s"]), dk.matmul(agg, params["n"])
+    total = dk.add(own, nbr)
+    pre = dk.add_row_bias(total, params["b"])
+    post = dk.relu(pre)
+    out = dk.dropout(post, 0.5, seed=3, train_mode=True)
+    loss = dk.reduce_mean(dk.matmul(out, params["u"]))
+    return loss, dict(h=h, agg=agg, own=own, nbr=nbr, total=total, pre=pre,
+                      post=post, out=out)
+
+
+def _layer_case():
+    rng = keyed_rng(0, "dk-life")
+    ps = _store(s=rng.standard_normal((3, 4)), n=rng.standard_normal((3, 4)),
+                b=rng.standard_normal((1, 4)), u=rng.standard_normal((4, 1)))
+    return ps, rng.standard_normal((6, 3))
+
+
+def test_values_no_adjoint_reads_die_while_the_tape_lives(ring6):
+    ps, x = _layer_case()
+    tape = Tape()
+    loss, made = _layer_loss(ring6, tape, ps.leaves(tape), x)
+    refs = {name: weakref.ref(t.value) for name, t in made.items()}
+    del made
+    assert len(tape) == 9
+    # the pre-ReLU value, and every other value no adjoint reads, is gone
+    for name in ("own", "nbr", "total", "pre", "post"):
+        assert refs[name]() is None, name
+    # the weight gradients read h, A@h and the dropout output
+    for name in ("h", "agg", "out"):
+        assert refs[name]() is not None, name
+
+    # a tape whose unread values died still gives exact gradients
+    def f(params):
+        t = Tape()
+        return _layer_loss(ring6, t, params.leaves(t), x)[0]
+    _check(f, ps)
+
+
+def test_only_leaves_hold_grad_after_backward(ring6):
+    ps, x = _layer_case()
+    tape = Tape()
+    leaves = ps.leaves(tape)
+    loss, made = _layer_loss(ring6, tape, leaves, x)
+    backward(tape, loss)
+    h = made.pop("h")
+    assert h.grad is not None and h.grad.shape == x.shape
+    for name, t in made.items():
+        assert t.grad is None, name
+    assert loss.grad is None
+    for name, leaf in leaves.items():
+        assert leaf.grad is ps.grad(name)
+        assert np.abs(leaf.grad).sum() > 0, name
+    # untracked values carry no adjoint at all
+    c = dk.relu(constant(x))
+    assert c.tape is None and c.grad is None
+
+
+def test_matmul_keeps_an_operand_only_for_the_other_ones_gradient():
+    tape = Tape()
+    a = tape.leaf(keyed_rng(0, "dk-mm").standard_normal((4, 3)))
+    b = constant(np.ones((3, 2)))
+    ref = weakref.ref(a.value)
+    dk.matmul(a, b)
+    del a
+    # b is untracked, so no adjoint reads a's value
+    assert ref() is None
