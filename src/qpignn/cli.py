@@ -109,21 +109,23 @@ def _add_train(p: _Parser) -> None:
 # Shared plumbing
 # ---------------------------------------------------------------------------
 
-def _outdir(args, default_name: str) -> Path:
-    """Create the output directory; called once the work has succeeded."""
-    out = Path(args.out) if args.out else Path("runs") / default_name
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _echo_config(args, out: Path) -> None:
-    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    (out / "config.json").write_text(json.dumps(payload, indent=2,
-                                                default=str) + "\n")
+def _comma_list(text: str, flag: str, kind=float,
+                count: int | None = None) -> tuple:
+    """Parse the comma-separated value ``text`` of ``flag``; a malformed
+    one, or one without exactly ``count`` entries, is a usage error."""
+    try:
+        values = tuple(kind(x) for x in text.split(","))
+        if count is None or len(values) == count:
+            return values
+    except ValueError:
+        pass
+    want = f"{count} " if count is not None else ""
+    raise ParameterError(f"{flag} needs a comma-separated list of "
+                         f"{want}{kind.__name__} values, got {text!r}")
 
 
 def _dataset_from_args(args):
-    ratios = tuple(float(x) for x in args.ratios.split(","))
+    ratios = _comma_list(args.ratios, "--ratios")
     spec = SplitSpec(kind=args.split, ratios=ratios, seed=args.data_seed)
     if args.edges or args.features or args.targets:
         if not (args.edges and args.features and args.targets):
@@ -164,20 +166,27 @@ def _stamp(args) -> list[str]:
     return [f"# generated {now}"]
 
 
-def _write_table(args, out: Path, name: str, header: str,
-                 rows: list[str], json_rows: list[dict]) -> Path:
-    """Write one table in the requested format and return its path."""
-    if args.format == "json":
-        path = out / f"{name}.json"
+def _write_outputs(args, default_name: str, table: str | None = None,
+                   header: str = "", rows=(), json_rows=()) -> Path:
+    """Create the output directory, write ``table`` in the requested
+    format and the ``config.json`` echo of the arguments, and return the
+    directory.  Called once the work has succeeded."""
+    out = Path(args.out) if args.out else Path("runs") / default_name
+    out.mkdir(parents=True, exist_ok=True)
+    if table is not None and args.format == "json":
         doc: dict = {"rows": json_rows}
         if not args.no_timestamp:
             doc["generated"] = datetime.now(timezone.utc).isoformat(
                 timespec="seconds")
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-        return path
-    path = out / f"{name}.csv"
-    path.write_text("\n".join(_stamp(args) + [header] + rows) + "\n")
-    return path
+        (out / f"{table}.json").write_text(
+            json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    elif table is not None:
+        (out / f"{table}.csv").write_text(
+            "\n".join(_stamp(args) + [header, *rows]) + "\n")
+    payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
+    (out / "config.json").write_text(json.dumps(payload, indent=2,
+                                                default=str) + "\n")
+    return out
 
 
 def _report_json(rep, **extra) -> dict:
@@ -196,9 +205,8 @@ def _without(row: dict, key: str) -> dict:
 
 def _cmd_gen(args) -> int:
     ds, label = _dataset_from_args(args)
-    out = _outdir(args, "gen")
+    out = _write_outputs(args, "gen")
     save_csv(ds, out / "edges.csv", out / "features.csv", out / "targets.csv")
-    _echo_config(args, out)
     print(f"wrote dataset {label} ({ds.num_nodes} nodes, "
           f"{ds.graph.num_edges} edges) to {out}")
     return 0
@@ -208,11 +216,6 @@ def _cmd_train(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     model, rec = train(ds, cfg)
-    out = _outdir(args, "train")
-
-    (out / "trajectory.csv").write_text(trajectory_csv(rec))
-    save_checkpoint(model, out / "checkpoint.json")
-
     run_id = f"train-{cfg.loss_kind}-s{cfg.seed}"
     rows, jrows = [], []
     for mask_name in ("train", "val", "test"):
@@ -224,8 +227,10 @@ def _cmd_train(args) -> int:
                                   dataset=label, model=cfg.model_variant,
                                   lambda_width=cfg.lambda_width,
                                   seed=cfg.seed))
-    _write_table(args, out, "metrics", experiment_csv_header(), rows, jrows)
-    _echo_config(args, out)
+    out = _write_outputs(args, "train", "metrics", experiment_csv_header(),
+                         rows, jrows)
+    (out / "trajectory.csv").write_text(trajectory_csv(rec))
+    save_checkpoint(model, out / "checkpoint.json")
 
     conv = convergence_check(rec)
     test = rec.reports["test"]
@@ -247,9 +252,8 @@ def _cmd_eval(args) -> int:
                                        -1, experiment="eval", kind=mask_name))
         jrows.append(_report_json(rep, run_id=run_id, mask=mask_name,
                                   dataset=label))
-    out = _outdir(args, "eval")
-    _write_table(args, out, "metrics", experiment_csv_header(), rows, jrows)
-    _echo_config(args, out)
+    _write_outputs(args, "eval", "metrics", experiment_csv_header(), rows,
+                   jrows)
     print(f"evaluated {args.checkpoint} on {label}")
     return 0
 
@@ -258,11 +262,11 @@ def _cmd_sweep(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     if args.tune:
-        lo, hi = (float(x) for x in args.bounds.split(","))
-        result = lambda_tune(ds, cfg, bounds=(lo, hi), budget=args.budget,
+        bounds = _comma_list(args.bounds, "--bounds", count=2)
+        result = lambda_tune(ds, cfg, bounds=bounds, budget=args.budget,
                              jobs=args.jobs)
     else:
-        grid = tuple(float(x) for x in args.grid.split(","))
+        grid = _comma_list(args.grid, "--grid")
         result = lambda_sweep(ds, cfg, grid=grid, jobs=args.jobs)
 
     rows, jrows = [], []
@@ -276,9 +280,8 @@ def _cmd_sweep(args) -> int:
         jrows.append(_report_json(e.test, lambda_width=e.lambda_width,
                                   objective=e.objective,
                                   chosen=(marker == "chosen")))
-    out = _outdir(args, "sweep")
-    _write_table(args, out, "sweep", experiment_csv_header(), rows, jrows)
-    _echo_config(args, out)
+    _write_outputs(args, "sweep", "sweep", experiment_csv_header(), rows,
+                   jrows)
     for flag in result.flags:
         print(f"flag: {flag}")
     print(f"chosen lambda={result.chosen:g} objective={result.objective:.6f}")
@@ -288,9 +291,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
-    seeds = tuple(int(s) for s in args.seeds.split(","))
+    seeds = _comma_list(args.seeds, "--seeds", kind=int)
     table = ablation_suite(ds, cfg, seeds=seeds, jobs=args.jobs)
-    out = _outdir(args, "ablate")
 
     rows, jrows = [], []
     for row in table:
@@ -300,7 +302,8 @@ def _cmd_ablate(args) -> int:
                 row["setting"], row["lambda_width"], seed,
                 experiment="ablate", kind=row["setting"]))
         jrows.append(_without(row, "per_seed"))
-    _write_table(args, out, "ablation", experiment_csv_header(), rows, jrows)
+    out = _write_outputs(args, "ablate", "ablation", experiment_csv_header(),
+                         rows, jrows)
 
     summary = ["setting," + ",".join(
         f"{f}_mean,{f}_std" for f in ("picp", "mpiw", "cwc"))]
@@ -311,7 +314,6 @@ def _cmd_ablate(args) -> int:
         summary.append(",".join(cells))
     (out / "ablation_summary.csv").write_text(
         "\n".join(_stamp(args) + summary) + "\n")
-    _echo_config(args, out)
     for row in table:
         print(f"{row['setting']:<14} picp={row['picp_mean']:.4f} "
               f"mpiw={row['mpiw_mean']:.4f} cwc={row['cwc_mean']:.4f}")
@@ -322,7 +324,6 @@ def _cmd_robust(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     table = robustness_suite(ds, cfg, jobs=args.jobs)
-    out = _outdir(args, "robust")
 
     header = (experiment_csv_header() + ",coverage_retention,width_growth")
     rows, jrows = [], []
@@ -335,8 +336,7 @@ def _cmd_robust(args) -> int:
         rows.append(base + f",{row['coverage_retention']:.10g}"
                            f",{row['width_growth']:.10g}")
         jrows.append(_without(row, "report"))
-    _write_table(args, out, "robustness", header, rows, jrows)
-    _echo_config(args, out)
+    _write_outputs(args, "robust", "robustness", header, rows, jrows)
     for row in table:
         print(f"{row['kind']:<14} level={row['level']:<4g} "
               f"picp={row['picp']:.4f} mpiw={row['mpiw']:.4f}")
@@ -350,7 +350,6 @@ def _cmd_shift(args) -> int:
                           data_seed=args.data_seed, family=args.family,
                           noise_sigma=args.noise_sigma,
                           feat_dim=args.feat_dim, jobs=args.jobs)
-    out = _outdir(args, "shift")
 
     header = "source_family,target_family,picp,mpiw,lambda,runs"
     rows, jrows = [], []
@@ -362,8 +361,7 @@ def _cmd_shift(args) -> int:
             jrows.append({"source_family": fi, "target_family": fj,
                           "picp": matrix.picp[i, j],
                           "mpiw": matrix.mpiw[i, j]})
-    _write_table(args, out, "shift", header, rows, jrows)
-    _echo_config(args, out)
+    _write_outputs(args, "shift", "shift", header, rows, jrows)
     for i, fi in enumerate(matrix.families):
         off = [matrix.picp[i, j] for j in range(len(matrix.families)) if j != i]
         print(f"{fi:<6} diag picp={matrix.picp[i, i]:.4f} "
@@ -376,7 +374,6 @@ def _cmd_splits(args) -> int:
     ds, label = _dataset_from_args(args)
     kinds = tuple(args.kinds.split(","))
     table = split_experiment(ds, cfg, kinds=kinds, jobs=args.jobs)
-    out = _outdir(args, "splits")
 
     rows, jrows = [], []
     for row in table:
@@ -385,8 +382,8 @@ def _cmd_splits(args) -> int:
                                        cfg.lambda_width, cfg.seed,
                                        experiment="splits", kind=row["kind"]))
         jrows.append(_without(row, "report"))
-    _write_table(args, out, "splits", experiment_csv_header(), rows, jrows)
-    _echo_config(args, out)
+    _write_outputs(args, "splits", "splits", experiment_csv_header(), rows,
+                   jrows)
     for row in table:
         print(f"{row['kind']:<10} picp={row['picp']:.4f} "
               f"mpiw={row['mpiw']:.4f} train={row['train_size']}")
@@ -451,9 +448,7 @@ def _cmd_report(args) -> int:
             jrow[f + "_std"] = float(vals.std())
         rows.append(",".join(cells))
         jrows.append(jrow)
-    out = _outdir(args, "report")
-    _write_table(args, out, "summary", header, rows, jrows)
-    _echo_config(args, out)
+    _write_outputs(args, "report", "summary", header, rows, jrows)
     print(f"aggregated {sum(len(v) for v in groups.values())} rows "
           f"into {len(rows)} groups")
     return 0

@@ -195,6 +195,28 @@ def _record_unary(out: Tensor, a: Tensor,
     a.tape.record(step)
 
 
+def _record_binary(out: Tensor, a: Tensor, b: Tensor,
+                   da: Callable[[np.ndarray], np.ndarray],
+                   db: Callable[[np.ndarray], np.ndarray]) -> None:
+    """Record the step of a two-input op: it passes ``da(g)`` to ``a`` and
+    ``db(g)`` to ``b``, each only when that input is tracked.  When
+    ``db(g)`` is the very array ``a`` just adopted, ``b`` takes a copy.
+    ``da`` and ``db`` must close over arrays, never over a Tensor."""
+    so, sa, sb = out._slot, a._slot, b._slot
+    def step():
+        g = _take(so)
+        if g is None:
+            return
+        ga = None
+        if sa is not None:
+            ga = da(g)
+            _accumulate(sa, ga)
+        if sb is not None:
+            gb = db(g)
+            _accumulate(sb, gb, shared=gb is ga)
+    out.tape.record(step)
+
+
 def _record_scatter(out: Tensor, a: Tensor, index) -> None:
     """Record the step of an op that keeps ``a.value[index]``: it adds
     the gradient into ``a``'s at ``index``."""
@@ -207,6 +229,10 @@ def _record_scatter(out: Tensor, a: Tensor, index) -> None:
             sa.grad = np.zeros(shape)
         sa.grad[index] += g
     a.tape.record(step)
+
+
+def _identity(g: np.ndarray) -> np.ndarray:
+    return g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -224,22 +250,12 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
-    tape = _tape_of(a, b)
-    out = Tensor(a.value @ b.value, tape)
-    if tape is not None:
-        so, sa, sb = out._slot, a._slot, b._slot
+    out = Tensor(a.value @ b.value, _tape_of(a, b))
+    if out.tape is not None:
         # Each operand's gradient reads only the other operand's value.
-        av = a.value if sb is not None else None
-        bv = b.value if sa is not None else None
-        def step():
-            g = _take(so)
-            if g is None:
-                return
-            if sa is not None:
-                _accumulate(sa, g @ bv.T)
-            if sb is not None:
-                _accumulate(sb, av.T @ g)
-        tape.record(step)
+        av = a.value if b.tape is not None else None
+        bv = b.value if a.tape is not None else None
+        _record_binary(out, a, b, lambda g: g @ bv.T, lambda g: av.T @ g)
     return out
 
 
@@ -247,37 +263,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum.  ``add(a, a)`` doubles: the second contribution
     adds ``a``'s adopted buffer to itself."""
     _same_shape(a, b, "add")
-    tape = _tape_of(a, b)
-    out = Tensor(a.value + b.value, tape)
-    if tape is not None:
-        so, sa, sb = out._slot, a._slot, b._slot
-        def step():
-            g = _take(so)
-            if g is None:
-                return
-            if sa is not None:
-                _accumulate(sa, g)
-            if sb is not None:
-                _accumulate(sb, g, shared=sa is not None)
-        tape.record(step)
+    out = Tensor(a.value + b.value, _tape_of(a, b))
+    if out.tape is not None:
+        _record_binary(out, a, b, _identity, _identity)
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    tape = _tape_of(a, b)
-    out = Tensor(a.value - b.value, tape)
-    if tape is not None:
-        so, sa, sb = out._slot, a._slot, b._slot
-        def step():
-            g = _take(so)
-            if g is None:
-                return
-            if sa is not None:
-                _accumulate(sa, g)
-            if sb is not None:
-                _accumulate(sb, -g)
-        tape.record(step)
+    out = Tensor(a.value - b.value, _tape_of(a, b))
+    if out.tape is not None:
+        _record_binary(out, a, b, _identity, np.negative)
     return out
 
 
@@ -285,20 +281,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product.  Passing the same tensor twice squares it and
     the adjoint correctly doubles."""
     _same_shape(a, b, "mul")
-    tape = _tape_of(a, b)
-    out = Tensor(a.value * b.value, tape)
-    if tape is not None:
-        so, sa, sb = out._slot, a._slot, b._slot
+    out = Tensor(a.value * b.value, _tape_of(a, b))
+    if out.tape is not None:
         av, bv = a.value, b.value
-        def step():
-            g = _take(so)
-            if g is None:
-                return
-            if sa is not None:
-                _accumulate(sa, g * bv)
-            if sb is not None:
-                _accumulate(sb, g * av)
-        tape.record(step)
+        _record_binary(out, a, b, lambda g: g * bv, lambda g: g * av)
     return out
 
 
@@ -320,7 +306,7 @@ def add_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.value + c, a.tape)
     if a.tape is not None:
-        _record_unary(out, a, lambda g: g)
+        _record_unary(out, a, _identity)
     return out
 
 
@@ -328,19 +314,10 @@ def add_row_bias(a: Tensor, bias: Tensor) -> Tensor:
     """Add a (1, d) bias row to every row of a (n, d) tensor."""
     if bias.shape != (1, a.shape[1]):
         raise ShapeError(f"add_row_bias: bias {bias.shape} vs value {a.shape}")
-    tape = _tape_of(a, bias)
-    out = Tensor(a.value + bias.value, tape)
-    if tape is not None:
-        so, sa, sb = out._slot, a._slot, bias._slot
-        def step():
-            g = _take(so)
-            if g is None:
-                return
-            if sa is not None:
-                _accumulate(sa, g)
-            if sb is not None:
-                _accumulate(sb, g.sum(axis=0, keepdims=True))
-        tape.record(step)
+    out = Tensor(a.value + bias.value, _tape_of(a, bias))
+    if out.tape is not None:
+        _record_binary(out, a, bias, _identity,
+                       lambda g: g.sum(axis=0, keepdims=True))
     return out
 
 

@@ -20,7 +20,6 @@ from scipy import sparse
 from .errors import ContractError, IngestionError, ParameterError
 from .rng import keyed_rng
 
-GRAPH_KINDS = ("er", "ba", "grid", "chain", "tree")
 FEATURE_FAMILIES = ("basic", "gaussian", "uniform", "edge_weighted")
 SPLIT_KINDS = ("random", "degree", "community")
 PERTURB_KINDS = ("feature_noise", "target_noise", "edge_dropout")

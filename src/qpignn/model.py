@@ -87,9 +87,6 @@ class IntervalSet:
     def widths(self) -> np.ndarray:
         return self.up_values - self.low_values
 
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.low_values + self.up_values)
-
     def crossing_rate(self) -> float:
         """Fraction of nodes with low > up (possible for raw 2-output heads)."""
         return float(np.mean(self.low_values > self.up_values))

@@ -47,7 +47,13 @@ def test_bad_jobs_and_mc_passes_exit_1(tmp_path, capsys):
                 ["eval", "--checkpoint", str(metrics), "--jobs", "-1"],
                 ["sweep", "--tune", "--budget", "2"],
                 ["splits", "--kinds", "random"],
-                ["train", "--loss", "mse_mcdropout", "--mc-passes", "1"]):
+                ["train", "--loss", "mse_mcdropout", "--mc-passes", "1"],
+                ["train", "--ratios", "0.6,x,0.2"],
+                ["sweep", "--grid", "0.1,abc"],
+                ["sweep", "--tune", "--bounds", "0.1"],
+                ["sweep", "--tune", "--bounds", "0.1,0.5,0.9"],
+                ["ablate", "--seeds", "0,one"],
+                ["shift", "--runs", "0"]):
         train = FAST_TRAIN if bad[0] in ("train", "sweep", "splits") else []
         assert run([*bad, *FAST_DS, *train,
                     "--out", str(tmp_path / "x")]) == 1, bad

@@ -32,6 +32,8 @@ COMMANDS = {
     "robust": ["robust", *DS, *TRAIN],
     "splits": ["splits", *DS, *TRAIN, "--graph", "grid"],
     "shift": ["shift", "--nodes", "100", "--runs", "1", *TRAIN],
+    "ablate_jobs2": ["ablate", *DS, *TRAIN, "--seeds", "0", "--jobs", "2"],
+    "robust_jobs2": ["robust", *DS, *TRAIN, "--jobs", "2"],
 }
 
 THEORY = ("hoeffding", "mcdiarmid", "halfwidth", "concentration")
@@ -131,6 +133,19 @@ GOLDEN = {
         "trajectory.csv":
             "18eb583ec19bd8e6d0b32a640e9e642cb0ac734af92abec827d03ddb95294502",
     },
+}
+
+# A worker pool writes the same tables as inline training; only the
+# echoed --jobs value in config.json differs.
+GOLDEN["ablate_jobs2"] = {
+    **GOLDEN["ablate"],
+    "config.json":
+        "76ae1babe0e1ad6e2dbf4fbd297d676f4439bbb29453b041f5d03516c10561a7",
+}
+GOLDEN["robust_jobs2"] = {
+    **GOLDEN["robust"],
+    "config.json":
+        "5a5b7f87d798ed9cd5a230eebe77788cca349302d8d74d7c0a7ed802bbb82933",
 }
 
 GOLDEN_THEORY = {

@@ -4,6 +4,7 @@ Numeric expectations here were frozen from runs of this implementation
 after checking they satisfy the documented invariants; they guard
 against regressions, not against the laws of arithmetic.
 """
+import dataclasses
 import gc
 import tracemalloc
 import weakref
@@ -65,17 +66,30 @@ def test_train_is_the_single_entry_point(small_ds):
         assert rec.loss.shape == (3,) and np.all(np.isfinite(rec.loss))
 
 
-def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds):
+def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch):
     with pytest.raises(ParameterError):
         TrainConfig(loss_kind="mse_mcdropout", mc_passes=1)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("a rejected batch started training")
+
+    monkeypatch.setattr(q.harness, "train", no_training)
     cfg = TrainConfig(epochs=2, hidden=8)
     for suite in (lambda j: lambda_sweep(small_ds, cfg, grid=(0.1,), jobs=j),
+                  lambda j: lambda_tune(small_ds, cfg, budget=3, jobs=j),
                   lambda j: robustness_suite(small_ds, cfg, jobs=j),
                   lambda j: ablation_suite(small_ds, cfg, seeds=(0,), jobs=j),
-                  lambda j: split_experiment(small_ds, cfg, jobs=j)):
+                  lambda j: split_experiment(small_ds, cfg, jobs=j),
+                  lambda j: shift_matrix(cfg=cfg, nodes=40, runs=1, jobs=j)):
         for jobs in (0, -3):
             with pytest.raises(ParameterError):
                 suite(jobs)
+    # empty batches are rejected too
+    with pytest.raises(ParameterError):
+        ablation_suite(small_ds, cfg, seeds=())
+    for runs in (0, -2):
+        with pytest.raises(ParameterError):
+            shift_matrix(cfg=cfg, nodes=40, runs=runs)
 
 
 def test_sweep_result_requires_chosen_in_entries():
@@ -279,6 +293,59 @@ def test_sweep_is_job_count_invariant(small_ds):
     b = lambda_sweep(small_ds, cfg, grid=(0.1, 0.5), jobs=2)
     assert a.chosen == b.chosen
     assert [e.objective for e in a.entries] == [e.objective for e in b.entries]
+
+
+@pytest.fixture(scope="module")
+def grid_ds():
+    """A 100-node grid: structured enough for every split strategy."""
+    return dataset_preset("grid", 100, 1, family="gaussian", noise_sigma=0.5)
+
+
+def _plain(x):
+    """A suite result as nested dicts, lists and arrays, so that
+    ``np.testing.assert_equal`` compares every value exactly."""
+    if dataclasses.is_dataclass(x):
+        x = vars(x)
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    return x
+
+
+TINY = TrainConfig(epochs=4, hidden=8, seed=0)
+
+# Each suite with the number of process pools it starts at jobs=2
+# (None: the tune's pools depend on its refinement rounds).
+SUITES = {
+    "sweep": (lambda ds, j: lambda_sweep(ds, TINY, grid=(0.1, 0.5), jobs=j), 1),
+    "tune": (lambda ds, j: lambda_tune(ds, TINY, budget=5, jobs=j), None),
+    "ablate": (lambda ds, j: ablation_suite(ds, TINY, seeds=(0, 1), jobs=j), 1),
+    "robust": (lambda ds, j: robustness_suite(ds, TINY, jobs=j), 1),
+    "splits": (lambda ds, j: split_experiment(ds, TINY, jobs=j), 1),
+    "shift": (lambda ds, j: shift_matrix(cfg=TINY, nodes=60, runs=2, jobs=j),
+              1),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_is_job_count_invariant(suite, grid_ds, monkeypatch):
+    run, want_pools = SUITES[suite]
+    serial = run(grid_ds, 1)
+
+    pools = []
+    real_pool = q.harness.ProcessPoolExecutor
+
+    def counting_pool(*args, **kwargs):
+        pools.append(kwargs.get("max_workers"))
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(q.harness, "ProcessPoolExecutor", counting_pool)
+    pooled = run(grid_ds, 2)
+    np.testing.assert_equal(_plain(pooled), _plain(serial))
+    assert set(pools) == {2}, "jobs=2 ran a batch without two workers"
+    if want_pools is not None:
+        assert len(pools) == want_pools
 
 
 def test_single_item_runs_inline(small_ds, monkeypatch):
