@@ -64,6 +64,10 @@ def _add_common(p: _Parser) -> None:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--no-timestamp", action="store_true",
                    help="omit the generated-at header line")
+
+
+def _add_jobs(p: _Parser) -> None:
+    """For the subcommands that train a batch of independent runs."""
     p.add_argument("--jobs", type=_worker_count, default=1,
                    help="parallel workers across independent runs")
 
@@ -479,7 +483,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="lambda grid sweep or bounded tuning")
-    _add_common(p); _add_dataset(p); _add_train(p)
+    _add_common(p); _add_dataset(p); _add_train(p); _add_jobs(p)
     p.add_argument("--grid", default=",".join(str(g) for g in
                                               DEFAULT_LAMBDA_GRID))
     p.add_argument("--tune", action="store_true")
@@ -489,16 +493,16 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("ablate", help="loss-term and architecture ablations")
-    _add_common(p); _add_dataset(p); _add_train(p)
+    _add_common(p); _add_dataset(p); _add_train(p); _add_jobs(p)
     p.add_argument("--seeds", default="0,1,2,3,4")
     p.set_defaults(func=_cmd_ablate)
 
     p = sub.add_parser("robust", help="perturb-retrain robustness table")
-    _add_common(p); _add_dataset(p); _add_train(p)
+    _add_common(p); _add_dataset(p); _add_train(p); _add_jobs(p)
     p.set_defaults(func=_cmd_robust)
 
     p = sub.add_parser("shift", help="cross-family transfer matrix")
-    _add_common(p); _add_train(p)
+    _add_common(p); _add_train(p); _add_jobs(p)
     p.add_argument("--families", default="er,ba")
     p.add_argument("--nodes", type=int, default=500)
     p.add_argument("--runs", type=int, default=10)
@@ -509,7 +513,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_shift, lambda_width=0.5)
 
     p = sub.add_parser("splits", help="compare split strategies")
-    _add_common(p); _add_dataset(p); _add_train(p)
+    _add_common(p); _add_dataset(p); _add_train(p); _add_jobs(p)
     p.add_argument("--kinds", default="random,degree,community")
     p.set_defaults(func=_cmd_splits)
 

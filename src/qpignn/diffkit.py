@@ -2,7 +2,9 @@
 
 Everything is a 2-D float64 array.  Operations record their adjoint as a
 closure on a linear tape; ``backward`` replays the tape in exact reverse
-order, which keeps gradient accumulation deterministic.  Tensors built
+order, which keeps gradient accumulation deterministic.  Products whose
+inner dimension is the node count sum fixed row blocks in a fixed order,
+so no bit depends on the BLAS thread count.  Tensors built
 with ``constant`` (or any expression whose inputs are all constants)
 carry no tape and evaluate forward-only, so the same code path serves
 both training and plain inference.
@@ -19,7 +21,7 @@ unchanged bit for bit.
 
 The tape keeps only what backward reads.  Each adjoint closes over
 slots and the few arrays it needs (a matmul the other operand's value,
-relu its mask, dropout its scaled mask), so every other forward value is
+relu and dropout their bool masks), so every other forward value is
 freed as soon as the forward pass drops it.  Each adjoint takes its
 output's gradient out of the slot, so an intermediate's gradient is
 freed once passed on and after ``backward`` only leaves hold one.
@@ -247,6 +249,25 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # (None for constants) and the arrays it reads, never over a Tensor.  It
 # returns at once when no gradient reached its output.
 
+_GRAD_BLOCK = 256  # OpenBLAS split 1024-row products by thread at 2k rows
+
+
+def _blocked_at_g(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``a.T @ g`` summed over fixed 256-row blocks in row order.
+
+    A weight gradient's inner dimension is the node count, and OpenBLAS
+    splits such a sum by thread, so the plain product changes bits with
+    the thread count.  No 256-row block was split at any size tried, and
+    the blocks add in one fixed order (Demmel & Nguyen, "Fast
+    reproducible floating-point summation", ARITH 2013).
+    """
+    out = a[:_GRAD_BLOCK].T @ g[:_GRAD_BLOCK]
+    for start in range(_GRAD_BLOCK, a.shape[0], _GRAD_BLOCK):
+        stop = start + _GRAD_BLOCK
+        out += a[start:stop].T @ g[start:stop]
+    return out
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
@@ -255,7 +276,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         # Each operand's gradient reads only the other operand's value.
         av = a.value if b.tape is not None else None
         bv = b.value if a.tape is not None else None
-        _record_binary(out, a, b, lambda g: g @ bv.T, lambda g: av.T @ g)
+        _record_binary(out, a, b, lambda g: g @ bv.T,
+                       lambda g: _blocked_at_g(av, g))
     return out
 
 
@@ -352,19 +374,38 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
+def _keep_threshold(p: float) -> int:
+    """Dropout keeps an entry whose uint32 draw is at least this."""
+    return round(p * (1 << 32))
+
+
 def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
     """Inverted dropout: kept entries are rescaled by 1 / (1 - p).
 
     Outside training (or at p == 0) this is the identity.  The mask is a
-    pure function of ``seed``, so a forward pass can be replayed.
+    pure function of ``seed``, so a forward pass can be replayed.  An
+    entry is kept when its uint32 draw clears ``_keep_threshold(p)``:
+    uint32 draws cost a third of float64 ones from the same Philox
+    stream.  The tape keeps the bool mask, not a float64 one.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError("dropout probability must lie in [0, 1)")
     if not train_mode or p == 0.0:
         return a
-    # The uniform draws' buffer is overwritten with the mask.
-    draws = keyed_rng(seed, "dropout").random(a.shape)
-    return scale(a, np.divide(draws >= p, 1.0 - p, out=draws))
+    draws = keyed_rng(seed, "dropout").integers(0, 1 << 32, a.shape,
+                                               dtype=np.uint32)
+    keep = draws >= _keep_threshold(p)
+    k = 1.0 / (1.0 - p)
+    v = a.value * keep
+    v *= k
+    out = Tensor(v, a.tape)
+    if a.tape is not None:
+        def adjoint(g):
+            g = g * keep
+            g *= k
+            return g
+        _record_unary(out, a, adjoint)
+    return out
 
 
 def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:

@@ -5,11 +5,13 @@ derive their per-epoch randomness from (seed, tag, index) streams, and
 experiment tables are aggregated in sorted key order, so a table is a
 pure function of its inputs regardless of `jobs`.  Every sweep and
 suite builds its list of (dataset, config) runs and trains it through
-one runner, `_train_all`, inline or on a pool of `jobs` workers.
+one runner, `_train_all`, inline or on a pool of `jobs` workers of one
+BLAS thread each.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -332,9 +334,40 @@ def selection_objective(val: MetricsReport, alpha: float) -> float:
     return val.mpiw + COVERAGE_PENALTY_WEIGHT * max(0.0, (1.0 - alpha) - val.picp)
 
 
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, if this process has it loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: run this worker's OpenBLAS on one thread.
+
+    Workers would otherwise inherit the parent's BLAS threads, and on
+    two cores two such workers ran four threads and were slower than
+    training inline.  No output bit depends on the thread count, so
+    without the library this only leaves the worker slower.
+    """
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
+
+
 def _train_all(runs: list, jobs: int) -> list[tuple[Model, RunRecord]]:
     """``[train(ds, cfg) for ds, cfg in runs]``, on up to ``jobs`` worker
-    processes.
+    processes of one BLAS thread each.
 
     Every suite trains through this one call with its whole batch.  One
     worker or one run trains inline, since a pool would only add its
@@ -347,7 +380,8 @@ def _train_all(runs: list, jobs: int) -> list[tuple[Model, RunRecord]]:
     workers = min(jobs, len(runs))
     if workers <= 1:
         return [train(ds, cfg) for ds, cfg in runs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=workers,
+                             initializer=_one_blas_thread) as pool:
         return list(pool.map(train, *zip(*runs)))
 
 

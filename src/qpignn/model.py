@@ -302,9 +302,14 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
 # Checkpoints
 # ---------------------------------------------------------------------------
 
+CHECKPOINT_FORMAT = 1
+
+
 def save_checkpoint(model: Model, path: str | Path) -> None:
-    """JSON checkpoint: config plus name -> shape and row-major values."""
+    """JSON checkpoint: format version, config, and name -> shape and
+    row-major values."""
     payload = {
+        "format_version": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
         "params": {
             name: {
@@ -319,8 +324,14 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model, validating every parameter's shape against the
-    config and rejecting non-finite values."""
+    config and rejecting non-finite values.  A checkpoint without a
+    ``format_version`` is version 1; any other version is rejected."""
     payload = json.loads(Path(path).read_text())
+    version = payload.get("format_version", CHECKPOINT_FORMAT)
+    if type(version) is not int or version != CHECKPOINT_FORMAT:
+        raise ContractError(
+            f"checkpoint format_version {version!r} is not supported "
+            f"(expected {CHECKPOINT_FORMAT})")
     config = ModelConfig(**payload["config"])
     expected = init_params(config, 0)
     stored = payload["params"]

@@ -68,10 +68,11 @@ def adam_step(params: ParamStore, state: AdamState) -> None:
 def grad_norm(params: ParamStore) -> float:
     """Euclidean norm of the concatenated gradient vector.
 
-    Call before ``adam_step``; the step zeroes the gradients.
+    Call before ``adam_step``; the step zeroes the gradients.  The sums
+    are NumPy reductions: OpenBLAS's ``ddot`` splits long vectors by
+    thread, which would make the last bits depend on the thread count.
     """
     total = 0.0
     for name in params.names():
-        g = params.grad(name)
-        total += float(np.dot(g.ravel(), g.ravel()))
+        total += float(np.square(params.grad(name)).sum())
     return float(np.sqrt(total))

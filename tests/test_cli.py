@@ -95,6 +95,34 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
     assert not (tmp_path / "y").exists()
 
 
+def test_eval_rejects_unknown_checkpoint_version(tmp_path, capsys):
+    assert _train(tmp_path / "run") == 0
+    ckpt = tmp_path / "run" / "checkpoint.json"
+    payload = json.loads(ckpt.read_text())
+    payload["format_version"] = 7
+    ckpt.write_text(json.dumps(payload))
+    code = run(["eval", "--checkpoint", str(ckpt), *FAST_DS,
+                "--out", str(tmp_path / "y")])
+    assert code == 2
+    assert "format_version 7" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+
+@pytest.mark.parametrize("cmd", ["gen", "train", "eval", "report"])
+def test_jobs_is_only_taken_by_batch_commands(cmd, tmp_path, capsys):
+    argv = {"gen": ["gen", *FAST_DS],
+            "train": ["train", *FAST_DS, *FAST_TRAIN],
+            "eval": ["eval", *FAST_DS, "--checkpoint", "c.json"],
+            "report": ["report", "--inputs", "m.csv"]}[cmd]
+    assert run([*argv, "--jobs", "2", "--out", str(tmp_path / "x")]) == 1
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    if cmd in ("gen", "train"):
+        assert run([*argv, "--out", str(tmp_path / "y")]) == 0
+        config = json.loads((tmp_path / "y" / "config.json").read_text())
+        assert "jobs" not in config
+
+
 def test_theory_stdout(capsys):
     assert run(["theory", "--check", "hoeffding", "--n", "2000",
                 "--delta", "0.05"]) == 0

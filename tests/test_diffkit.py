@@ -102,6 +102,81 @@ def test_dropout_semantics():
     assert np.array_equal(out_train.value, again.value)
 
 
+def test_blocked_weight_gradient_matches_the_plain_product():
+    rng = keyed_rng(0, "dk-block")
+    a = rng.standard_normal((600, 7))  # two full 256-row blocks and 88 rows
+    g = rng.standard_normal((600, 5))
+    np.testing.assert_allclose(dk._blocked_at_g(a, g), a.T @ g,
+                               rtol=0, atol=1e-12)
+    short = a[:100]
+    np.testing.assert_array_equal(dk._blocked_at_g(short, g[:100]),
+                                  short.T @ g[:100])
+
+
+def test_matmul_gradients_over_several_row_blocks():
+    rng = keyed_rng(0, "dk-rows")
+    ps = _store(w=rng.standard_normal((3, 2)))
+    x = rng.standard_normal((300, 3))
+
+    def f(params):
+        tape = Tape()
+        out = dk.matmul(tape.leaf(x), params.leaves(tape)["w"])
+        return dk.reduce_mean(dk.mul(out, out))
+
+    _check(f, ps)
+
+
+def test_dropout_keeps_a_binomial_fraction():
+    n, p = 200 * 500, 0.3
+    out = dk.dropout(constant(np.ones((200, 500))), p, seed=4,
+                     train_mode=True)
+    kept = np.count_nonzero(out.value)
+    assert abs(kept - n * (1 - p)) < 5 * np.sqrt(n * p * (1 - p))
+    assert dk._keep_threshold(0.5) == 1 << 31
+    assert dk._keep_threshold(0.0) == 0
+
+
+def test_dropout_mask_is_a_pure_function_of_the_seed():
+    a = constant(np.ones((50, 40)))
+    one = dk.dropout(a, 0.5, seed=9, train_mode=True).value
+    again = dk.dropout(a, 0.5, seed=9, train_mode=True).value
+    other = dk.dropout(a, 0.5, seed=10, train_mode=True).value
+    assert np.array_equal(one, again)
+    assert not np.array_equal(one, other)
+
+
+def test_dropout_is_the_identity_at_p_0_and_in_eval_mode():
+    tape = Tape()
+    a = tape.leaf(np.ones((4, 3)))
+    assert dk.dropout(a, 0.0, seed=1, train_mode=True) is a
+    assert dk.dropout(a, 0.4, seed=1, train_mode=False) is a
+    assert len(tape) == 0
+
+
+def _closure_arrays(fn) -> list[np.ndarray]:
+    """Every array a closure reaches through its cells and nested
+    closures."""
+    found, stack = [], [fn]
+    while stack:
+        for cell in stack.pop().__closure__ or ():
+            item = cell.cell_contents
+            if isinstance(item, np.ndarray):
+                found.append(item)
+            elif callable(item) and hasattr(item, "__closure__"):
+                stack.append(item)
+    return found
+
+
+def test_dropout_tape_holds_a_bool_mask():
+    tape = Tape()
+    a = tape.leaf(keyed_rng(0, "dk-mask").standard_normal((30, 4)))
+    out = dk.dropout(a, 0.25, seed=2, train_mode=True)
+    held = _closure_arrays(tape._steps[-1])
+    assert [arr.dtype for arr in held] == [np.bool_]
+    assert held[0].shape == a.shape
+    np.testing.assert_array_equal(out.value, a.value * held[0] * (1 / 0.75))
+
+
 def test_softplus_is_overflow_safe():
     tape = Tape()
     big = tape.leaf(np.array([[800.0], [-800.0], [0.0]]))

@@ -41,97 +41,97 @@ THEORY = ("hoeffding", "mcdiarmid", "halfwidth", "concentration")
 GOLDEN = {
     "ablate": {
         "ablation.csv":
-            "bcb04edae2fe852893a841d22b3ffcf7a48b8b0810584e7559f228d3363dd52e",
+            "de8873d84f1985a10f9f7e7500c92d340b6fd7d91471adf6745cc639e6d7ed11",
         "ablation_summary.csv":
-            "d88ff870c491c0c312d072b983b57ab041c04119048d09070cfcccca4c7bcdad",
+            "a6782ad574bd62aef7d494fb34179cf28cb6704f99cd7a4d8b083eaadb935ea9",
         "config.json":
             "1ff6f49a50e404a502bf3847035fab40ccc3b9e6bc80ca412f92a03ffb303949",
     },
     "eval": {
         "config.json":
-            "ad0be633823bae1b464faf927f15b789dae1a72563a6491d8c1e26e729d7c488",
+            "c3899ae729642b3d1a6f05240e492d2b601a15ca1c1af8052fb8945020b7b9f1",
         "metrics.csv":
-            "13c7eb681c3488547f0338fc8722ca11ed3a9fa8312772ddf659f61a35d3213d",
+            "a02b81e494663256f87395c4b61ba92869e226856c22d6b62d9eb16399ac121c",
     },
     "robust": {
         "config.json":
             "8d86c5c8c710d149736cecffcedf17c22274913f7472ee5fa836bfea4da9c28f",
         "robustness.csv":
-            "4bdb60079d5cbf0ae9d4ebcf40f28d3f1568958f28fc0822e1eb1060b5983c50",
+            "d4d0ec4ff0c233e7668bc05e4426da42feaa9cbce2225fdcfea59a5d7346b8ea",
     },
     "shift": {
         "config.json":
             "19bc0bc0ad22bafa5b3bf44830d7023536455f642642279b04eb775e12ae7181",
         "shift.csv":
-            "9a7f69e068bc4423976b87e787724add1ed2fe7f9911ea626dc815922ebe049d",
+            "e8843af134fb6851b5a53324ab27e303d73197e73b1163963d7646e47d50b03e",
     },
     "splits": {
         "config.json":
             "469407b3ef8ebf477eb9ebf23a225dc5489b84e47c4371c52af5eede3d198ec4",
         "splits.csv":
-            "e770a0b4d0613b7cc1833499f9abccced60ae7aaa0dc099a0f3a94627e18f518",
+            "778e06f2da27883c72ff31081a6c8015e4ef1e38757a0d8142dabacc5f20c04d",
     },
     "sweep_grid": {
         "config.json":
             "91ed10c52ff055a8448603c3f173a614519a9d94e8fbdf15561fdec68ac65c24",
         "sweep.csv":
-            "5bd0654de9cf6d8aed7f772dba86a9f27dcfdd95ba6e0956e6236f53cdc92933",
+            "ddf09509bfd663e63ed919a91d9fc432e9d41791eb4a5cf402c659bf0771e1dd",
     },
     "sweep_tune": {
         "config.json":
             "aa174fbe844ae2047bfe07f929b05598eb6bc10938f49dac09e44d3443411e7b",
         "sweep.csv":
-            "36a081477a78cf56844d66351f20a5e1363665b01f637cdb596b6b09b91da8b5",
+            "69982f6be5835c91a0ed99b4c59d6a92baf80007f2b88d6d01f02ff470cb3bf7",
     },
     "train_csv": {
         "checkpoint.json":
-            "b0a74963fa3c6abd5125dfce38726d5386ecb0b150856e5c4a67867aa2379e3f",
+            "eadb4f99858d752c552f03113894865e7e208149b2c5bd76ba3a6519652628a5",
         "config.json":
-            "d08266f098005d896bbd299184ccb76c143da986db50948965dc88254c484140",
+            "eba98bab53dd262dc3daaafd55c4ef45f501e8d694ad1ba9afdb65c167d4195d",
         "metrics.csv":
-            "5ebe79f14f18a110d66bf81622a5feba38a211d6ef8ea1c9a5a6d857b8bf0e51",
+            "f9b9eacab0164cd9211603ca023b52ed4a578b1b0ef4c10e423d35f9e40acffe",
         "trajectory.csv":
-            "d331d070f8e5ae090cb2a8a1cc5e921d0770a3303cf494c150267b013d2c5700",
+            "e2c3c79775681e55708c3ccb7da9d24efff41d3ea8171b680b5fcbc3c1f5e326",
     },
     "train_json": {
         "checkpoint.json":
-            "b0a74963fa3c6abd5125dfce38726d5386ecb0b150856e5c4a67867aa2379e3f",
+            "eadb4f99858d752c552f03113894865e7e208149b2c5bd76ba3a6519652628a5",
         "config.json":
-            "80993751d0a3c414825953ff79b0bb641835d7397ac5ad34d2802c566dadb03b",
+            "2454647ae8d30e2167ae799b06a93717fa9497d1b47db485454a2d4f9f4a0a5c",
         "metrics.json":
-            "2343ee3deec710668f84fa1ae3ce1d8361917d5164af079eebe01b2de9384766",
+            "cda12d04aaa449c8864ec9ffda32a7001f771869d31dfe102b5b2ad494c651c0",
         "trajectory.csv":
-            "d331d070f8e5ae090cb2a8a1cc5e921d0770a3303cf494c150267b013d2c5700",
+            "e2c3c79775681e55708c3ccb7da9d24efff41d3ea8171b680b5fcbc3c1f5e326",
     },
     "train_mse_mcdropout": {
         "checkpoint.json":
-            "2e06dc21370b3907407ff72b576db03c3ebb9ccb23effaec7c1f514ad4e217a2",
+            "fc3f0f7b29b20d2ba5842e36a52e8e10efb413d2d0fdc8f68dfd6ec93db5bea8",
         "config.json":
-            "271ed2e7927cdb70872b9c61d876921a0a37df72356f295386b20256ef9e9e06",
+            "5543770d3feb1256c2ee08a550a22e0ec1b1906f052625fd253bd4ad71b82b16",
         "metrics.csv":
-            "b99f34f469d6d4de58e66a8a97b5fd576ab768fd9506a26159ff0a1ac4a0c9a3",
+            "085b3f98b8dcd9f28b87e7a60108a086a1895a9ff88745f70134075c953212fd",
         "trajectory.csv":
-            "e1bfebaa16d58b07dfc9fdd9bccfe61997bfaf45c5c18ce9e0b007eb057b48ca",
+            "bde65d58b18167c4110f30823bc645c500e009b450829f83e30e34cade3808e3",
     },
     "train_rqr_adj": {
         "checkpoint.json":
-            "61e6c619a6facd8d5fa7da403dc07a5a725fbe0003eda48a732e22b5209c11c6",
+            "7282006c306d817deb56506ad83a4beb30b238c0ce0bdf7b64d9d60b41fb4191",
         "config.json":
-            "697b13bde57988993cb10481e1db71c4ffcba3b6e963734817bfb9125fa27baf",
+            "7a6e487f8a3b5716e46eab0e3f70332cc68fc7501424c22f41cd94d24061bdc4",
         "metrics.csv":
-            "7f78ec06d366a173e395aa8bae7a146e61990c03c4590c67cf7c1fc64a49d35e",
+            "e91bb33c30654ceb9195727348b352df83fb1decaf8769053a886ef29552ca20",
         "trajectory.csv":
-            "882acfc7a32d244047201b07047509f111a19fb152f15b4ee309d7cce9233649",
+            "720ca5b05f1e1e74f0e56e60edd2c4404b36aa4ba5f39748f68aff72258e34f9",
     },
     "train_sqr": {
         "checkpoint.json":
-            "f72780b201d831fc49ed63a08550397ca683a1aa54e91b5b4c209530239978e6",
+            "f090a5bbe53a59198f06b5b5269cfa196dc001554e03bb1f14c05a0ddd7796da",
         "config.json":
-            "094d8589c52b4ac09f44f2570da5593388568a9683d12d8a9cf764bb1fb12540",
+            "fdc9e4be3826c247c51c5d561b46949df6dd11f7a8f12b68975766dbac7218f8",
         "metrics.csv":
-            "c1ce68bc3066e924f31114b149b77fce4eef3e6b9fbea4dee7f698e823039c7c",
+            "47bd0e6d202cb77cff9d6ab69969c98c3bc5a7bbe3571ab478049e3a594ede4f",
         "trajectory.csv":
-            "18eb583ec19bd8e6d0b32a640e9e642cb0ac734af92abec827d03ddb95294502",
+            "23c3b7b2057b17d83d6be2062bf5de1a0ac55b1f26d9d7ed9e3cc099bbb8fa3f",
     },
 }
 

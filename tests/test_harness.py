@@ -6,9 +6,13 @@ against regressions, not against the laws of arithmetic.
 """
 import dataclasses
 import gc
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -173,10 +177,10 @@ def test_training_peak_memory_is_a_few_node_arrays():
 
 def test_violation_decays_as_coverage_rises(small_ds):
     _, rec = train_qpignn(small_ds, TrainConfig(epochs=300, seed=1))
-    assert rec.coverage[0] == pytest.approx(0.383, abs=1e-3)
-    assert rec.coverage[-1] == pytest.approx(0.900, abs=1e-3)
-    assert rec.violation[0] == pytest.approx(0.4918, abs=1e-3)
-    assert rec.violation[-1] == pytest.approx(0.0302, abs=1e-3)
+    assert rec.coverage[0] == pytest.approx(0.378, abs=1e-3)
+    assert rec.coverage[-1] == pytest.approx(0.906, abs=1e-3)
+    assert rec.violation[0] == pytest.approx(0.5061, abs=1e-3)
+    assert rec.violation[-1] == pytest.approx(0.0229, abs=1e-3)
     assert rec.coverage[-1] > rec.coverage[0]
     assert rec.violation[-1] < rec.violation[0]
 
@@ -189,7 +193,7 @@ def test_pure_noise_coverage_without_width_penalty(small_ds):
     cfg = TrainConfig(epochs=400, lambda_width=0.0, seed=0)
     _, rec = train_qpignn(ds, cfg)
     assert rec.coverage[-1] > 0.98
-    assert rec.coverage[-1] == pytest.approx(0.9944, abs=2e-3)
+    assert rec.coverage[-1] == pytest.approx(0.9889, abs=2e-3)
 
 
 def test_rqr_keeps_bounds_ordered(small_ds):
@@ -360,12 +364,65 @@ def test_single_item_runs_inline(small_ds, monkeypatch):
     assert inline == serial
 
 
+# Trains a batch through the runner and prints one digest of its records:
+# a 1300-node run (five 256-row blocks and a ragged 20) and a hidden-128
+# run, whose 128x128 weight gradient is long enough for a threaded ddot.
+_DIGEST_SCRIPT = """
+import hashlib, sys
+import numpy as np
+import qpignn as q
+from qpignn.harness import TrainConfig, _train_all
+runs = []
+for n, hidden in ((1300, 64), (600, 128)):
+    g = q.gen_er(n, 8 / (n - 1), seed=1)
+    runs.append((q.synth_dataset(g, "gaussian", 8, 1.0, seed=1),
+                 TrainConfig(epochs=5, hidden=hidden, seed=0)))
+h = hashlib.sha256()
+for _, rec in _train_all(runs, int(sys.argv[1])):
+    for arr in (rec.coverage, rec.width, rec.loss, rec.grad_norm,
+                rec.violation):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    h.update(repr(sorted(rec.reports.items())).encode())
+print(h.hexdigest())
+"""
+
+
+def test_records_do_not_depend_on_blas_threads_or_jobs():
+    src = str(Path(q.__file__).resolve().parents[1])
+    digests = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for jobs in ("1", "2"):
+            out = subprocess.run(
+                [sys.executable, "-c", _DIGEST_SCRIPT, jobs], env=env,
+                check=True, capture_output=True, text=True).stdout
+            digests[threads, jobs] = out.strip()
+    assert len(set(digests.values())) == 1, digests
+
+
+def _blas_threads(ds, cfg):
+    """Stands in for ``train`` in a pool: the worker's BLAS threads."""
+    return q.harness._openblas().scipy_openblas_get_num_threads64_()
+
+
+def test_pool_workers_run_one_blas_thread(monkeypatch):
+    lib = q.harness._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's OpenBLAS is not loaded")
+    before = lib.scipy_openblas_get_num_threads64_()
+    monkeypatch.setattr(q.harness, "train", _blas_threads)
+    assert q.harness._train_all([(None, None)] * 2, jobs=2) == [1, 1]
+    assert lib.scipy_openblas_get_num_threads64_() == before
+
+
 def test_tune_beats_coarse_grid(tune_ds):
     cfg = TrainConfig(epochs=150, seed=0)
     res = lambda_tune(tune_ds, cfg, budget=9)
     assert len(res.entries) <= 9
     assert res.chosen == pytest.approx(0.0824, abs=1e-3)
-    assert res.objective == pytest.approx(3.2762, abs=5e-3)
+    assert res.objective == pytest.approx(3.2982, abs=5e-3)
     # the refined choice is no worse than either plain grid anchor
     ref = lambda_sweep(tune_ds, cfg, grid=(0.1, 0.5))
     assert res.objective <= ref.entry(0.1).objective
@@ -415,14 +472,14 @@ def test_robustness_trends(robust_ds):
     tn = [r for r in rows if r["kind"] == "target_noise"]
     assert [r["level"] for r in tn] == [0.0, 0.1, 0.2, 0.3]
     widths = [r["mpiw"] for r in tn]
-    assert widths[0] == pytest.approx(2.787, abs=5e-3)
-    assert widths[-1] == pytest.approx(3.007, abs=5e-3)
+    assert widths[0] == pytest.approx(2.830, abs=5e-3)
+    assert widths[-1] == pytest.approx(3.058, abs=5e-3)
     steps_up = sum(b >= a for a, b in zip(widths, widths[1:]))
     assert steps_up >= 2  # widths track the injected noise
 
     ed = [r for r in rows if r["kind"] == "edge_dropout"]
     for r in ed:
-        assert r["picp"] == pytest.approx(0.9, abs=1e-9)
+        assert r["picp"] == pytest.approx(11 / 12, abs=1e-9)
         assert r["coverage_retention"] == pytest.approx(1.0)
 
 
@@ -433,7 +490,7 @@ def test_split_strategies_er(small_ds):
     rows = split_experiment(ds, cfg, kinds=("random", "degree"))
     by = {r["kind"]: r for r in rows}
     assert by["random"]["picp"] == pytest.approx(0.9000, abs=1e-9)
-    assert by["degree"]["picp"] == pytest.approx(0.9250, abs=1e-9)
+    assert by["degree"]["picp"] == pytest.approx(11 / 12, abs=1e-9)
     for r in rows:
         assert r["train_size"] + r["val_size"] + r["test_size"] == 600
     with pytest.raises(ParameterError):

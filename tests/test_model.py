@@ -191,3 +191,32 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
     with pytest.raises(ContractError, match="'pred.weight' is not finite"):
         load_checkpoint(path)
+
+
+def test_checkpoint_carries_format_version_1(tmp_path, ring6):
+    import json
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual"), 5)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 1
+    # a checkpoint written before the field existed reads as version 1
+    del payload["format_version"]
+    path.write_text(json.dumps(payload))
+    back = load_checkpoint(path)
+    x = _features(6, 3)
+    assert np.array_equal(forward_intervals(back, ring6, x).low_values,
+                          forward_intervals(model, ring6, x).low_values)
+
+
+@pytest.mark.parametrize("version", [0, 2, "1", None, True, 1.0])
+def test_checkpoint_rejects_other_format_versions(tmp_path, version):
+    import json
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual"), 5)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    payload = json.loads(path.read_text())
+    payload["format_version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ContractError, match=f"format_version {version!r}"):
+        load_checkpoint(path)
