@@ -1,4 +1,5 @@
-"""Time training epochs: wall time, phase split, page faults and peak RSS.
+"""Time training epochs and evaluation: wall time, phase split, page
+faults and peak RSS.
 
 Measures the ``qpignn`` found under ``--src`` (default: this checkout's
 ``src``), one case per fresh process so each case's peak RSS is its own:
@@ -18,12 +19,17 @@ with the default ``TrainConfig`` (hidden 64, dropout 0.2), as
 faults (``ru_minflt``) per epoch; the phase split is each phase's median
 over the run's epochs: ``forward_ms`` (the taped forward pass),
 ``loss_ms`` (the rest of the loss node), ``backward_ms`` and ``adam_ms``
-(gradient norm and Adam step).  Every figure is given as the min and
-median over the runs.  ``digest`` hashes the last run's record, so two
-sides can be checked for identical output; ``peak_rss_mb`` is the
-process peak after all runs.  ``--combine`` adds, per case and side,
-the median epoch speed-up and the ``peak_rss_mb`` ratio against the
-first file; a case missing from a file (not run on that side) is null.
+(gradient norm and Adam step).  After each run the trained model is
+evaluated untaped ``EVAL_CALLS`` times, as ``perfbench`` times it: one
+``forward_intervals`` plus ``report`` on the test mask.  ``eval_ms`` is
+the median call and ``eval_minflt_per_call`` the minor faults per call.
+Every figure is given as the min and median over the runs.  ``digest``
+hashes the last run's record and ``eval_digest`` its evaluated
+intervals, so two sides can be checked for identical output;
+``peak_rss_mb`` is the process peak after all runs.  ``--combine``
+adds, per case and side, the median epoch and eval speed-ups and the
+``peak_rss_mb`` ratio against the first file; a case missing from a
+file (not run on that side) is null.
 """
 from __future__ import annotations
 
@@ -45,6 +51,7 @@ CASES = {
 }
 DATA_SEED = 1
 PHASES = ("forward_ms", "loss_ms", "backward_ms", "adam_ms")
+EVAL_CALLS = 5
 
 
 def _stats(values: list[float]) -> dict:
@@ -63,6 +70,8 @@ def _measure(name: str, repeats: int) -> dict:
     import qpignn.diffkit as dk
     import qpignn.graphcore as gc
     import qpignn.harness as harness
+    import qpignn.metrics as metrics
+    import qpignn.model as model
 
     graph, shape, split_kind, epochs = CASES[name]
     g = (gc.gen_er(shape[0], 8 / (shape[0] - 1), seed=DATA_SEED)
@@ -92,14 +101,15 @@ def _measure(name: str, repeats: int) -> dict:
     timed(harness, "grad_norm", "adam_ms")
     timed(harness, "adam_step", "adam_ms")
 
-    runs = {k: [] for k in ("epoch_ms", "minflt_per_epoch", *PHASES)}
-    digest = ""
+    runs = {k: [] for k in ("epoch_ms", "minflt_per_epoch", *PHASES,
+                            "eval_ms", "eval_minflt_per_call")}
+    digest = eval_digest = ""
     for _ in range(repeats):
         for v in spans.values():
             v.clear()
         flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        _, rec = harness.train(ds, cfg)
+        fitted, rec = harness.train(ds, cfg)
         runs["epoch_ms"].append((time.perf_counter() - t0) / epochs * 1e3)
         flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
         runs["minflt_per_epoch"].append(flt / epochs)
@@ -118,8 +128,24 @@ def _measure(name: str, repeats: int) -> dict:
         h.update(repr(sorted(rec.reports.items())).encode())
         digest = h.hexdigest()[:16]
 
+        calls = []
+        flt0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(EVAL_CALLS):
+            t0 = time.perf_counter()
+            iv = model.forward_intervals(fitted, ds.graph, ds.features,
+                                         alpha=cfg.alpha)
+            metrics.report(iv, ds.targets, ds.test_mask, cfg.alpha)
+            calls.append((time.perf_counter() - t0) * 1e3)
+        flt = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - flt0
+        runs["eval_ms"].append(_median(calls))
+        runs["eval_minflt_per_call"].append(flt / EVAL_CALLS)
+        eval_digest = hashlib.sha256(
+            np.concatenate([iv.low_values, iv.up_values]).tobytes()
+        ).hexdigest()[:16]
+
     row = {k: _stats(v) for k, v in runs.items()}
     row.update(epochs=epochs, nodes=g.num_nodes, digest=digest,
+               eval_digest=eval_digest,
                peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
     return row
 
@@ -146,9 +172,12 @@ def main(argv=None) -> int:
             for side in sides[1:]:
                 new = side["cases"].get(name)
                 if new is not None and old is not None:
-                    new = {**new, "same_digest": new["digest"] == old["digest"],
+                    new = {**new, "same_digest": new["digest"] == old["digest"]
+                           and new["eval_digest"] == old["eval_digest"],
                            "epoch_median_speedup": old["epoch_ms"]["median"]
                            / new["epoch_ms"]["median"],
+                           "eval_median_speedup": old["eval_ms"]["median"]
+                           / new["eval_ms"]["median"],
                            "peak_rss_ratio":
                                new["peak_rss_mb"] / old["peak_rss_mb"]}
                 row[side["label"]] = new

@@ -27,6 +27,10 @@ output's gradient out of the slot, so an intermediate's gradient is
 freed once passed on and after ``backward`` only leaves hold one.
 Untracked tensors have no slot and record nothing.
 
+An adjoint owns the gradient it takes, so ``relu``, ``dropout`` and
+``sage_relu`` mask it in place (see ``_take`` for why no other slot
+holds it).
+
 Comparisons never flow gradient: coverage and violation indicators are
 computed on raw values and re-enter the graph as constant coefficients.
 """
@@ -170,7 +174,12 @@ def _tape_of(*tensors: Tensor) -> Tape | None:
 
 
 def _take(slot: _Slot) -> np.ndarray | None:
-    """Hand an output's gradient to its adjoint, emptying the slot."""
+    """Hand an output's gradient to its adjoint, emptying the slot.
+
+    The adjoint owns the array and may overwrite it: adjoint results are
+    fresh or the array taken, pass-through ops hand it to one input only,
+    ``_record_binary`` copies a shared ``gb`` and ``backward`` seeds a
+    fresh ``np.ones``, so no other slot holds it."""
     g, slot.grad = slot.grad, None
     return g
 
@@ -348,7 +357,7 @@ def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.value, 0.0), a.tape)
     if a.tape is not None:
         mask = a.value > 0.0
-        _record_unary(out, a, lambda g: g * mask)
+        _record_unary(out, a, lambda g: np.multiply(g, mask, out=g))
     return out
 
 
@@ -401,7 +410,7 @@ def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
     out = Tensor(v, a.tape)
     if a.tape is not None:
         def adjoint(g):
-            g = g * keep
+            g *= keep
             g *= k
             return g
         _record_unary(out, a, adjoint)
@@ -421,6 +430,57 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
     out = Tensor(np.asarray(op @ h.value), h.tape)
     if h.tape is not None:
         _record_unary(out, h, lambda g: op.T @ g)
+    return out
+
+
+def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
+              bias: Tensor) -> Tensor:
+    """One encoder layer, ``relu(h W_self + mean_neighbours(h) W_neigh +
+    bias)``, computed in the buffer of ``h W_self`` and taped as one step.
+
+    Forward and backward run the float operations of ``matmul``,
+    ``csr_mean_aggregate``, ``matmul``, ``add``, ``add_row_bias`` and
+    ``relu`` in their order, so the bits are theirs; ``h`` takes its two
+    gradient parts one after the other, as from the two matmul steps.
+    """
+    if (h.shape[0] != graph.num_nodes or w_self.shape[0] != h.shape[1]
+            or w_neigh.shape != w_self.shape
+            or bias.shape != (1, w_self.shape[1])):
+        raise ShapeError(f"sage_relu: input {h.shape} on {graph.num_nodes} "
+                         f"nodes, weights {w_self.shape} and {w_neigh.shape}, "
+                         f"bias {bias.shape}")
+    op = mean_adjacency(graph)
+    agg = np.asarray(op @ h.value)
+    v = h.value @ w_self.value
+    v += agg @ w_neigh.value
+    v += bias.value
+    tape = _tape_of(h, w_self, w_neigh, bias)
+    mask = v > 0.0 if tape is not None else None
+    np.maximum(v, 0.0, out=v)
+    out = Tensor(v, tape)
+    if tape is None:
+        return out
+
+    so, sh, ss, sn, sb = (out._slot, h._slot, w_self._slot, w_neigh._slot,
+                          bias._slot)
+    ws, wn = w_self.value, w_neigh.value
+    hv = h.value if ss is not None else None
+
+    def step():
+        g = _take(so)
+        if g is None:
+            return
+        g *= mask
+        if sb is not None:
+            _accumulate(sb, g.sum(axis=0, keepdims=True))
+        if sn is not None:
+            _accumulate(sn, _blocked_at_g(agg, g))
+        if sh is not None:
+            _accumulate(sh, op.T @ (g @ wn.T))
+            _accumulate(sh, g @ ws.T)
+        if ss is not None:
+            _accumulate(ss, _blocked_at_g(hv, g))
+    tape.record(step)
     return out
 
 

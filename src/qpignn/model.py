@@ -148,13 +148,6 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _sage_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
-                prefix: str) -> Tensor:
-    own = dk.matmul(h, params[f"{prefix}.self"])
-    nbr = dk.matmul(dk.csr_mean_aggregate(graph, h), params[f"{prefix}.neigh"])
-    return dk.add_row_bias(dk.add(own, nbr), params[f"{prefix}.bias"])
-
-
 def _first_layer(graph: Graph, x: Tensor,
                  params: Mapping[str, Tensor]) -> Tensor:
     """``relu(sage1(x))``: the encoder's first layer, before dropout."""
@@ -164,14 +157,16 @@ def _first_layer(graph: Graph, x: Tensor,
         raise ShapeError(
             f"feature dim {x.shape[1]} vs encoder input "
             f"{params['sage1.self'].shape[0]}")
-    return dk.relu(_sage_layer(graph, x, params, "sage1"))
+    return dk.sage_relu(graph, x, params["sage1.self"], params["sage1.neigh"],
+                        params["sage1.bias"])
 
 
 def _after_first_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
                        dropout_p: float, train_mode: bool, seed: int) -> Tensor:
     """The rest of ``encode``, from the first layer's output on."""
     h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 1), train_mode)
-    h = dk.relu(_sage_layer(graph, h, params, "sage2"))
+    h = dk.sage_relu(graph, h, params["sage2.self"], params["sage2.neigh"],
+                     params["sage2.bias"])
     return dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 2), train_mode)
 
 

@@ -9,7 +9,7 @@ from qpignn import diffkit as dk
 from qpignn.diffkit import (ParamStore, Tape, backward, constant,
                             finite_diff_check)
 from qpignn.errors import ContractError, ParameterError, ShapeError
-from qpignn.graphcore import PerturbSpec, perturb
+from qpignn.graphcore import PerturbSpec, gen_er, perturb
 from qpignn.rng import keyed_rng
 
 
@@ -346,8 +346,32 @@ def test_passed_on_adjoints_do_not_alias():
             total = dk.add(total, dk.reduce_mean(part))
         return total
 
+    def masked_doubled(params):
+        # relu and dropout mask the gradient they take in place; their
+        # outputs feed add(t, t) and a second consumer
+        tape = Tape()
+        p = params.leaves(tape)
+        r = dk.relu(dk.matmul(p["a"], p["w"]))
+        d = dk.dropout(dk.softplus(p["b"]), 0.5, seed=4, train_mode=True)
+        return dk.reduce_mean(dk.add(dk.mul(dk.add(r, r), dk.sigmoid(r)),
+                                     dk.mul(dk.add(d, d), dk.softplus(d))))
+
+    def masked_two_consumers(params):
+        # each masked output and its masked input reach two consumers
+        tape = Tape()
+        p = params.leaves(tape)
+        t = dk.add_row_bias(dk.matmul(p["a"], p["w"]), p["c"])
+        r = dk.relu(t)
+        d = dk.dropout(r, 0.5, seed=5, train_mode=True)
+        e = dk.relu(dk.sub(d, dk.sigmoid(p["b"])))
+        first = dk.mul(dk.sigmoid(d), dk.softplus(r))
+        second = dk.add_row_bias(dk.mul(e, d), p["d"])
+        # r and e adopt one gradient, which e's adjoint then masks
+        both = dk.mul(dk.add(r, e), dk.sigmoid(t))
+        return dk.reduce_mean(dk.add(dk.add(first, both), dk.mul(second, t)))
+
     for f in (doubled, both_reused, self_difference, bias_chain,
-              scatter_into_used):
+              scatter_into_used, masked_doubled, masked_two_consumers):
         err = finite_diff_check(f, ps, h=1e-5)
         assert err < 1e-6, f"{f.__name__}: finite-difference mismatch {err}"
 
@@ -394,9 +418,9 @@ def test_mean_adjacency_is_memoised_per_graph(small_ds):
 
 
 def _layer_loss(graph, tape, params, x):
-    """One encoder layer as ``model.encode`` builds it, on a tracked
-    input, under a linear head; returns the loss and the tensors made
-    on the way."""
+    """One encoder layer as the six primitives that ``sage_relu`` fuses,
+    on a tracked input, under a linear head; returns the loss and the
+    tensors made on the way."""
     h = tape.leaf(x)
     agg = dk.csr_mean_aggregate(graph, h)
     own, nbr = dk.matmul(h, params["s"]), dk.matmul(agg, params["n"])
@@ -465,3 +489,95 @@ def test_matmul_keeps_an_operand_only_for_the_other_ones_gradient():
     del a
     # b is untracked, so no adjoint reads a's value
     assert ref() is None
+
+
+def _six_step_layer(graph, h, s, n, b):
+    """The composition ``sage_relu`` replaces, op for op."""
+    own = dk.matmul(h, s)
+    nbr = dk.matmul(dk.csr_mean_aggregate(graph, h), n)
+    return dk.relu(dk.add_row_bias(dk.add(own, nbr), b))
+
+
+def _sage_run(layer, graph, x, ps, h_kind):
+    """Build ``layer`` under dropout and a softplus head, run backward,
+    and return the output value, h's gradient and the parameter
+    gradients.  ``h_kind``: "leaf", "constant", or "shared" (a second
+    consumer, recorded later, hands h a gradient first)."""
+    ps.zero_grads()
+    tape = Tape()
+    p = ps.leaves(tape)
+    h = constant(x) if h_kind == "constant" else tape.leaf(x)
+    out = layer(graph, h, p["s"], p["n"], p["b"])
+    head = dk.matmul(dk.dropout(out, 0.2, seed=7, train_mode=True), p["u"])
+    loss = dk.reduce_mean(dk.softplus(head))
+    if h_kind == "shared":
+        loss = dk.add(loss, dk.reduce_mean(dk.mul(h, dk.sigmoid(h))))
+    backward(tape, loss)
+    grads = {name: ps.grad(name).copy() for name in ps.names()}
+    return out.value, h.grad, grads
+
+
+def test_sage_relu_matches_the_six_step_composition_bit_for_bit():
+    # 600 rows: two full 256-row gradient blocks and a ragged one
+    graph = gen_er(600, 8 / 599, seed=5)
+    rng = keyed_rng(0, "dk-sage")
+    x = rng.standard_normal((600, 16))
+    ps = _store(s=rng.standard_normal((16, 32)), n=rng.standard_normal((16, 32)),
+                b=rng.standard_normal((1, 32)), u=rng.standard_normal((32, 1)))
+    for h_kind in ("leaf", "constant", "shared"):
+        fused = _sage_run(dk.sage_relu, graph, x, ps, h_kind)
+        six = _sage_run(_six_step_layer, graph, x, ps, h_kind)
+        np.testing.assert_array_equal(fused[0], six[0])
+        if h_kind == "constant":
+            assert fused[1] is None and six[1] is None
+        else:
+            np.testing.assert_array_equal(fused[1], six[1])
+        for name in ps.names():
+            assert np.abs(fused[2][name]).sum() > 0, (h_kind, name)
+            np.testing.assert_array_equal(fused[2][name], six[2][name],
+                                          err_msg=f"{h_kind}: {name}")
+
+
+def test_sage_relu_gradients(ring6):
+    rng = keyed_rng(0, "dk-sage-fd")
+    ps = _store(x=rng.standard_normal((6, 3)), s=rng.standard_normal((3, 4)),
+                n=rng.standard_normal((3, 4)), b=rng.standard_normal((1, 4)),
+                u=rng.standard_normal((4, 1)))
+
+    def f(params):
+        tape = Tape()
+        p = params.leaves(tape)
+        h = dk.sage_relu(ring6, dk.sigmoid(p["x"]), p["s"], p["n"], p["b"])
+        return dk.reduce_mean(dk.softplus(dk.matmul(h, p["u"])))
+    _check(f, ps)
+
+
+def test_untaped_sage_relu_records_nothing(ring6):
+    ps, x = _layer_case()
+    weights = [constant(ps.value(k)) for k in ("s", "n", "b")]
+    out = dk.sage_relu(ring6, constant(x), *weights)
+    assert out.tape is None and out.grad is None
+    np.testing.assert_array_equal(
+        out.value, _six_step_layer(ring6, constant(x), *weights).value)
+
+
+def test_sage_relu_step_holds_only_what_backward_reads(ring6):
+    ps, x = _layer_case()
+    tape = Tape()
+    p = ps.leaves(tape)
+    h = tape.leaf(x)
+    out = dk.sage_relu(ring6, h, p["s"], p["n"], p["b"])
+    second = dk.add_scalar(out, 1.0)
+    assert len(tape) == 2
+    inputs = {id(h.value), id(p["s"].value), id(p["n"].value)}
+    held = _closure_arrays(tape._steps[0])
+    rest = [arr for arr in held if id(arr) not in inputs]
+    assert len(held) == 5 and len(rest) == 2
+    mask, agg = sorted(rest, key=lambda arr: arr.dtype != np.bool_)
+    assert mask.dtype == np.bool_ and mask.shape == out.shape
+    np.testing.assert_array_equal(agg, dk.mean_adjacency(ring6) @ x)
+    # the output's (pre-ReLU) buffer is not held: it dies with its
+    # tensors, and so does the second consumer's array
+    refs = [weakref.ref(out.value), weakref.ref(second.value)]
+    del out, second
+    assert all(ref() is None for ref in refs)
