@@ -20,7 +20,11 @@ split, default ``TrainConfig``: hidden 64, dropout 0.2):
   (``ru_minflt``) per call.
 - ``sweep``: ``lambda_sweep`` over the six-entry default grid at 100
   epochs per entry, at ``jobs`` 1 and 2 in alternation; ``digest``
-  hashes each setting's last result.
+  hashes each setting's last result.  Each pooled run reports its wall
+  time, its process CPU time (a busy-waiting BLAS helper thread shows
+  up here) and its process's OS-thread count from ``/proc/self/task``.
+- ``short_sweep``: ``sweep`` at one epoch per entry, where pool
+  start-up dominates.
 
 Every figure is the min and median over ``--repeats`` runs.
 ``--combine`` adds the median ratio of each timing to the first file's.
@@ -34,13 +38,14 @@ import os
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from bench_epoch import _stats
 from bench_graph_construction import _environment
 
-CASES = ("epoch_t1", "epoch_t2", "dropout", "sweep")
+CASES = ("epoch_t1", "epoch_t2", "dropout", "sweep", "short_sweep")
 N, EPOCHS, SWEEP_EPOCHS, DROP_CALLS = 2000, 150, 100, 50
 
 
@@ -102,22 +107,49 @@ def _dropout(repeats: int) -> dict:
             "minflt_per_call": _stats(faults)}
 
 
-def _sweep(repeats: int) -> dict:
+_RUN_LOG = None  # set before a sweep's pool forks its workers
+
+
+def _timed_train(ds, cfg):
+    """``harness.train`` that appends one JSON line per run to
+    ``_RUN_LOG``: wall and process CPU ms and OS threads."""
+    import qpignn.harness as harness
+    t0, c0 = time.perf_counter(), time.process_time()
+    out = harness.train_qpignn(ds, cfg)  # the alias the patch leaves alone
+    row = {"wall_ms": (time.perf_counter() - t0) * 1e3,
+           "cpu_ms": (time.process_time() - c0) * 1e3,
+           "os_threads": len(os.listdir("/proc/self/task"))}
+    with open(_RUN_LOG, "a") as log:
+        log.write(json.dumps(row) + "\n")
+    return out
+
+
+def _sweep(repeats: int, epochs: int = SWEEP_EPOCHS) -> dict:
+    global _RUN_LOG
     import qpignn.harness as harness
     ds = _dataset()
-    cfg = harness.TrainConfig(epochs=SWEEP_EPOCHS, seed=0)
+    cfg = harness.TrainConfig(epochs=epochs, seed=0)
     times = {1: [], 2: []}
-    digests = {}
-    for _ in range(repeats):
-        for jobs in (1, 2):
-            t0 = time.perf_counter()
-            res = harness.lambda_sweep(ds, cfg, jobs=jobs)
-            times[jobs].append(time.perf_counter() - t0)
-            digests[jobs] = _digest(res)
+    digests, pooled = {}, []
+    harness.train = _timed_train
+    with tempfile.TemporaryDirectory() as tmp:
+        _RUN_LOG = os.path.join(tmp, "runs.jsonl")
+        for _ in range(repeats):
+            for jobs in (1, 2):
+                open(_RUN_LOG, "w").close()
+                t0 = time.perf_counter()
+                res = harness.lambda_sweep(ds, cfg, jobs=jobs)
+                times[jobs].append(time.perf_counter() - t0)
+                digests[jobs] = _digest(res)
+            with open(_RUN_LOG) as log:
+                pooled += [json.loads(line) for line in log]
     row = {f"jobs{j}_s": _stats(t) for j, t in times.items()}
     row.update(digest_jobs1=digests[1], digest_jobs2=digests[2],
                jobs2_over_jobs1=row["jobs2_s"]["median"]
-               / row["jobs1_s"]["median"])
+               / row["jobs1_s"]["median"],
+               pool_run_wall_ms=_stats([r["wall_ms"] for r in pooled]),
+               pool_run_cpu_ms=_stats([r["cpu_ms"] for r in pooled]),
+               worker_os_threads=sorted({r["os_threads"] for r in pooled}))
     return row
 
 
@@ -152,7 +184,8 @@ def main(argv=None) -> int:
     if args.case:
         sys.path.insert(0, args.src)
         run = {"epoch_t1": _epoch, "epoch_t2": _epoch, "dropout": _dropout,
-               "sweep": _sweep}[args.case]
+               "sweep": _sweep,
+               "short_sweep": lambda r: _sweep(r, epochs=1)}[args.case]
         print(json.dumps(run(args.repeats)))
         return 0
 

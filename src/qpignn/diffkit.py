@@ -4,7 +4,8 @@ Everything is a 2-D float64 array.  Operations record their adjoint as a
 closure on a linear tape; ``backward`` replays the tape in exact reverse
 order, which keeps gradient accumulation deterministic.  Products whose
 inner dimension is the node count sum fixed row blocks in a fixed order,
-so no bit depends on the BLAS thread count.  Tensors built
+and one-column products run in fixed row blocks, so no bit depends on
+the BLAS thread count.  Tensors built
 with ``constant`` (or any expression whose inputs are all constants)
 carry no tape and evaluate forward-only, so the same code path serves
 both training and plain inference.
@@ -258,7 +259,7 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # (None for constants) and the arrays it reads, never over a Tensor.  It
 # returns at once when no gradient reached its output.
 
-_GRAD_BLOCK = 256  # OpenBLAS split 1024-row products by thread at 2k rows
+_ROW_BLOCK = 256  # OpenBLAS split 1024-row products by thread at 2k rows
 
 
 def _blocked_at_g(a: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -270,17 +271,42 @@ def _blocked_at_g(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     the blocks add in one fixed order (Demmel & Nguyen, "Fast
     reproducible floating-point summation", ARITH 2013).
     """
-    out = a[:_GRAD_BLOCK].T @ g[:_GRAD_BLOCK]
-    for start in range(_GRAD_BLOCK, a.shape[0], _GRAD_BLOCK):
-        stop = start + _GRAD_BLOCK
+    out = a[:_ROW_BLOCK].T @ g[:_ROW_BLOCK]
+    for start in range(_ROW_BLOCK, a.shape[0], _ROW_BLOCK):
+        stop = start + _ROW_BLOCK
         out += a[start:stop].T @ g[start:stop]
+    return out
+
+
+def _blocked_column(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a one-column ``b``, in fixed 256-row blocks.
+
+    OpenBLAS's GEMV splits a product of about 10k rows or more by
+    thread, and at some row counts (the 20k grid's 20,022 among them)
+    that changes bits with the thread count.  The blocks never did, and
+    up to 2,199 rows they gave the plain product's bits at every size
+    and inner dimension tried.  A lone last row joins the block before
+    it, since a one-row product alone took another code path and gave
+    other bits.  The full blocks go as one stacked product, which saves
+    a Python call per block.
+    """
+    n, k = a.shape
+    full = n - n % _ROW_BLOCK
+    if n % _ROW_BLOCK == 1 and full:
+        full -= _ROW_BLOCK
+    out = np.empty((n, 1))
+    np.matmul(a[:full].reshape(-1, _ROW_BLOCK, k), b,
+              out=out[:full].reshape(-1, _ROW_BLOCK, 1))
+    np.matmul(a[full:], b, out=out[full:])
     return out
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
-    out = Tensor(a.value @ b.value, _tape_of(a, b))
+    value = (_blocked_column(a.value, b.value) if b.shape[1] == 1
+             else a.value @ b.value)
+    out = Tensor(value, _tape_of(a, b))
     if out.tape is not None:
         # Each operand's gradient reads only the other operand's value.
         av = a.value if b.tape is not None else None
@@ -393,16 +419,21 @@ def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
 
     Outside training (or at p == 0) this is the identity.  The mask is a
     pure function of ``seed``, so a forward pass can be replayed.  An
-    entry is kept when its uint32 draw clears ``_keep_threshold(p)``:
-    uint32 draws cost a third of float64 ones from the same Philox
-    stream.  The tape keeps the bool mask, not a float64 one.
+    entry is kept when its uint32 draw clears ``_keep_threshold(p)``.
+    Philox's uint32 stream is each raw uint64 split into its low half,
+    then its high half, so the draws are half as many uint64s viewed as
+    little-endian uint32s: the same stream as
+    ``integers(0, 1 << 32, dtype=np.uint32)`` at about half its cost.
+    The tape keeps the bool mask, not a float64 one.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError("dropout probability must lie in [0, 1)")
     if not train_mode or p == 0.0:
         return a
-    draws = keyed_rng(seed, "dropout").integers(0, 1 << 32, a.shape,
-                                               dtype=np.uint32)
+    size = a.value.size
+    draws = keyed_rng(seed, "dropout").integers(0, 1 << 64, (size + 1) // 2,
+                                               dtype=np.uint64)
+    draws = draws.astype("<u8", copy=False).view("<u4")[:size].reshape(a.shape)
     keep = draws >= _keep_threshold(p)
     k = 1.0 / (1.0 - p)
     v = a.value * keep

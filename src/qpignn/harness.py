@@ -353,16 +353,22 @@ def _openblas() -> ctypes.CDLL | None:
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: run this worker's OpenBLAS on one thread.
+    """Pool initializer: run this worker on one OS thread.
 
     Workers would otherwise inherit the parent's BLAS threads, and on
     two cores two such workers ran four threads and were slower than
-    training inline.  No output bit depends on the thread count, so
-    without the library this only leaves the worker slower.
+    training inline.  Setting one thread starts OpenBLAS's thread
+    server in the forked worker, and its idle helper thread busy-waits
+    through the worker's first runs until OpenBLAS's idle timeout, so
+    the server is shut down again.  At one thread OpenBLAS never hands
+    it work, so it does not come back.  No output bit depends on the
+    thread count, so without the library this only leaves the worker
+    slower.
     """
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
+        lib.blas_thread_shutdown_()
 
 
 def _train_all(runs: list, jobs: int) -> list[tuple[Model, RunRecord]]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qpignn import diffkit as dk
+from qpignn import harness
 from qpignn.diffkit import (ParamStore, Tape, backward, constant,
                             finite_diff_check)
 from qpignn.errors import ContractError, ParameterError, ShapeError
@@ -113,6 +114,34 @@ def test_blocked_weight_gradient_matches_the_plain_product():
                                   short.T @ g[:100])
 
 
+def test_one_column_products_keep_the_plain_products_bits():
+    rng = keyed_rng(0, "dk-column")
+    a = rng.standard_normal((2049, 64))
+    b = rng.standard_normal((64, 1))
+    # one block, full blocks, a ragged tail and a lone last row
+    for n in (1, 100, 256, 257, 600, 769, 2049):
+        np.testing.assert_array_equal(
+            dk.matmul(constant(a[:n]), constant(b)).value, a[:n] @ b)
+
+
+def test_one_column_products_do_not_depend_on_blas_threads():
+    lib = harness._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's OpenBLAS is not loaded")
+    rng = keyed_rng(0, "dk-gemv")
+    a = rng.standard_normal((20022, 64))  # the 20k grid's node count
+    b = rng.standard_normal((64, 1))
+    before = lib.scipy_openblas_get_num_threads64_()
+    outs = []
+    try:
+        for threads in (1, 2):
+            lib.scipy_openblas_set_num_threads64_(threads)
+            outs.append(dk.matmul(constant(a), constant(b)).value)
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+    np.testing.assert_array_equal(*outs)
+
+
 def test_matmul_gradients_over_several_row_blocks():
     rng = keyed_rng(0, "dk-rows")
     ps = _store(w=rng.standard_normal((3, 2)))
@@ -134,6 +163,16 @@ def test_dropout_keeps_a_binomial_fraction():
     assert abs(kept - n * (1 - p)) < 5 * np.sqrt(n * p * (1 - p))
     assert dk._keep_threshold(0.5) == 1 << 31
     assert dk._keep_threshold(0.0) == 0
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (600, 64), (20022, 64)])
+def test_dropout_mask_comes_from_the_uint32_stream(shape):
+    draws = keyed_rng(5, "dropout").integers(0, 1 << 32, shape,
+                                             dtype=np.uint32)
+    for p in (0.2, 0.5):
+        out = dk.dropout(constant(np.ones(shape)), p, seed=5, train_mode=True)
+        np.testing.assert_array_equal(out.value != 0.0,
+                                      draws >= dk._keep_threshold(p))
 
 
 def test_dropout_mask_is_a_pure_function_of_the_seed():

@@ -403,8 +403,12 @@ def test_records_do_not_depend_on_blas_threads_or_jobs():
 
 
 def _blas_threads(ds, cfg):
-    """Stands in for ``train`` in a pool: the worker's BLAS threads."""
-    return q.harness._openblas().scipy_openblas_get_num_threads64_()
+    """Stands in for ``train`` in a pool: after a BLAS product, the
+    worker's BLAS threads and OS threads (None without ``/proc``)."""
+    np.ones((300, 300)) @ np.ones((300, 300))
+    tasks = "/proc/self/task"
+    return (q.harness._openblas().scipy_openblas_get_num_threads64_(),
+            len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch):
@@ -413,7 +417,9 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
         pytest.skip("numpy's OpenBLAS is not loaded")
     before = lib.scipy_openblas_get_num_threads64_()
     monkeypatch.setattr(q.harness, "train", _blas_threads)
-    assert q.harness._train_all([(None, None)] * 2, jobs=2) == [1, 1]
+    # One OS thread: no idle OpenBLAS helper spins beside the worker.
+    one = 1 if os.path.isdir("/proc/self/task") else None
+    assert q.harness._train_all([(None, None)] * 2, jobs=2) == [(1, one)] * 2
     assert lib.scipy_openblas_get_num_threads64_() == before
 
 
