@@ -5,14 +5,20 @@ derive their per-epoch randomness from (seed, tag, index) streams, and
 experiment tables are aggregated in sorted key order, so a table is a
 pure function of its inputs regardless of `jobs`.  Every sweep and
 suite builds its list of (dataset, config) runs and trains it through
-one runner, `_train_all`, inline or on a pool of `jobs` workers of one
-BLAS thread each.
+one runner, `_train_all`, inline or on the process's one pool of `jobs`
+workers of one BLAS thread each.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
+import multiprocessing
+import os
+import signal
+import sys
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -334,6 +340,7 @@ def selection_objective(val: MetricsReport, alpha: float) -> float:
     return val.mpiw + COVERAGE_PENALTY_WEIGHT * max(0.0, (1.0 - alpha) - val.picp)
 
 
+@functools.cache
 def _openblas() -> ctypes.CDLL | None:
     """numpy's bundled OpenBLAS, if this process has it loaded."""
     try:
@@ -352,23 +359,85 @@ def _openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _one_blas_thread() -> None:
-    """Pool initializer: run this worker on one OS thread.
+def _stop_blas_server() -> None:
+    """Shut down this process's OpenBLAS thread server, whose idle helper
+    busy-waits after a threaded call until OpenBLAS's idle timeout.  The
+    next threaded call starts it again."""
+    lib = _openblas()
+    if lib is not None:
+        lib.blas_thread_shutdown_()
+
+
+_PR_SET_PDEATHSIG = 1  # from <linux/prctl.h>
+
+
+def _worker_start(parent: int) -> None:
+    """Pool initializer: tie this worker to ``parent``'s life and run it
+    on one OS thread.
+
+    The pool outlives its batches, so a killed parent would leave its
+    workers behind.  On Linux the worker asks for SIGTERM when the
+    thread that forked it ends, and exits if ``parent`` is already gone.
 
     Workers would otherwise inherit the parent's BLAS threads, and on
     two cores two such workers ran four threads and were slower than
     training inline.  Setting one thread starts OpenBLAS's thread
-    server in the forked worker, and its idle helper thread busy-waits
-    through the worker's first runs until OpenBLAS's idle timeout, so
-    the server is shut down again.  At one thread OpenBLAS never hands
-    it work, so it does not come back.  No output bit depends on the
-    thread count, so without the library this only leaves the worker
-    slower.
+    server, so it is shut down again; at one thread it never gets work,
+    so it does not come back.  No output bit depends on the thread
+    count, so without the library this only leaves the worker slower.
     """
+    if sys.platform == "linux":
+        ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG,
+                                ctypes.c_ulong(signal.SIGTERM))
+        if os.getppid() != parent:
+            os._exit(0)
     lib = _openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
-        lib.blas_thread_shutdown_()
+    _stop_blas_server()
+
+
+# The worker pool this process keeps between batches, as (workers,
+# pool).  One batch uses it at a time.
+_kept_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _forget_parent_pool() -> None:
+    """In a forked child: the parent's pool and lock are not its own."""
+    global _kept_pool, _pool_lock
+    _kept_pool, _pool_lock = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_parent_pool)
+
+
+def _close_pool() -> None:
+    """Shut down the kept pool, cancelling its queued runs, and forget it."""
+    global _kept_pool
+    kept, _kept_pool = _kept_pool, None
+    if kept is not None:
+        kept[1].shutdown(cancel_futures=True)
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    """The kept pool of ``workers`` processes, made if there is none.
+
+    A pool of another size is replaced.  At exit, ``concurrent.futures``'
+    own hook joins the workers.  On Linux the workers are forked by this
+    process whatever the default start method (Python 3.14 made it
+    ``forkserver``), since ``_worker_start`` ties them to their parent.
+    """
+    global _kept_pool
+    if _kept_pool is not None and _kept_pool[0] != workers:
+        _close_pool()
+    if _kept_pool is None:
+        _kept_pool = (workers, ProcessPoolExecutor(
+            max_workers=workers, initializer=_worker_start,
+            initargs=(os.getpid(),),
+            mp_context=(multiprocessing.get_context("fork")
+                        if sys.platform == "linux" else None)))
+    return _kept_pool[1]
 
 
 def _train_all(runs: list, jobs: int) -> list[tuple[Model, RunRecord]]:
@@ -377,18 +446,34 @@ def _train_all(runs: list, jobs: int) -> list[tuple[Model, RunRecord]]:
 
     Every suite trains through this one call with its whole batch.  One
     worker or one run trains inline, since a pool would only add its
-    start-up and transfers.  Each run ships its own dataset: pickling
-    one costs under a millisecond even at 20k nodes, against about
-    100 ms for a pooled training run.
+    start-up and transfers.  Otherwise the batch goes to the pool this
+    process keeps, which saves each later batch about 10 ms of pool
+    start and each worker's first-run page faults.  The parent's BLAS
+    server is stopped first, so that it does not spin while the parent
+    waits.  A batch that raises (a dead worker too) shuts the pool down,
+    so the next batch starts a clean one, and so does a batch run from
+    a thread other than the main one: the workers it forks die with
+    that thread (``_worker_start``), and one that missed the signal
+    could wait forever on a queue lock its dead sibling held.  Each run
+    ships its own dataset: pickling one costs under a millisecond even
+    at 20k nodes, against about 100 ms for a pooled training run.
     """
     if jobs < 1:
         raise ParameterError("jobs must be >= 1")
     workers = min(jobs, len(runs))
     if workers <= 1:
         return [train(ds, cfg) for ds, cfg in runs]
-    with ProcessPoolExecutor(max_workers=workers,
-                             initializer=_one_blas_thread) as pool:
-        return list(pool.map(train, *zip(*runs)))
+    with _pool_lock:
+        pool = _worker_pool(workers)
+        _stop_blas_server()
+        try:
+            return list(pool.map(train, *zip(*runs)))
+        except BaseException:
+            _close_pool()
+            raise
+        finally:
+            if threading.current_thread() is not threading.main_thread():
+                _close_pool()
 
 
 def _sweep_entries(ds: Dataset, cfg: TrainConfig, lams,

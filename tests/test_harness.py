@@ -6,11 +6,15 @@ against regressions, not against the laws of arithmetic.
 """
 import dataclasses
 import gc
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 import weakref
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,6 +34,16 @@ from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
                             train_qpignn, ablation_suite)
 from qpignn.metrics import CSV_FIELDS, MetricsReport
 from qpignn.rng import keyed_rng
+
+
+@pytest.fixture
+def no_kept_pool():
+    """Start from no kept worker pool and leave none.  Runs pickle
+    ``train`` by name, so a worker forked while a test patches it (or
+    ``ProcessPoolExecutor``) would keep the stand-in for later batches."""
+    q.harness._close_pool()
+    yield
+    q.harness._close_pool()
 
 
 def _report(picp=0.9, mpiw=1.0):
@@ -70,7 +84,8 @@ def test_train_is_the_single_entry_point(small_ds):
         assert rec.loss.shape == (3,) and np.all(np.isfinite(rec.loss))
 
 
-def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch):
+def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
+                                                  no_kept_pool):
     with pytest.raises(ParameterError):
         TrainConfig(loss_kind="mse_mcdropout", mc_passes=1)
 
@@ -319,22 +334,20 @@ def _plain(x):
 
 TINY = TrainConfig(epochs=4, hidden=8, seed=0)
 
-# Each suite with the number of process pools it starts at jobs=2
-# (None: the tune's pools depend on its refinement rounds).
 SUITES = {
-    "sweep": (lambda ds, j: lambda_sweep(ds, TINY, grid=(0.1, 0.5), jobs=j), 1),
-    "tune": (lambda ds, j: lambda_tune(ds, TINY, budget=5, jobs=j), None),
-    "ablate": (lambda ds, j: ablation_suite(ds, TINY, seeds=(0, 1), jobs=j), 1),
-    "robust": (lambda ds, j: robustness_suite(ds, TINY, jobs=j), 1),
-    "splits": (lambda ds, j: split_experiment(ds, TINY, jobs=j), 1),
-    "shift": (lambda ds, j: shift_matrix(cfg=TINY, nodes=60, runs=2, jobs=j),
-              1),
+    "sweep": lambda ds, j: lambda_sweep(ds, TINY, grid=(0.1, 0.5), jobs=j),
+    "tune": lambda ds, j: lambda_tune(ds, TINY, budget=5, jobs=j),
+    "ablate": lambda ds, j: ablation_suite(ds, TINY, seeds=(0, 1), jobs=j),
+    "robust": lambda ds, j: robustness_suite(ds, TINY, jobs=j),
+    "splits": lambda ds, j: split_experiment(ds, TINY, jobs=j),
+    "shift": lambda ds, j: shift_matrix(cfg=TINY, nodes=60, runs=2, jobs=j),
 }
 
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
-def test_every_suite_is_job_count_invariant(suite, grid_ds, monkeypatch):
-    run, want_pools = SUITES[suite]
+def test_every_suite_is_job_count_invariant(suite, grid_ds, monkeypatch,
+                                            no_kept_pool):
+    run = SUITES[suite]
     serial = run(grid_ds, 1)
 
     pools = []
@@ -348,11 +361,10 @@ def test_every_suite_is_job_count_invariant(suite, grid_ds, monkeypatch):
     pooled = run(grid_ds, 2)
     np.testing.assert_equal(_plain(pooled), _plain(serial))
     assert set(pools) == {2}, "jobs=2 ran a batch without two workers"
-    if want_pools is not None:
-        assert len(pools) == want_pools
+    assert len(pools) == 1, "a suite's batches did not share one pool"
 
 
-def test_single_item_runs_inline(small_ds, monkeypatch):
+def test_single_item_runs_inline(small_ds, monkeypatch, no_kept_pool):
     cfg = TrainConfig(epochs=3, hidden=8, seed=0)
     serial = lambda_sweep(small_ds, cfg, grid=(0.1,), jobs=1)
 
@@ -387,13 +399,17 @@ print(h.hexdigest())
 """
 
 
-def test_records_do_not_depend_on_blas_threads_or_jobs():
+def _python_env(**extra) -> dict:
+    """The environment for a Python subprocess that imports this qpignn."""
     src = str(Path(q.__file__).resolve().parents[1])
+    return {**os.environ, **extra, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_records_do_not_depend_on_blas_threads_or_jobs():
     digests = {}
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(
-                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env = _python_env(OPENBLAS_NUM_THREADS=threads)
         for jobs in ("1", "2"):
             out = subprocess.run(
                 [sys.executable, "-c", _DIGEST_SCRIPT, jobs], env=env,
@@ -411,7 +427,7 @@ def _blas_threads(ds, cfg):
             len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
 
 
-def test_pool_workers_run_one_blas_thread(monkeypatch):
+def test_pool_workers_run_one_blas_thread(monkeypatch, no_kept_pool):
     lib = q.harness._openblas()
     if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy's OpenBLAS is not loaded")
@@ -421,6 +437,156 @@ def test_pool_workers_run_one_blas_thread(monkeypatch):
     one = 1 if os.path.isdir("/proc/self/task") else None
     assert q.harness._train_all([(None, None)] * 2, jobs=2) == [(1, one)] * 2
     assert lib.scipy_openblas_get_num_threads64_() == before
+
+
+def _worker_pid(ds, cfg):
+    """Stands in for ``train`` in a pool: the worker's pid.  A ``"raise"``
+    config raises, and a ``"die"`` config ends the worker."""
+    if cfg == "raise":
+        raise ValueError("a run failed")
+    if cfg == "die":
+        os._exit(1)
+    return os.getpid()
+
+
+def _workers() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_batches_share_one_kept_pool(monkeypatch, no_kept_pool):
+    monkeypatch.setattr(q.harness, "train", _worker_pid)
+    runs = [(None, None)] * 4
+    first = q.harness._train_all(runs, jobs=2)
+    workers = _workers()
+    assert len(workers) == 2 and set(first) <= workers
+    second = q.harness._train_all(runs, jobs=2)
+    assert _workers() == workers and set(second) <= workers
+    # A forked child never uses its parent's pool.
+    child = os.fork()
+    if child == 0:
+        os._exit(0 if q.harness._kept_pool is None else 1)
+    assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+    # Another worker count replaces the pool.
+    third = q.harness._train_all(runs, jobs=3)
+    assert len(_workers()) == 3 and not _workers() & workers
+    assert set(third) <= _workers()
+
+
+@pytest.mark.parametrize("failure, error", [("raise", ValueError),
+                                            ("die", BrokenProcessPool)])
+def test_a_failed_batch_leaves_the_next_one_working(failure, error,
+                                                    monkeypatch, no_kept_pool):
+    monkeypatch.setattr(q.harness, "train", _worker_pid)
+    q.harness._train_all([(None, None)] * 2, jobs=2)
+    before = _workers()
+    with pytest.raises(error):
+        q.harness._train_all([(None, None), (None, failure)], jobs=2)
+    assert q.harness._kept_pool is None and not _workers()
+    after = q.harness._train_all([(None, None)] * 2, jobs=2)
+    assert set(after) <= _workers() and not _workers() & before
+
+
+def test_a_batch_from_another_thread_keeps_no_pool(monkeypatch,
+                                                   no_kept_pool):
+    monkeypatch.setattr(q.harness, "train", _worker_pid)
+    runs = [(None, None)] * 2
+    thread = threading.Thread(target=q.harness._train_all, args=(runs, 2))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    # Its workers would die with the thread: none is kept or left.
+    assert q.harness._kept_pool is None and not _workers()
+    assert set(q.harness._train_all(runs, jobs=2)) <= _workers()
+
+
+def _parent_thread_ticks() -> dict[str, int]:
+    """CPU clock ticks (user + system) of each of the parent's threads."""
+    task = f"/proc/{os.getppid()}/task"
+    ticks = {}
+    for tid in os.listdir(task):
+        try:
+            with open(f"{task}/{tid}/stat") as stat:
+                fields = stat.read().rpartition(")")[2].split()
+        except OSError:  # the thread ended
+            continue
+        ticks[tid] = int(fields[11]) + int(fields[12])
+    return ticks
+
+
+def _parent_spin(ds, cfg):
+    """Stands in for ``train`` in a pool: the most CPU ticks any parent
+    thread gains over 100 ms while the parent waits on this run."""
+    before = _parent_thread_ticks()
+    time.sleep(0.1)
+    after = _parent_thread_ticks()
+    return max(after[t] - before[t] for t in after.keys() & before.keys())
+
+
+def test_parent_does_not_spin_while_its_workers_train(monkeypatch,
+                                                      no_kept_pool):
+    lib = q.harness._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        pytest.skip("numpy's OpenBLAS is not loaded")
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc to read thread CPU times from")
+    if lib.scipy_openblas_get_num_threads64_() < 2:
+        pytest.skip("one BLAS thread starts no helper to spin")
+    monkeypatch.setattr(q.harness, "train", _parent_spin)
+    # OpenBLAS shuts its thread server down before a fork, so only a
+    # batch on a kept pool can find it running.
+    q.harness._train_all([(None, None)] * 2, jobs=2)
+    a = np.ones((500, 500))
+    a @ a  # a threaded product: OpenBLAS's idle helper busy-waits after it
+    # A spinning thread gains about 10 ticks in 100 ms (at 100 Hz).
+    gained = q.harness._train_all([(None, None)] * 2, jobs=2)
+    assert max(gained) <= 3, gained
+
+
+# Under the default start method named by its argument, trains one
+# pooled batch, prints its kept workers' pids, then waits to be killed.
+_KEPT_POOL_SCRIPT = """
+import multiprocessing, sys, time
+import qpignn as q
+from qpignn.harness import TrainConfig, _train_all
+multiprocessing.set_start_method(sys.argv[1])
+ds = q.dataset_preset("er", 40, 0)
+_train_all([(ds, TrainConfig(epochs=1, hidden=4, seed=s)) for s in (0, 1)], 2)
+print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+time.sleep(60)
+"""
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="the parent-death signal is Linux's")
+# Python 3.14 made forkserver the default; the pool forks its workers
+# itself under either.
+@pytest.mark.parametrize("start_method", ["fork", "forkserver"])
+def test_a_killed_parent_takes_its_workers_with_it(start_method):
+    with subprocess.Popen([sys.executable, "-c", _KEPT_POOL_SCRIPT,
+                           start_method],
+                          env=_python_env(), stdout=subprocess.PIPE,
+                          text=True) as proc:
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.kill()
+    assert len(workers) == 2
+    deadline = time.monotonic() + 5.0
+    while any(map(_running, workers)) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    left = [pid for pid in workers if _running(pid)]
+    for pid in left:  # do not leak them when the test fails
+        os.kill(pid, 9)
+    assert not left, "workers outlived their killed parent"
 
 
 def test_tune_beats_coarse_grid(tune_ds):
