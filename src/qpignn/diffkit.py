@@ -34,9 +34,14 @@ holds it).
 
 Comparisons never flow gradient: coverage and violation indicators are
 computed on raw values and re-enter the graph as constant coefficients.
+
+At import ``_keep_freed_heap`` has glibc's malloc keep freed blocks under
+32 MiB (a 20k-node n x 64 array is 10 MB) for the next call instead of
+faulting their pages in again, so a process's RSS stays near its peak.
 """
 from __future__ import annotations
 
+import ctypes
 from typing import Callable, Mapping
 
 import numpy as np
@@ -45,6 +50,20 @@ from scipy.special import expit
 from .errors import ContractError, ParameterError, ShapeError
 from .graphcore import Graph, mean_adjacency
 from .rng import keyed_rng
+
+
+def _keep_freed_heap() -> None:
+    """Either threshold turns off glibc's dynamic one, so both are set;
+    32 MiB is its ceiling, so larger arrays keep their own mappings."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return  # not glibc
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_heap()
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -111,13 +130,15 @@ class Tape:
     """Ordered record of primitive applications.
 
     The forward pass appends one adjoint closure per operation;
-    ``backward`` visits them strictly in reverse.
+    ``backward`` visits them strictly in reverse, once: ``sage_relu``'s
+    step overwrites a forward array it has read.
     """
 
-    __slots__ = ("_steps",)
+    __slots__ = ("_steps", "_replayed")
 
     def __init__(self):
         self._steps: list[Callable[[], None]] = []
+        self._replayed = False
 
     def leaf(self, value, grad: np.ndarray | None = None) -> Tensor:
         """A tracked input.  Without ``grad`` its adjoint buffer is
@@ -157,6 +178,9 @@ def backward(tape: Tape, loss: Tensor) -> None:
         raise ContractError("loss was not recorded on this tape")
     if loss.shape != (1, 1):
         raise ContractError("backward needs a scalar (1, 1) loss")
+    if tape._replayed:
+        raise ContractError("backward already replayed this tape")
+    tape._replayed = True
     _accumulate(loss._slot, np.ones((1, 1)))
     for step in reversed(tape._steps):
         step()
@@ -507,8 +531,12 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
         if sn is not None:
             _accumulate(sn, _blocked_at_g(agg, g))
         if sh is not None:
-            _accumulate(sh, op.T @ (g @ wn.T))
-            _accumulate(sh, g @ ws.T)
+            # Nothing reads agg now, so both n x in_dim products go into
+            # it.  The sparse product is fresh, so no slot adopts agg.
+            np.matmul(g, wn.T, out=agg)
+            _accumulate(sh, op.T @ agg)
+            np.matmul(g, ws.T, out=agg)
+            sh.grad += agg
         if ss is not None:
             _accumulate(ss, _blocked_at_g(hv, g))
     tape.record(step)

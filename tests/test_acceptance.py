@@ -202,7 +202,8 @@ def test_criterion_3_tuned_coverage_width(ds_main):
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_ablation_dominance(ds_main):
-    rows = q.ablation_suite(ds_main, TrainConfig(), seeds=(0, 1, 2, 3, 4))
+    rows = q.ablation_suite(ds_main, TrainConfig(), seeds=(0, 1, 2, 3, 4),
+                            jobs=2)
     by = {r["setting"]: r for r in rows}
     full, cov, wid = by["full"], by["coverage_only"], by["width_only"]
     fixed, single = by["fixed_margin"], by["single_head"]
@@ -232,7 +233,8 @@ def test_criterion_4_ablation_dominance(ds_main):
 # ---------------------------------------------------------------------------
 
 def test_criterion_5_width_penalty_monotonicity(ds_main):
-    res = lambda_sweep(ds_main, TrainConfig(), grid=DEFAULT_LAMBDA_GRID)
+    res = lambda_sweep(ds_main, TrainConfig(), grid=DEFAULT_LAMBDA_GRID,
+                       jobs=2)
     picps = [e.test.picp for e in res.entries]
     inversions = sum(b > a for a, b in zip(picps, picps[1:]))
     ok = inversions <= 1 and res.entry(0.1).test.picp >= res.entry(1.2).test.picp

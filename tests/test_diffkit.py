@@ -430,6 +430,15 @@ def test_add_of_a_tensor_with_itself_doubles():
     np.testing.assert_array_equal(leaf.grad, [[0.0, 0.0]])
 
 
+def test_backward_replays_a_tape_once():
+    tape = Tape()
+    a = tape.leaf(np.ones((2, 2)))
+    loss = dk.reduce_mean(dk.mul(a, a))
+    backward(tape, loss)
+    with pytest.raises(ContractError, match="already replayed"):
+        backward(tape, loss)
+
+
 def test_release_drops_the_steps():
     tape = Tape()
     a = tape.leaf(np.ones((2, 2)))

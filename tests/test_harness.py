@@ -692,7 +692,7 @@ def test_dataset_preset_validation():
 def test_shift_matrix_diagonal_advantage():
     """Training family should cover itself at least as well as foreign
     families cover it, on average."""
-    m = shift_matrix()
+    m = shift_matrix(jobs=2)
     assert m.families == ("er", "ba")
     assert m.picp.shape == (2, 2) and m.runs == 10
     for j in range(2):

@@ -1,4 +1,7 @@
 """Encoder, head variants, MC dropout, and checkpointing."""
+import platform
+import sys
+
 import numpy as np
 import pytest
 
@@ -220,3 +223,23 @@ def test_checkpoint_rejects_other_format_versions(tmp_path, version):
     path.write_text(json.dumps(payload))
     with pytest.raises(ContractError, match=f"format_version {version!r}"):
         load_checkpoint(path)
+
+
+@pytest.mark.skipif(sys.platform != "linux"
+                    or platform.libc_ver()[0] != "glibc",
+                    reason="the heap setting is glibc's")
+def test_untaped_eval_on_the_20k_grid_reuses_freed_pages():
+    """Each n x 64 array of the 141x142 grid is 10 MB.  With glibc's
+    defaults every call faulted about 2,700 pages back in; with the heap
+    kept, calls after the first reuse the pages the last one freed."""
+    import resource
+    graph = q.gen_grid(141, 142)
+    x = _features(graph.num_nodes, 8, "grid-faults")
+    model = init_model(ModelConfig(in_dim=8), 0)
+    for _ in range(2):
+        forward_intervals(model, graph, x)
+    for _ in range(3):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        forward_intervals(model, graph, x)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults < 64, faults
