@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,12 +26,11 @@ from .graphcore import SplitSpec, load_csv, save_csv
 from .harness import (_ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
                       DEFAULT_TUNE_BOUNDS, GRAPH_PRESETS, TrainConfig,
                       ablation_suite, concentration_check, convergence_check,
-                      dataset_preset, experiment_csv_header,
-                      experiment_csv_row, gaussian_optimal_halfwidth,
+                      dataset_preset, gaussian_optimal_halfwidth,
                       hoeffding_epsilon, lambda_sweep, lambda_tune,
                       mcdiarmid_prob, robustness_suite, shift_matrix,
                       split_experiment, train, trajectory_csv)
-from .metrics import CSV_FIELDS, METRIC_FIELDS
+from .metrics import METRIC_FIELDS
 from .metrics import report as metrics_report
 from .model import (VARIANTS, forward_intervals, load_checkpoint,
                     save_checkpoint)
@@ -170,37 +170,86 @@ def _stamp(args) -> list[str]:
     return [f"# generated {now}"]
 
 
-def _write_outputs(args, default_name: str, table: str | None = None,
-                   header: str = "", rows=(), json_rows=()) -> Path:
-    """Create the output directory, write ``table`` in the requested
-    format and the ``config.json`` echo of the arguments, and return the
-    directory.  Called once the work has succeeded."""
+def _write_outputs(args, default_name: str, **tables) -> Path:
+    """Create the output directory, write each of ``tables`` in the
+    requested format and the ``config.json`` echo of the arguments, and
+    return the directory.  Called once the work has succeeded.
+
+    ``tables`` maps a file stem to ``(columns, rows)``: a column spec of
+    ``(name, cell)`` pairs, where ``cell`` writes a value's CSV cell, and
+    a list of row dicts of native values.  CSV holds the header and the
+    cells; JSON holds ``{"rows": [...]}`` with the same columns, numbers
+    as numbers and a non-finite float as ``null``.
+    """
     out = Path(args.out) if args.out else Path("runs") / default_name
     out.mkdir(parents=True, exist_ok=True)
-    if table is not None and args.format == "json":
-        doc: dict = {"rows": json_rows}
-        if not args.no_timestamp:
-            doc["generated"] = datetime.now(timezone.utc).isoformat(
-                timespec="seconds")
-        (out / f"{table}.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    elif table is not None:
-        (out / f"{table}.csv").write_text(
-            "\n".join(_stamp(args) + [header, *rows]) + "\n")
+    for stem, (columns, rows) in tables.items():
+        if args.format == "json":
+            doc: dict = {}
+            if not args.no_timestamp:
+                doc["generated"] = datetime.now(timezone.utc).isoformat(
+                    timespec="seconds")
+            doc["rows"] = [{name: _json_value(row[name])
+                            for name, _ in columns} for row in rows]
+            (out / f"{stem}.json").write_text(json.dumps(doc, indent=2) + "\n")
+        else:
+            lines = [",".join(name for name, _ in columns)]
+            lines += [",".join(cell(row[name]) for name, cell in columns)
+                      for row in rows]
+            (out / f"{stem}.csv").write_text(
+                "\n".join(_stamp(args) + lines) + "\n")
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     (out / "config.json").write_text(json.dumps(payload, indent=2,
                                                 default=str) + "\n")
     return out
 
 
-def _report_json(rep, **extra) -> dict:
-    d = {f: getattr(rep, f) for f in METRIC_FIELDS}
-    d.update(extra)
-    return d
+def _json_value(value):
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
-def _without(row: dict, key: str) -> dict:
-    return {k: v for k, v in row.items() if k != key}
+# ---------------------------------------------------------------------------
+# Output tables
+# ---------------------------------------------------------------------------
+
+# Cell writers.  ``str`` of a float is its repr, which round-trips
+# exactly; the fixed-precision columns below keep their published format.
+_G10 = "{:.10g}".format
+_G = "{:g}".format
+
+# The run table: one row per trained or evaluated model.  `report` reads
+# the leading RUN_KEYS of any table written with these columns.
+RUN_KEYS = ("run_id", "dataset", "model", "lambda", "seed") + METRIC_FIELDS
+RUN_COLUMNS = tuple((name, str) for name in RUN_KEYS + (
+    "experiment", "kind", "level", "source_family", "target_family"))
+
+_STATS = ("picp", "mpiw", "cwc")
+_STAT_COLUMNS = tuple((f"{f}_{stat}", _G10)
+                      for f in _STATS for stat in ("mean", "std"))
+ABLATION_SUMMARY_COLUMNS = (("setting", str),) + _STAT_COLUMNS
+SUMMARY_COLUMNS = (("dataset", str), ("model", str), ("lambda", str),
+                   ("n_rows", str)) + _STAT_COLUMNS
+SHIFT_COLUMNS = (("source_family", str), ("target_family", str),
+                 ("picp", _G10), ("mpiw", _G10), ("lambda", _G),
+                 ("runs", str))
+
+
+def _with_cells(columns, **cells) -> tuple:
+    """``columns`` with the cell writer of each named column replaced."""
+    return tuple((name, cells.get(name, cell)) for name, cell in columns)
+
+
+def _run_row(rep, run_id: str, dataset: str, model: str, lam: float,
+             seed: int, experiment: str, kind: str = "",
+             level="") -> dict:
+    """One RUN_COLUMNS row for the metrics ``rep`` of one run."""
+    return {"run_id": run_id, "dataset": dataset, "model": model,
+            "lambda": float(lam), "seed": int(seed),
+            **{f: getattr(rep, f) for f in METRIC_FIELDS},
+            "experiment": experiment, "kind": kind, "level": level,
+            "source_family": "", "target_family": ""}
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +270,10 @@ def _cmd_train(args) -> int:
     ds, label = _dataset_from_args(args)
     model, rec = train(ds, cfg)
     run_id = f"train-{cfg.loss_kind}-s{cfg.seed}"
-    rows, jrows = [], []
-    for mask_name in ("train", "val", "test"):
-        rep = rec.reports[mask_name]
-        rows.append(experiment_csv_row(rep, run_id, label, cfg.model_variant,
-                                       cfg.lambda_width, cfg.seed,
-                                       experiment="train", kind=mask_name))
-        jrows.append(_report_json(rep, run_id=run_id, mask=mask_name,
-                                  dataset=label, model=cfg.model_variant,
-                                  lambda_width=cfg.lambda_width,
-                                  seed=cfg.seed))
-    out = _write_outputs(args, "train", "metrics", experiment_csv_header(),
-                         rows, jrows)
+    rows = [_run_row(rec.reports[mask_name], run_id, label, cfg.model_variant,
+                     cfg.lambda_width, cfg.seed, "train", kind=mask_name)
+            for mask_name in ("train", "val", "test")]
+    out = _write_outputs(args, "train", metrics=(RUN_COLUMNS, rows))
     (out / "trajectory.csv").write_text(trajectory_csv(rec))
     save_checkpoint(model, out / "checkpoint.json")
 
@@ -248,16 +289,11 @@ def _cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     iv = forward_intervals(model, ds.graph, ds.features, alpha=args.alpha)
     run_id = f"eval-{Path(args.checkpoint).stem}"
-    rows, jrows = [], []
-    for mask_name, mask in sorted(ds.masks().items()):
-        rep = metrics_report(iv, ds.targets, mask, args.alpha)
-        rows.append(experiment_csv_row(rep, run_id, label,
-                                       model.config.variant, float("nan"),
-                                       -1, experiment="eval", kind=mask_name))
-        jrows.append(_report_json(rep, run_id=run_id, mask=mask_name,
-                                  dataset=label))
-    _write_outputs(args, "eval", "metrics", experiment_csv_header(), rows,
-                   jrows)
+    rows = [_run_row(metrics_report(iv, ds.targets, mask, args.alpha), run_id,
+                     label, model.config.variant, float("nan"), -1, "eval",
+                     kind=mask_name)
+            for mask_name, mask in sorted(ds.masks().items())]
+    _write_outputs(args, "eval", metrics=(RUN_COLUMNS, rows))
     print(f"evaluated {args.checkpoint} on {label}")
     return 0
 
@@ -273,19 +309,14 @@ def _cmd_sweep(args) -> int:
         grid = _comma_list(args.grid, "--grid")
         result = lambda_sweep(ds, cfg, grid=grid, jobs=args.jobs)
 
-    rows, jrows = [], []
-    for e in result.entries:
-        marker = "chosen" if e.lambda_width == result.chosen else ""
-        rows.append(experiment_csv_row(e.test, f"sweep-l{e.lambda_width:g}",
-                                       label, cfg.model_variant,
-                                       e.lambda_width, cfg.seed,
-                                       experiment="sweep", kind=marker,
-                                       level=f"{e.objective:.10g}"))
-        jrows.append(_report_json(e.test, lambda_width=e.lambda_width,
-                                  objective=e.objective,
-                                  chosen=(marker == "chosen")))
-    _write_outputs(args, "sweep", "sweep", experiment_csv_header(), rows,
-                   jrows)
+    # `level` holds the selection objective; `kind` marks the winner.
+    rows = [_run_row(e.test, f"sweep-l{e.lambda_width:g}", label,
+                     cfg.model_variant, e.lambda_width, cfg.seed, "sweep",
+                     kind="chosen" if e.lambda_width == result.chosen else "",
+                     level=e.objective)
+            for e in result.entries]
+    _write_outputs(args, "sweep",
+                   sweep=(_with_cells(RUN_COLUMNS, level=_G10), rows))
     for flag in result.flags:
         print(f"flag: {flag}")
     print(f"chosen lambda={result.chosen:g} objective={result.objective:.6f}")
@@ -298,26 +329,12 @@ def _cmd_ablate(args) -> int:
     seeds = _comma_list(args.seeds, "--seeds", kind=int)
     table = ablation_suite(ds, cfg, seeds=seeds, jobs=args.jobs)
 
-    rows, jrows = [], []
-    for row in table:
-        for seed, rep in zip(seeds, row["per_seed"]):
-            rows.append(experiment_csv_row(
-                rep, f"ablate-{row['setting']}-s{seed}", label,
-                row["setting"], row["lambda_width"], seed,
-                experiment="ablate", kind=row["setting"]))
-        jrows.append(_without(row, "per_seed"))
-    out = _write_outputs(args, "ablate", "ablation", experiment_csv_header(),
-                         rows, jrows)
-
-    summary = ["setting," + ",".join(
-        f"{f}_mean,{f}_std" for f in ("picp", "mpiw", "cwc"))]
-    for row in table:
-        cells = [row["setting"]]
-        for f in ("picp", "mpiw", "cwc"):
-            cells += [f"{row[f + '_mean']:.10g}", f"{row[f + '_std']:.10g}"]
-        summary.append(",".join(cells))
-    (out / "ablation_summary.csv").write_text(
-        "\n".join(_stamp(args) + summary) + "\n")
+    rows = [_run_row(rep, f"ablate-{row['setting']}-s{seed}", label,
+                     row["setting"], row["lambda_width"], seed, "ablate",
+                     kind=row["setting"])
+            for row in table for seed, rep in zip(seeds, row["per_seed"])]
+    _write_outputs(args, "ablate", ablation=(RUN_COLUMNS, rows),
+                   ablation_summary=(ABLATION_SUMMARY_COLUMNS, table))
     for row in table:
         print(f"{row['setting']:<14} picp={row['picp_mean']:.4f} "
               f"mpiw={row['mpiw_mean']:.4f} cwc={row['cwc_mean']:.4f}")
@@ -329,18 +346,16 @@ def _cmd_robust(args) -> int:
     ds, label = _dataset_from_args(args)
     table = robustness_suite(ds, cfg, jobs=args.jobs)
 
-    header = (experiment_csv_header() + ",coverage_retention,width_growth")
-    rows, jrows = [], []
-    for row in table:
-        base = experiment_csv_row(row["report"],
-                                  f"robust-{row['kind']}-{row['level']:g}",
-                                  label, cfg.model_variant, cfg.lambda_width,
-                                  cfg.seed, experiment="robust",
-                                  kind=row["kind"], level=f"{row['level']:g}")
-        rows.append(base + f",{row['coverage_retention']:.10g}"
-                           f",{row['width_growth']:.10g}")
-        jrows.append(_without(row, "report"))
-    _write_outputs(args, "robust", "robustness", header, rows, jrows)
+    columns = _with_cells(RUN_COLUMNS, level=_G) + (
+        ("coverage_retention", _G10), ("width_growth", _G10))
+    rows = [{**_run_row(row["report"],
+                        f"robust-{row['kind']}-{row['level']:g}", label,
+                        cfg.model_variant, cfg.lambda_width, cfg.seed,
+                        "robust", kind=row["kind"], level=row["level"]),
+             "coverage_retention": row["coverage_retention"],
+             "width_growth": row["width_growth"]}
+            for row in table]
+    _write_outputs(args, "robust", robustness=(columns, rows))
     for row in table:
         print(f"{row['kind']:<14} level={row['level']:<4g} "
               f"picp={row['picp']:.4f} mpiw={row['mpiw']:.4f}")
@@ -355,17 +370,13 @@ def _cmd_shift(args) -> int:
                           noise_sigma=args.noise_sigma,
                           feat_dim=args.feat_dim, jobs=args.jobs)
 
-    header = "source_family,target_family,picp,mpiw,lambda,runs"
-    rows, jrows = [], []
-    for i, fi in enumerate(matrix.families):
-        for j, fj in enumerate(matrix.families):
-            rows.append(f"{fi},{fj},{matrix.picp[i, j]:.10g},"
-                        f"{matrix.mpiw[i, j]:.10g},"
-                        f"{matrix.lambda_width:g},{matrix.runs}")
-            jrows.append({"source_family": fi, "target_family": fj,
-                          "picp": matrix.picp[i, j],
-                          "mpiw": matrix.mpiw[i, j]})
-    _write_outputs(args, "shift", "shift", header, rows, jrows)
+    rows = [{"source_family": fi, "target_family": fj,
+             "picp": float(matrix.picp[i, j]),
+             "mpiw": float(matrix.mpiw[i, j]),
+             "lambda": matrix.lambda_width, "runs": matrix.runs}
+            for i, fi in enumerate(matrix.families)
+            for j, fj in enumerate(matrix.families)]
+    _write_outputs(args, "shift", shift=(SHIFT_COLUMNS, rows))
     for i, fi in enumerate(matrix.families):
         off = [matrix.picp[i, j] for j in range(len(matrix.families)) if j != i]
         print(f"{fi:<6} diag picp={matrix.picp[i, i]:.4f} "
@@ -379,15 +390,11 @@ def _cmd_splits(args) -> int:
     kinds = tuple(args.kinds.split(","))
     table = split_experiment(ds, cfg, kinds=kinds, jobs=args.jobs)
 
-    rows, jrows = [], []
-    for row in table:
-        rows.append(experiment_csv_row(row["report"], f"splits-{row['kind']}",
-                                       label, cfg.model_variant,
-                                       cfg.lambda_width, cfg.seed,
-                                       experiment="splits", kind=row["kind"]))
-        jrows.append(_without(row, "report"))
-    _write_outputs(args, "splits", "splits", experiment_csv_header(), rows,
-                   jrows)
+    rows = [_run_row(row["report"], f"splits-{row['kind']}", label,
+                     cfg.model_variant, cfg.lambda_width, cfg.seed, "splits",
+                     kind=row["kind"])
+            for row in table]
+    _write_outputs(args, "splits", splits=(RUN_COLUMNS, rows))
     for row in table:
         print(f"{row['kind']:<10} picp={row['picp']:.4f} "
               f"mpiw={row['mpiw']:.4f} train={row['train_size']}")
@@ -420,39 +427,33 @@ def _cmd_theory(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    fields = list(CSV_FIELDS)
     groups: dict[tuple, list[dict]] = {}
     for path in args.inputs:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             for cells in reader:
                 if not cells or cells[0].startswith("#") \
-                        or cells[0] == fields[0]:
+                        or cells[0] == RUN_KEYS[0]:
                     continue
-                if len(cells) < len(fields):
+                if len(cells) < len(RUN_KEYS):
                     raise IngestionError(
                         f"{path}:{reader.line_num}: expected at least "
-                        f"{len(fields)} columns, got {len(cells)}")
-                row = dict(zip(fields, cells))
+                        f"{len(RUN_KEYS)} columns, got {len(cells)}")
+                row = dict(zip(RUN_KEYS, cells))
                 key = (row["dataset"], row["model"], row["lambda"])
                 groups.setdefault(key, []).append(row)
 
-    header = "dataset,model,lambda,n_rows," + ",".join(
-        f"{f}_mean,{f}_std" for f in ("picp", "mpiw", "cwc"))
-    rows, jrows = [], []
+    # `lambda` is the input's cell text: it is the grouping key.
+    rows = []
     for key in sorted(groups):
-        rws = groups[key]
-        cells = [key[0], key[1], key[2], str(len(rws))]
-        jrow = {"dataset": key[0], "model": key[1], "lambda": key[2],
-                "n_rows": len(rws)}
-        for f in ("picp", "mpiw", "cwc"):
-            vals = np.array([float(r[f]) for r in rws])
-            cells += [f"{vals.mean():.10g}", f"{vals.std():.10g}"]
-            jrow[f + "_mean"] = float(vals.mean())
-            jrow[f + "_std"] = float(vals.std())
-        rows.append(",".join(cells))
-        jrows.append(jrow)
-    _write_outputs(args, "report", "summary", header, rows, jrows)
+        row = {"dataset": key[0], "model": key[1], "lambda": key[2],
+               "n_rows": len(groups[key])}
+        for f in _STATS:
+            vals = np.array([float(r[f]) for r in groups[key]])
+            row[f + "_mean"] = float(vals.mean())
+            row[f + "_std"] = float(vals.std())
+        rows.append(row)
+    _write_outputs(args, "report", summary=(SUMMARY_COLUMNS, rows))
     print(f"aggregated {sum(len(v) for v in groups.values())} rows "
           f"into {len(rows)} groups")
     return 0

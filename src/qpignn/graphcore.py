@@ -9,6 +9,7 @@ about gradients.
 from __future__ import annotations
 
 import csv
+import math
 import weakref
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -443,8 +444,8 @@ def synth_dataset(graph: Graph, family: str, feat_dim: int,
         raise ParameterError(f"unknown feature family {family!r}")
     if feat_dim < 1:
         raise ParameterError("feat_dim must be >= 1")
-    if noise_sigma < 0:
-        raise ParameterError("noise_sigma must be non-negative")
+    if not 0.0 <= noise_sigma < math.inf:
+        raise ParameterError("noise_sigma must be finite and non-negative")
     n = graph.num_nodes
     feat_rng = keyed_rng(seed, "features")
     if family == "uniform":

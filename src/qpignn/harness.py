@@ -32,8 +32,7 @@ from .graphcore import (Dataset, PerturbSpec, SplitSpec, gen_ba, gen_chain,
                         synth_dataset)
 from .losses import (LossConfig, mse_loss, qpi_total_loss, rqr_adj_loss,
                      sqr_loss, width_loss)
-from .metrics import (CSV_FIELDS, METRIC_FIELDS, MetricsReport, csv_row,
-                      interval_stats, report)
+from .metrics import METRIC_FIELDS, MetricsReport, interval_stats, report
 from .model import (IntervalSet, Model, ModelConfig, forward_intervals,
                     init_model, mc_dropout_interval)
 from .optim import AdamState, adam_step, grad_norm
@@ -59,9 +58,6 @@ SHIFT_FAMILIES = ("er", "ba")
 SHIFT_LAMBDA = 0.5
 
 GRAPH_PRESETS = ("er", "ba", "grid", "chain", "tree")
-
-EXPERIMENT_EXTRA_FIELDS = ("experiment", "kind", "level",
-                           "source_family", "target_family")
 
 
 # ---------------------------------------------------------------------------
@@ -104,8 +100,11 @@ class TrainConfig:
             raise ParameterError("epochs must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie in (0, 1)")
-        if self.lambda_width < 0.0:
-            raise ParameterError("lambda_width must be >= 0")
+        # The chained range checks here and below also reject NaN, which
+        # fails every comparison, and infinity.
+        for name in ("lr", "weight_decay", "lambda_width"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ParameterError(f"{name} must be finite and >= 0")
         if self.loss_kind not in _ALLOWED_VARIANTS:
             raise ParameterError(f"unknown loss_kind {self.loss_kind!r}")
         if self.model_variant not in _ALLOWED_VARIANTS[self.loss_kind]:
@@ -522,8 +521,8 @@ def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig()
     lo, hi = float(bounds[0]), float(bounds[1])
-    if not 0.0 < lo < hi:
-        raise ParameterError("bounds must satisfy 0 < lo < hi")
+    if not 0.0 < lo < hi < math.inf:
+        raise ParameterError("bounds must be finite and satisfy 0 < lo < hi")
     if budget < 3:
         raise ParameterError("budget must be >= 3")
 
@@ -778,8 +777,8 @@ def mcdiarmid_prob(n: int, eps: float) -> float:
     """Bounded-differences tail bound 2 exp(-2 n eps^2)."""
     if n < 1:
         raise ParameterError("n must be >= 1")
-    if eps <= 0.0:
-        raise ParameterError("eps must be > 0")
+    if not 0.0 < eps < math.inf:
+        raise ParameterError("eps must be finite and > 0")
     return 2.0 * math.exp(-2.0 * n * eps * eps)
 
 
@@ -792,8 +791,8 @@ def inv_norm_cdf(p: float) -> float:
 
 def gaussian_optimal_halfwidth(sigma: float, alpha: float) -> float:
     """Half-width of the narrowest symmetric interval with 1 - alpha mass."""
-    if sigma <= 0.0:
-        raise ParameterError("sigma must be > 0")
+    if not 0.0 < sigma < math.inf:
+        raise ParameterError("sigma must be finite and > 0")
     if not 0.0 < alpha < 1.0:
         raise ParameterError("alpha must lie in (0, 1)")
     return sigma * inv_norm_cdf(1.0 - alpha / 2.0)
@@ -894,21 +893,3 @@ def convergence_check(rec: RunRecord) -> ConvergenceReport:
                              grad_ratio=ratio, loss_first=loss_first,
                              loss_final=loss_final, note=note,
                              csv=trajectory_csv(rec))
-
-
-# ---------------------------------------------------------------------------
-# Experiment CSV assembly
-# ---------------------------------------------------------------------------
-
-def experiment_csv_header() -> str:
-    return ",".join(CSV_FIELDS + EXPERIMENT_EXTRA_FIELDS)
-
-
-def experiment_csv_row(rep: MetricsReport, run_id: str, dataset: str,
-                       model: str, lam: float, seed: int, experiment: str = "",
-                       kind: str = "", level: str = "",
-                       source_family: str = "", target_family: str = "") -> str:
-    base = csv_row(rep, run_id, dataset, model, lam, seed)
-    extra = ",".join(str(v) for v in
-                     (experiment, kind, level, source_family, target_family))
-    return base + "," + extra

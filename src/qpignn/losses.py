@@ -16,6 +16,7 @@ All losses are evaluated on the caller-supplied node mask only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,8 +48,10 @@ class LossConfig:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie in (0, 1)")
-        if self.lambda_width < 0 or self.rqr_lambda < 0 or self.gamma_order < 0:
-            raise ParameterError("penalty coefficients must be non-negative")
+        if not all(0.0 <= c < math.inf for c in
+                   (self.lambda_width, self.rqr_lambda, self.gamma_order)):
+            raise ParameterError(
+                "penalty coefficients must be finite and non-negative")
         if self.width_norm not in ("l1", "l2"):
             raise ParameterError("width_norm must be 'l1' or 'l2'")
 

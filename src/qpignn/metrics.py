@@ -1,4 +1,4 @@
-"""Interval statistics, the metrics built on them, and CSV serialisation.
+"""Interval statistics and the metrics built on them.
 
 ``interval_stats`` is the one place that masks an interval set: the
 metrics below, the training losses' coverage indicators and the
@@ -165,17 +165,3 @@ def report(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
         n_eval=int(st.mask.sum()),
         alpha=alpha,
     )
-
-
-CSV_FIELDS = ("run_id", "dataset", "model", "lambda", "seed") + METRIC_FIELDS
-
-
-def csv_header() -> str:
-    return ",".join(CSV_FIELDS)
-
-
-def csv_row(rep: MetricsReport, run_id: str, dataset: str, model: str,
-            lambda_width: float, seed: int) -> str:
-    values = [run_id, dataset, model, repr(float(lambda_width)), str(int(seed))]
-    values += [repr(getattr(rep, name)) for name in METRIC_FIELDS]
-    return ",".join(values)

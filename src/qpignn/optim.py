@@ -1,6 +1,7 @@
 """Adam with coupled L2 weight decay, plus a gradient-norm probe."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,11 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.lr < 0 or self.weight_decay < 0 or self.eps <= 0:
-            raise ParameterError("lr and weight_decay must be >= 0, eps > 0")
+        if not (0.0 <= self.lr < math.inf
+                and 0.0 <= self.weight_decay < math.inf
+                and 0.0 < self.eps < math.inf):
+            raise ParameterError("lr and weight_decay must be finite and "
+                                 ">= 0, eps finite and > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ParameterError("betas must lie in [0, 1)")
 

@@ -21,8 +21,17 @@ def test_unknown_subcommand_exits_1(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_bad_parameter_exits_1(tmp_path, capsys):
-    code = run(["train", "--nodes", "-5", "--out", str(tmp_path / "x")])
+@pytest.mark.parametrize("argv", [
+    ["train", "--nodes", "-5"],
+    # non-finite rates and penalties are refused before any training run
+    *(["train", flag, value] for flag in ("--lr", "--weight-decay", "--lambda")
+      for value in ("nan", "inf")),
+    ["train", "--noise-sigma", "nan"],
+    ["sweep", "--grid", "nan"],
+    ["sweep", "--tune", "--bounds", "0.1,inf"],
+], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
+def test_bad_parameter_exits_1(argv, tmp_path, capsys):
+    code = run([*argv, "--out", str(tmp_path / "x")])
     assert code == 1
     assert "usage error" in capsys.readouterr().err
     assert not (tmp_path / "x").exists()  # no debris from failed runs

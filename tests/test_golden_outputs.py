@@ -4,9 +4,12 @@ Each case runs one tiny command and pins the sha256 of every file it
 writes, or of its stdout for ``theory``.  Refactors that must leave the
 outputs unchanged keep this file green untouched; a deliberate output
 change re-freezes only the entries it moves and records why in
-CHANGES.md.
+CHANGES.md.  The same tiny commands also check that a table's JSON
+holds exactly its CSV columns and rows.
 """
+import csv
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -29,6 +32,8 @@ COMMANDS = {
     "sweep_grid": ["sweep", *DS, *TRAIN, "--grid", "0.1,0.5"],
     "sweep_tune": ["sweep", *DS, *TRAIN, "--tune", "--budget", "3"],
     "ablate": ["ablate", *DS, *TRAIN, "--seeds", "0"],
+    "ablate_json": ["ablate", *DS, *TRAIN, "--seeds", "0",
+                    "--format", "json"],
     "robust": ["robust", *DS, *TRAIN],
     "splits": ["splits", *DS, *TRAIN, "--graph", "grid"],
     "shift": ["shift", "--nodes", "100", "--runs", "1", *TRAIN],
@@ -46,6 +51,14 @@ GOLDEN = {
             "a6782ad574bd62aef7d494fb34179cf28cb6704f99cd7a4d8b083eaadb935ea9",
         "config.json":
             "1ff6f49a50e404a502bf3847035fab40ccc3b9e6bc80ca412f92a03ffb303949",
+    },
+    "ablate_json": {
+        "ablation.json":
+            "9886317b8d0f723a02326cd72b020c56b45a3e7d3d09a345ecadb00a1ab0e972",
+        "ablation_summary.json":
+            "5eaecf37038a590083e0f8ca995089f3616ca5c1f827873c6923fa4c259e0d29",
+        "config.json":
+            "39e3df3386173481256b3c5c52ec7cbf437f3b3cc4380d364399eff8ffbab8b4",
     },
     "eval": {
         "config.json":
@@ -99,7 +112,7 @@ GOLDEN = {
         "config.json":
             "2454647ae8d30e2167ae799b06a93717fa9497d1b47db485454a2d4f9f4a0a5c",
         "metrics.json":
-            "cda12d04aaa449c8864ec9ffda32a7001f771869d31dfe102b5b2ad494c651c0",
+            "75fff4e9e55f0a2e062fcf7811411b3d1d091f0b029a6c1934a11a93175d473a",
         "trajectory.csv":
             "e2c3c79775681e55708c3ccb7da9d24efff41d3ea8171b680b5fcbc3c1f5e326",
     },
@@ -190,3 +203,70 @@ def test_command_outputs_are_frozen(case, tmp_path, monkeypatch):
 @pytest.mark.parametrize("check", THEORY)
 def test_theory_stdout_is_frozen(check, capsys):
     assert theory_digest(check, capsys) == GOLDEN_THEORY[check]
+
+
+# Cells written at a fixed precision; every other cell is ``str`` of its
+# value, which for a float is its round-tripping repr.
+_STATS = {f"{f}_{stat}": ".10g" for f in ("picp", "mpiw", "cwc")
+          for stat in ("mean", "std")}
+FIXED_CELLS = {
+    "sweep": {"level": ".10g"},
+    "robustness": {"level": "g", "coverage_retention": ".10g",
+                   "width_growth": ".10g"},
+    "shift": {"picp": ".10g", "mpiw": ".10g", "lambda": "g"},
+    "summary": _STATS,
+    "ablation_summary": _STATS,
+}
+TABLE_CASES = ("train_csv", "eval", "sweep_grid", "ablate", "robust",
+               "splits", "shift", "report")
+
+
+def _no_bare_constant(token):
+    raise AssertionError(f"bare {token} in JSON output")
+
+
+@pytest.mark.parametrize("case", TABLE_CASES)
+def test_json_holds_the_csv_table(case, tmp_path, monkeypatch):
+    """``--format json`` writes each table's CSV columns and rows."""
+    monkeypatch.chdir(tmp_path)
+    if case in ("eval", "report"):
+        assert run(["train", *DS, *TRAIN, "--out", "ckpt"]) == 0
+    if case == "report":
+        assert run([*COMMANDS["eval"], "--out", "evaluated"]) == 0
+        argv = ["report", "--inputs", "ckpt/metrics.csv",
+                "evaluated/metrics.csv", "--no-timestamp"]
+    else:
+        argv = COMMANDS[case]
+    assert run([*argv, "--out", "csv"]) == 0
+    assert run([*argv, "--format", "json", "--out", "json"]) == 0
+
+    # trajectory.csv is not a table that --format selects
+    assert {p.name for p in Path("json").glob("*.csv")} <= {"trajectory.csv"}
+    tables = sorted(p.stem for p in Path("json").glob("*.json")
+                    if p.stem not in ("config", "checkpoint"))
+    assert tables == sorted(p.stem for p in Path("csv").glob("*.csv")
+                            if p.stem != "trajectory")
+    nulls = 0
+    for stem in tables:
+        with open(f"csv/{stem}.csv", newline="") as fh:
+            header, *lines = csv.reader(fh)
+        rows = json.loads(Path(f"json/{stem}.json").read_text(),
+                          parse_constant=_no_bare_constant)["rows"]
+        assert len(rows) == len(lines)
+        fixed = FIXED_CELLS.get(stem, {})
+        for row, cells in zip(rows, lines):
+            assert list(row) == header
+            for name, cell in zip(header, cells):
+                value = row[name]
+                if value is None:
+                    nulls += 1
+                    assert cell in ("nan", "inf", "-inf"), (stem, name)
+                elif isinstance(value, str):
+                    assert value == cell, (stem, name)
+                else:
+                    assert cell == format(value, fixed.get(name, "")), \
+                        (stem, name)
+    if case == "eval":
+        assert nulls == 3  # the NaN lambda of each mask's row
+    if case == "ablate":
+        assert tables == ["ablation", "ablation_summary"]

@@ -198,8 +198,9 @@ def test_synth_rejects_bad_arguments():
         q.synth_dataset(g, "nope", 4, 0.1, seed=0)
     with pytest.raises(ParameterError):
         q.synth_dataset(g, "gaussian", 0, 0.1, seed=0)
-    with pytest.raises(ParameterError):
-        q.synth_dataset(g, "gaussian", 4, -0.1, seed=0)
+    for sigma in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            q.synth_dataset(g, "gaussian", 4, sigma, seed=0)
 
 
 def test_dataset_validates_mask_partition(ring6):

@@ -4,6 +4,8 @@ Numeric expectations here were frozen from runs of this implementation
 after checking they satisfy the documented invariants; they guard
 against regressions, not against the laws of arithmetic.
 """
+import argparse
+import csv
 import dataclasses
 import gc
 import multiprocessing
@@ -22,17 +24,17 @@ import numpy as np
 import pytest
 
 import qpignn as q
+from qpignn.cli import RUN_COLUMNS, RUN_KEYS, _run_row, _write_outputs
 from qpignn.errors import ContractError, ParameterError
 from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
                             DEFAULT_TUNE_BOUNDS, COVERAGE_PENALTY_WEIGHT,
                             SweepEntry, SweepResult, TrainConfig,
-                            convergence_check, dataset_preset,
-                            experiment_csv_header, experiment_csv_row,
-                            lambda_sweep, lambda_tune, robustness_suite,
+                            convergence_check, dataset_preset, lambda_sweep,
+                            lambda_tune, robustness_suite,
                             selection_objective, shift_matrix,
                             split_experiment, trajectory_csv, train_baseline,
                             train_qpignn, ablation_suite)
-from qpignn.metrics import CSV_FIELDS, MetricsReport
+from qpignn.metrics import MetricsReport
 from qpignn.rng import keyed_rng
 
 
@@ -63,6 +65,11 @@ def test_train_config_validation():
         TrainConfig(alpha=1.0)
     with pytest.raises(ParameterError):
         TrainConfig(lambda_width=-0.01)
+    # NaN passes `x < 0`; non-finite rates and penalties must not train
+    for name in ("lr", "weight_decay", "lambda_width"):
+        for bad in (float("nan"), float("inf"), -1e-3):
+            with pytest.raises(ParameterError, match=name):
+                TrainConfig(**{name: bad})
     with pytest.raises(ParameterError):
         TrainConfig(loss_kind="huber")
     # quantile losses are tied to their architecture
@@ -599,8 +606,9 @@ def test_tune_beats_coarse_grid(tune_ds):
     ref = lambda_sweep(tune_ds, cfg, grid=(0.1, 0.5))
     assert res.objective <= ref.entry(0.1).objective
     assert res.objective <= ref.entry(0.5).objective
-    with pytest.raises(ParameterError):
-        lambda_tune(tune_ds, cfg, bounds=(0.5, 0.1))
+    for bounds in ((0.5, 0.1), (0.1, float("inf")), (float("nan"), 0.5)):
+        with pytest.raises(ParameterError):
+            lambda_tune(tune_ds, cfg, bounds=bounds)
     with pytest.raises(ParameterError):
         lambda_tune(tune_ds, cfg, budget=2)
 
@@ -708,13 +716,17 @@ def test_shift_matrix_diagonal_advantage():
 # Experiment CSV assembly
 # ---------------------------------------------------------------------------
 
-def test_experiment_csv_layout():
-    hdr = experiment_csv_header().split(",")
-    assert tuple(hdr[:len(CSV_FIELDS)]) == CSV_FIELDS
-    assert hdr[len(CSV_FIELDS):] == ["experiment", "kind", "level",
-                                     "source_family", "target_family"]
-    row = experiment_csv_row(_report(), "r", "d", "m", 0.1, 0,
-                             experiment="robust", kind="edge_dropout",
-                             level="0.2")
-    assert len(row.split(",")) == len(hdr)
-    assert row.split(",")[-5:] == ["robust", "edge_dropout", "0.2", "", ""]
+def test_experiment_csv_layout(tmp_path):
+    """The run table's trailing free-text columns, written by the CLI."""
+    row = _run_row(_report(), "r", "d", "m", 0.1, 0, "robust",
+                   kind="edge_dropout", level="0.2")
+    args = argparse.Namespace(out=str(tmp_path), format="csv",
+                              no_timestamp=True)
+    _write_outputs(args, "unused", runs=(RUN_COLUMNS, [row]))
+    with open(tmp_path / "runs.csv", newline="") as fh:
+        hdr, cells = csv.reader(fh)
+    assert tuple(hdr[:len(RUN_KEYS)]) == RUN_KEYS
+    assert hdr[len(RUN_KEYS):] == ["experiment", "kind", "level",
+                                   "source_family", "target_family"]
+    assert len(cells) == len(hdr)
+    assert cells[-5:] == ["robust", "edge_dropout", "0.2", "", ""]

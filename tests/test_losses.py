@@ -166,8 +166,10 @@ def test_sqr_loss_contract(small_ds):
 def test_loss_config_validation():
     with pytest.raises(ParameterError):
         LossConfig(alpha=0.0)
-    with pytest.raises(ParameterError):
-        LossConfig(lambda_width=-0.1)
+    for name in ("lambda_width", "rqr_lambda", "gamma_order"):
+        for bad in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                LossConfig(**{name: bad})
     with pytest.raises(ParameterError):
         LossConfig(width_norm="l3")
 

@@ -1,4 +1,6 @@
 """Metric oracles: hand examples, a scalar-loop reference, properties."""
+import argparse
+import csv
 import math
 
 import numpy as np
@@ -6,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpignn.cli import RUN_COLUMNS, RUN_KEYS, _run_row, _write_outputs
 from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError
-from qpignn.metrics import (CSV_FIELDS, CWC_ETA, CWC_GAMMA, cwc, csv_header,
-                            csv_row, interval_stats, mpe, mpiw, nmpiw, picp,
+from qpignn.metrics import (CWC_ETA, CWC_GAMMA, METRIC_FIELDS, MetricsReport,
+                            cwc, interval_stats, mpe, mpiw, nmpiw, picp,
                             report, sharpness, winkler)
 from qpignn.model import IntervalSet
 from qpignn.rng import keyed_rng
@@ -149,14 +152,26 @@ def test_metric_inequalities(rows, alpha):
     assert rep.nmpiw == pytest.approx(rep.mpiw / (y.max() - y.min()))
 
 
-def test_csv_round_trip():
+def test_csv_round_trip(tmp_path):
+    """Run-table metric cells read back as the exact doubles written."""
     iv = _iv(LOW, UP)
-    rep = report(iv, np.array(Y), ALL, 0.1)
-    assert csv_header() == ",".join(CSV_FIELDS)
-    row = csv_row(rep, "r1", "toy", "dual", 0.05, 7)
-    parts = row.split(",")
-    assert parts[:5] == ["r1", "toy", "dual", "0.05", "7"]
-    back = [float(p) for p in parts[5:]]
-    want = [rep.picp, rep.mpiw, rep.nmpiw, rep.mpe,
-            rep.sharpness, rep.winkler, rep.cwc]
-    assert back == want  # repr() round-trips doubles exactly
+    awkward = MetricsReport(1 / 3, 2 / 3, 0.1 + 0.2, math.pi, 1e-17,
+                            123456.789, 2 / 7, n_eval=10, alpha=0.1)
+    reps = [report(iv, np.array(Y), ALL, 0.1), awkward]
+    rows = [_run_row(rep, "r1", "toy", "dual", 0.05, 7, "train")
+            for rep in reps]
+    args = argparse.Namespace(out=str(tmp_path), format="csv",
+                              no_timestamp=True)
+    _write_outputs(args, "unused", runs=(RUN_COLUMNS, rows))
+    with open(tmp_path / "runs.csv", newline="") as fh:
+        header, *lines = csv.reader(fh)
+    assert RUN_KEYS == ("run_id", "dataset", "model", "lambda",
+                        "seed") + METRIC_FIELDS
+    assert tuple(header[:len(RUN_KEYS)]) == RUN_KEYS
+    assert len(lines) == len(reps)
+    for rep, parts in zip(reps, lines):
+        assert parts[:5] == ["r1", "toy", "dual", "0.05", "7"]
+        back = [float(p) for p in parts[5:len(RUN_KEYS)]]
+        want = [rep.picp, rep.mpiw, rep.nmpiw, rep.mpe,
+                rep.sharpness, rep.winkler, rep.cwc]
+        assert back == want  # repr() round-trips doubles exactly

@@ -108,6 +108,10 @@ def test_config_validation():
         AdamState(eps=0.0)
     with pytest.raises(ParameterError):
         AdamState(weight_decay=-0.5)
+    for name in ("lr", "weight_decay", "eps"):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError):
+                AdamState(**{name: bad})
 
 
 def test_grad_norm_oracle():

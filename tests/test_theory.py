@@ -33,9 +33,13 @@ def test_theory_domain_errors():
                 lambda: hoeffding_epsilon(100, 1.0),
                 lambda: mcdiarmid_prob(0, 0.1),
                 lambda: mcdiarmid_prob(100, 0.0),
+                lambda: mcdiarmid_prob(100, float("nan")),
+                lambda: mcdiarmid_prob(100, float("inf")),
                 lambda: inv_norm_cdf(0.0),
                 lambda: inv_norm_cdf(1.0),
                 lambda: gaussian_optimal_halfwidth(0.0, 0.1),
+                lambda: gaussian_optimal_halfwidth(float("nan"), 0.1),
+                lambda: gaussian_optimal_halfwidth(float("inf"), 0.1),
                 lambda: gaussian_optimal_halfwidth(1.0, 1.0)):
         with pytest.raises(ParameterError):
             bad()
