@@ -12,12 +12,11 @@ from .model import (IntervalSet, Model, ModelConfig, encode, forward_intervals,
                     init_model, init_params, intervals, load_checkpoint,
                     mc_dropout_interval, qpi_forward, save_checkpoint,
                     sqr_forward, variant_forward)
-from .losses import (LossBreakdown, LossConfig, empirical_coverage, mse_loss,
-                     pinball_loss, qpi_total_loss, rqr_adj_loss, rqr_w_loss,
-                     sqr_loss, violation_loss, width_loss)
+from .losses import (LossBreakdown, LossConfig, mse_loss, pinball_loss,
+                     qpi_total_loss, rqr_adj_loss, rqr_w_loss, sqr_loss,
+                     violation_loss, width_loss)
 from .optim import AdamState, adam_step, grad_norm
-from .metrics import (IntervalStats, MetricsReport, cwc, interval_stats, mpe,
-                      mpiw, nmpiw, picp, report, sharpness, winkler)
+from .metrics import IntervalStats, MetricsReport, cwc, interval_stats, report
 from .harness import (ConcentrationReport, ConvergenceReport, RunRecord,
                       ShiftMatrix, SweepEntry, SweepResult, TrainConfig,
                       ablation_suite, concentration_check, convergence_check,
@@ -25,6 +24,6 @@ from .harness import (ConcentrationReport, ConvergenceReport, RunRecord,
                       hoeffding_epsilon, inv_norm_cdf, lambda_sweep,
                       lambda_tune, mcdiarmid_prob, robustness_suite,
                       selection_objective, shift_matrix, split_experiment,
-                      train, train_baseline, train_qpignn, trajectory_csv)
+                      train, train_qpignn, trajectory_csv)
 
 __version__ = "0.1.0"

@@ -435,21 +435,29 @@ def _cmd_report(args) -> int:
                 if not cells or cells[0].startswith("#") \
                         or cells[0] == RUN_KEYS[0]:
                     continue
+                where = f"{path}:{reader.line_num}"
                 if len(cells) < len(RUN_KEYS):
                     raise IngestionError(
-                        f"{path}:{reader.line_num}: expected at least "
-                        f"{len(RUN_KEYS)} columns, got {len(cells)}")
+                        f"{where}: expected at least {len(RUN_KEYS)} "
+                        f"columns, got {len(cells)}")
                 row = dict(zip(RUN_KEYS, cells))
-                key = (row["dataset"], row["model"], row["lambda"])
+                for name in ("lambda",) + METRIC_FIELDS:
+                    try:
+                        row[name] = float(row[name])
+                    except ValueError:
+                        raise IngestionError(
+                            f"{where}: {name} cell {row[name]!r} is not "
+                            f"a number") from None
+                # Grouping on the float's text puts NaN lambdas together.
+                key = (row["dataset"], row["model"], str(row["lambda"]))
                 groups.setdefault(key, []).append(row)
 
-    # `lambda` is the input's cell text: it is the grouping key.
     rows = []
     for key in sorted(groups):
-        row = {"dataset": key[0], "model": key[1], "lambda": key[2],
+        row = {"dataset": key[0], "model": key[1], "lambda": float(key[2]),
                "n_rows": len(groups[key])}
         for f in _STATS:
-            vals = np.array([float(r[f]) for r in groups[key]])
+            vals = np.array([r[f] for r in groups[key]])
             row[f + "_mean"] = float(vals.mean())
             row[f + "_std"] = float(vals.std())
         rows.append(row)

@@ -53,6 +53,8 @@ _ALLOWED_VARIANTS = {
 DEFAULT_LAMBDA_GRID = (0.05, 0.1, 0.3, 0.5, 0.8, 1.2)
 DEFAULT_TUNE_BOUNDS = (0.05, 1.0)
 COVERAGE_PENALTY_WEIGHT = 10.0
+RQR_LAMBDA = 1.0       # RQR-adj's width weight
+RQR_GAMMA_ORDER = 1.0  # and its crossing-penalty weight
 
 SHIFT_FAMILIES = ("er", "ba")
 SHIFT_LAMBDA = 0.5
@@ -91,20 +93,17 @@ class TrainConfig:
     sqrt_lr_decay: bool = True
     width_norm: str = "l1"
     smooth_coverage: bool = False
-    rqr_lambda: float = 1.0
-    gamma_order: float = 1.0
     mc_passes: int = 100
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
-        # The chained range checks here and below also reject NaN, which
-        # fails every comparison, and infinity.
+        # The chained range checks here and in LossConfig also reject
+        # NaN, which fails every comparison, and infinity.
         for name in ("lr", "weight_decay", "lambda_width"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0")
+        self.loss_config()  # alpha and width_norm
         if self.loss_kind not in _ALLOWED_VARIANTS:
             raise ParameterError(f"unknown loss_kind {self.loss_kind!r}")
         if self.model_variant not in _ALLOWED_VARIANTS[self.loss_kind]:
@@ -117,9 +116,7 @@ class TrainConfig:
     def loss_config(self) -> LossConfig:
         return LossConfig(alpha=self.alpha, lambda_width=self.lambda_width,
                           width_norm=self.width_norm,
-                          smooth_coverage=self.smooth_coverage,
-                          rqr_lambda=self.rqr_lambda,
-                          gamma_order=self.gamma_order)
+                          smooth_coverage=self.smooth_coverage)
 
 
 @dataclass(frozen=True)
@@ -239,23 +236,23 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
         tape = dk.Tape()
         iv = forward_intervals(model, ds.graph, ds.features, tape=tape,
                                train_mode=True, seed=ep_seed, alpha=cfg.alpha)
-        if cfg.loss_kind == "qpi":
-            node = qpi_total_loss(iv, y, mask, lcfg).node
-        elif cfg.loss_kind == "width_only":
-            # Coverage terms off: only the width penalty reaches the tape.
-            node = dk.scale(width_loss(iv, mask, cfg.width_norm),
-                            cfg.lambda_width)
-        elif cfg.loss_kind == "rqr_adj":
-            node = rqr_adj_loss(iv.low, iv.up, y, mask, cfg.alpha,
-                                cfg.rqr_lambda, cfg.gamma_order)
-        elif cfg.loss_kind in ("mse_only", "mse_mcdropout"):
-            center = dk.scale(dk.add(iv.low, iv.up), 0.5)
-            node = mse_loss(center, y, mask)
-            iv = IntervalSet.from_arrays(center.value, center.value)
-        else:
-            raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
+    if cfg.loss_kind in ("mse_only", "mse_mcdropout"):
+        center = dk.scale(dk.add(iv.low, iv.up), 0.5)
+        node = mse_loss(center, y, mask)
+        iv = IntervalSet.from_arrays(center.value, center.value)
 
     st = interval_stats(iv, y, mask)
+    if cfg.loss_kind == "qpi":
+        node = qpi_total_loss(iv, st, lcfg).node
+    elif cfg.loss_kind == "width_only":
+        # Coverage terms off: only the width penalty reaches the tape.
+        node = dk.scale(width_loss(dk.masked_select(iv.low, st.mask),
+                                   dk.masked_select(iv.up, st.mask),
+                                   cfg.width_norm), cfg.lambda_width)
+    elif cfg.loss_kind == "rqr_adj":
+        node = rqr_adj_loss(iv, st, cfg.alpha, RQR_LAMBDA, RQR_GAMMA_ORDER)
+    elif cfg.loss_kind not in ("sqr", "mse_only", "mse_mcdropout"):
+        raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
     return node, tape, dict(coverage=st.coverage, width=float(st.width.mean()),
                             loss=node.item(),
                             violation=float(st.violation.mean()))
@@ -325,9 +322,8 @@ def train(ds: Dataset,
     return model, rec
 
 
-# Public aliases of ``train``.
+# Public alias of ``train``.
 train_qpignn = train
-train_baseline = train
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,9 @@ from . import diffkit as dk
 from .diffkit import Tensor, constant
 from .errors import ContractError, ParameterError
 from .graphcore import Dataset
-from .metrics import interval_stats, picp
+from .metrics import IntervalStats
 from .model import IntervalSet, Model, sqr_forward
 from .rng import keyed_rng
-
-# Training-side name of the closed-interval coverage fraction.
-empirical_coverage = picp
 
 # Temperature of the optional logistic coverage surrogate.
 SMOOTH_COVERAGE_TEMPERATURE = 0.1
@@ -42,16 +39,12 @@ class LossConfig:
     lambda_width: float = 0.05
     width_norm: str = "l1"
     smooth_coverage: bool = False
-    rqr_lambda: float = 1.0
-    gamma_order: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie in (0, 1)")
-        if not all(0.0 <= c < math.inf for c in
-                   (self.lambda_width, self.rqr_lambda, self.gamma_order)):
-            raise ParameterError(
-                "penalty coefficients must be finite and non-negative")
+        if not 0.0 <= self.lambda_width < math.inf:
+            raise ParameterError("lambda_width must be finite and >= 0")
         if self.width_norm not in ("l1", "l2"):
             raise ParameterError("width_norm must be 'l1' or 'l2'")
 
@@ -72,16 +65,14 @@ class LossBreakdown:
     node: Tensor = field(repr=False)
 
 
-def violation_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> Tensor:
+def violation_loss(low: Tensor, up: Tensor, st: IntervalStats) -> Tensor:
     """Mean distance of uncovered targets to their nearest bound.
 
-    Zero exactly when every masked target is covered.  The below/above
-    indicators are constants; gradient reaches the bounds through the
-    distances, pushing a violated bound toward its target.
+    ``low`` and ``up`` are the bounds on ``st``'s mask.  Zero exactly
+    when every masked target is covered.  The below/above indicators are
+    constants; gradient reaches the bounds through the distances,
+    pushing a violated bound toward its target.
     """
-    st = interval_stats(iv, y, mask)
-    low = dk.masked_select(iv.low, st.mask)
-    up = dk.masked_select(iv.up, st.mask)
     below = (st.y < st.low).astype(np.float64).reshape(-1, 1)
     above = (st.y > st.up).astype(np.float64).reshape(-1, 1)
     yc = constant(st.y)
@@ -90,12 +81,9 @@ def violation_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> Tensor:
     return dk.reduce_mean(dk.add(under, over))
 
 
-def width_loss(iv: IntervalSet, mask: np.ndarray, width_norm: str = "l1") -> Tensor:
-    """Mean interval width (L1) or mean squared width (L2) on the mask."""
-    mask = np.asarray(mask).astype(bool)
-    if not mask.any():
-        raise ContractError("mask selects no nodes")
-    w = dk.sub(dk.masked_select(iv.up, mask), dk.masked_select(iv.low, mask))
+def width_loss(low: Tensor, up: Tensor, width_norm: str = "l1") -> Tensor:
+    """Mean width (L1) or mean squared width (L2) of masked bounds."""
+    w = dk.sub(up, low)
     if width_norm == "l2":
         w = dk.mul(w, w)
     elif width_norm != "l1":
@@ -103,10 +91,12 @@ def width_loss(iv: IntervalSet, mask: np.ndarray, width_norm: str = "l1") -> Ten
     return dk.reduce_mean(w)
 
 
-def qpi_total_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
+def qpi_total_loss(iv: IntervalSet, st: IntervalStats,
                    cfg: LossConfig) -> LossBreakdown:
-    """Joint coverage/violation/width objective on the masked nodes."""
-    st = interval_stats(iv, y, mask)
+    """Joint coverage/violation/width objective on ``st``'s masked nodes;
+    every term reads the one masked (low, up) pair."""
+    low = dk.masked_select(iv.low, st.mask)
+    up = dk.masked_select(iv.up, st.mask)
     target = 1.0 - cfg.alpha
 
     cov_term = None
@@ -114,8 +104,6 @@ def qpi_total_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
         # Logistic surrogate: product of two sigmoids per node peaks at 1
         # inside the interval and lets the squared term pass gradient.
         inv_t = 1.0 / SMOOTH_COVERAGE_TEMPERATURE
-        low = dk.masked_select(iv.low, st.mask)
-        up = dk.masked_select(iv.up, st.mask)
         yc = constant(st.y)
         inside = dk.mul(dk.sigmoid(dk.scale(dk.sub(yc, low), inv_t)),
                         dk.sigmoid(dk.scale(dk.sub(up, yc), inv_t)))
@@ -126,8 +114,8 @@ def qpi_total_loss(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
         # Hard count: enters the total as a constant, no gradient.
         coverage_value = (st.coverage - target) ** 2
 
-    viol = violation_loss(iv, y, mask)
-    width = width_loss(iv, mask, cfg.width_norm)
+    viol = violation_loss(low, up, st)
+    width = width_loss(low, up, cfg.width_norm)
     partial = dk.add(viol, dk.scale(width, cfg.lambda_width))
     node = dk.add_scalar(partial, coverage_value) if cov_term is None \
         else dk.add(cov_term, partial)
@@ -188,16 +176,15 @@ def sqr_loss(model: Model, dataset: Dataset, mask: np.ndarray,
     return pinball_loss(dataset.targets[mask], yhat_m, tau[mask])
 
 
-def rqr_w_loss(low: Tensor, up: Tensor, y: np.ndarray, mask: np.ndarray,
-               alpha: float, lam: float) -> Tensor:
+def rqr_w_loss(iv: IntervalSet, st: IntervalStats, alpha: float,
+               lam: float) -> Tensor:
     """Interval-regression objective on raw (low, up) pairs.
 
     Mean of (alpha + 2 lam - 1[low <= y <= up]) (y - low) (y - up)
     plus (lam / 2) (up - low)^2; the coverage indicator is constant.
     """
-    st = interval_stats(IntervalSet(low, up), y, mask)
-    low_m = dk.masked_select(low, st.mask)
-    up_m = dk.masked_select(up, st.mask)
+    low_m = dk.masked_select(iv.low, st.mask)
+    up_m = dk.masked_select(iv.up, st.mask)
     coeff = alpha + 2.0 * lam - st.inside.astype(np.float64).reshape(-1, 1)
     yc = constant(st.y)
     product = dk.mul(dk.sub(yc, low_m), dk.sub(yc, up_m))
@@ -206,14 +193,13 @@ def rqr_w_loss(low: Tensor, up: Tensor, y: np.ndarray, mask: np.ndarray,
     return dk.reduce_mean(dk.add(dk.scale(product, coeff), penalty))
 
 
-def rqr_adj_loss(low: Tensor, up: Tensor, y: np.ndarray, mask: np.ndarray,
-                 alpha: float, lam: float, gamma_order: float) -> Tensor:
+def rqr_adj_loss(iv: IntervalSet, st: IntervalStats, alpha: float,
+                 lam: float, gamma_order: float) -> Tensor:
     """rqr_w plus gamma * mean relu(low - up), penalising crossed bounds."""
-    base = rqr_w_loss(low, up, y, mask, alpha, lam)
-    mask_arr = np.asarray(mask).astype(bool)
-    crossing = dk.reduce_mean(dk.relu(dk.sub(dk.masked_select(low, mask_arr),
-                                             dk.masked_select(up, mask_arr))))
-    return dk.add(base, dk.scale(crossing, gamma_order))
+    base = rqr_w_loss(iv, st, alpha, lam)
+    gap = dk.sub(dk.masked_select(iv.low, st.mask),
+                 dk.masked_select(iv.up, st.mask))
+    return dk.add(base, dk.scale(dk.reduce_mean(dk.relu(gap)), gamma_order))
 
 
 def mse_loss(yhat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:

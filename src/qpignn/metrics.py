@@ -1,7 +1,7 @@
 """Interval statistics and the metrics built on them.
 
-``interval_stats`` is the one place that masks an interval set: the
-metrics below, the training losses' coverage indicators and the
+``interval_stats`` is the one place that masks an interval set's
+values: ``report``, the training losses' coverage indicators and the
 per-epoch trajectory all read their coverage, width, violation and
 overshoot from it.  Coverage uses the closed interval.
 """
@@ -42,18 +42,17 @@ class IntervalStats:
     ``violation`` sums the distances below ``low`` and above ``up``;
     ``overshoot`` is the larger of the two, as the Winkler score uses.
     They differ only on crossed intervals (low > up), where a target can
-    lie on the wrong side of both bounds.  The target-dependent fields
-    are None when no targets were given.
+    lie on the wrong side of both bounds.
     """
 
     mask: np.ndarray
     low: np.ndarray
     up: np.ndarray
     width: np.ndarray
-    y: np.ndarray | None
-    inside: np.ndarray | None
-    violation: np.ndarray | None
-    overshoot: np.ndarray | None
+    y: np.ndarray
+    inside: np.ndarray
+    violation: np.ndarray
+    overshoot: np.ndarray
 
     @property
     def coverage(self) -> float:
@@ -61,7 +60,7 @@ class IntervalStats:
         return float(self.inside.mean())
 
 
-def interval_stats(iv: IntervalSet, y: np.ndarray | None,
+def interval_stats(iv: IntervalSet, y: np.ndarray,
                    mask: np.ndarray) -> IntervalStats:
     """Validate ``mask`` and ``y`` against ``iv``; measure the masked nodes."""
     mask = np.asarray(mask).astype(bool)
@@ -71,8 +70,6 @@ def interval_stats(iv: IntervalSet, y: np.ndarray | None,
         raise ContractError("mask selects no nodes")
     low = iv.low_values[mask]
     up = iv.up_values[mask]
-    if y is None:
-        return IntervalStats(mask, low, up, up - low, None, None, None, None)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape != (len(iv),):
         raise ContractError("targets must have one entry per node")
@@ -90,53 +87,6 @@ def _check_alpha(alpha: float) -> None:
         raise ParameterError("alpha must lie in (0, 1)")
 
 
-def _nmpiw(st: IntervalStats) -> float:
-    span = float(st.y.max() - st.y.min())
-    if span <= 0.0:
-        raise ParameterError("nmpiw undefined: targets are constant on the mask")
-    return float(np.mean(st.width) / span)
-
-
-def _mpe(st: IntervalStats) -> float:
-    return float(np.mean(np.abs(0.5 * (st.low + st.up) - st.y)))
-
-
-def _winkler(st: IntervalStats, alpha: float) -> float:
-    _check_alpha(alpha)
-    return float(np.mean(st.width + (2.0 / alpha) * st.overshoot))
-
-
-def picp(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> float:
-    """Prediction-interval coverage probability (closed interval)."""
-    return interval_stats(iv, y, mask).coverage
-
-
-def mpiw(iv: IntervalSet, mask: np.ndarray) -> float:
-    """Mean prediction-interval width."""
-    return float(np.mean(interval_stats(iv, None, mask).width))
-
-
-def nmpiw(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> float:
-    """MPIW normalised by the target range over the same mask."""
-    return _nmpiw(interval_stats(iv, y, mask))
-
-
-def mpe(iv: IntervalSet, y: np.ndarray, mask: np.ndarray) -> float:
-    """Mean absolute error of the interval centre."""
-    return _mpe(interval_stats(iv, y, mask))
-
-
-def sharpness(iv: IntervalSet, mask: np.ndarray) -> float:
-    """Mean squared width; punishes occasional very wide intervals."""
-    return float(np.mean(interval_stats(iv, None, mask).width ** 2))
-
-
-def winkler(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
-            alpha: float) -> float:
-    """Winkler score: width plus (2 / alpha) times the overshoot."""
-    return _winkler(interval_stats(iv, y, mask), alpha)
-
-
 def cwc(nmpiw_value: float, picp_value: float, alpha: float) -> float:
     """Coverage-width criterion.
 
@@ -151,17 +101,27 @@ def cwc(nmpiw_value: float, picp_value: float, alpha: float) -> float:
 
 def report(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
            alpha: float) -> MetricsReport:
-    """All seven metrics on one mask."""
+    """All seven metrics on one mask.
+
+    nmpiw divides mpiw by the masked target range, mpe is the interval
+    centre's mean absolute error, sharpness the mean squared width and
+    winkler the width plus (2 / alpha) times the overshoot.
+    """
     st = interval_stats(iv, y, mask)
-    nmpiw_value = _nmpiw(st)
+    span = float(st.y.max() - st.y.min())
+    if span <= 0.0:
+        raise ParameterError("nmpiw undefined: targets are constant on the mask")
+    _check_alpha(alpha)
+    mpiw = float(np.mean(st.width))
+    nmpiw = mpiw / span
     return MetricsReport(
         picp=st.coverage,
-        mpiw=float(np.mean(st.width)),
-        nmpiw=nmpiw_value,
-        mpe=_mpe(st),
+        mpiw=mpiw,
+        nmpiw=nmpiw,
+        mpe=float(np.mean(np.abs(0.5 * (st.low + st.up) - st.y))),
         sharpness=float(np.mean(st.width ** 2)),
-        winkler=_winkler(st, alpha),
-        cwc=cwc(nmpiw_value, st.coverage, alpha),
+        winkler=float(np.mean(st.width + (2.0 / alpha) * st.overshoot)),
+        cwc=cwc(nmpiw, st.coverage, alpha),
         n_eval=int(st.mask.sum()),
         alpha=alpha,
     )

@@ -17,7 +17,7 @@ from qpignn.harness import (DEFAULT_LAMBDA_GRID, TrainConfig,
                             gaussian_optimal_halfwidth, lambda_sweep,
                             lambda_tune, train_qpignn)
 from qpignn.losses import LossConfig, qpi_total_loss, rqr_adj_loss, sqr_loss
-from qpignn.metrics import report
+from qpignn.metrics import interval_stats, report
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from qpignn.rng import derive_seed, keyed_rng
 
@@ -95,7 +95,8 @@ def test_criterion_1_gradient_fidelity():
 
     def f_qpi(params):
         iv = q.forward_intervals(model, ds.graph, ds.features, tape=Tape())
-        return qpi_total_loss(iv, ds.targets, mask, cfg).node
+        return qpi_total_loss(iv, interval_stats(iv, ds.targets, mask),
+                              cfg).node
 
     errs["qpi"] = finite_diff_check(f_qpi, model.params)
 
@@ -111,7 +112,8 @@ def test_criterion_1_gradient_fidelity():
     def f_rqr(params):
         iv = q.forward_intervals(rqr_model, ds.graph, ds.features,
                                  tape=Tape())
-        return rqr_adj_loss(iv.low, iv.up, ds.targets, mask, ALPHA, 1.0, 1.0)
+        return rqr_adj_loss(iv, interval_stats(iv, ds.targets, mask), ALPHA,
+                            1.0, 1.0)
 
     errs["rqr"] = finite_diff_check(f_rqr, rqr_model.params)
     secs = time.perf_counter() - t0

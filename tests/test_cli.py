@@ -282,6 +282,25 @@ def test_report_rejects_short_rows(tmp_path, capsys):
         in capsys.readouterr().err
 
 
+def test_report_rejects_non_numeric_cells(tmp_path, capsys):
+    a = tmp_path / "a"
+    assert _train(a) == 0
+    metrics = a / "metrics.csv"
+    header, first, *rest = metrics.read_text().splitlines()
+    names, cells = header.split(","), first.split(",")
+    for name, bad in (("lambda", "x0.05"), ("mpe", "abc")):
+        i = names.index(name)
+        metrics.write_text("\n".join(
+            [header, ",".join(cells[:i] + [bad] + cells[i + 1:]), *rest])
+            + "\n")
+        capsys.readouterr()
+        assert run(["report", "--inputs", str(metrics),
+                    "--out", str(tmp_path / "summary")]) == 2
+        assert f"{metrics}:2: {name} cell {bad!r} is not a number" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "summary").exists()
+
+
 def test_ablate_and_robust_small(tmp_path):
     out = tmp_path / "abl"
     assert run(["ablate", *FAST_DS, *FAST_TRAIN, "--seeds", "0,1",

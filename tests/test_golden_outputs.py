@@ -268,5 +268,10 @@ def test_json_holds_the_csv_table(case, tmp_path, monkeypatch):
                         (stem, name)
     if case == "eval":
         assert nulls == 3  # the NaN lambda of each mask's row
+    if case == "report":
+        # the evaluated rows' NaN lambda, and the trained rows' number
+        assert nulls == 1
+        summary = json.loads(Path("json/summary.json").read_text())["rows"]
+        assert [row["lambda"] for row in summary] == [0.05, None]
     if case == "ablate":
         assert tables == ["ablation", "ablation_summary"]

@@ -32,8 +32,8 @@ from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
                             convergence_check, dataset_preset, lambda_sweep,
                             lambda_tune, robustness_suite,
                             selection_objective, shift_matrix,
-                            split_experiment, trajectory_csv, train_baseline,
-                            train_qpignn, ablation_suite)
+                            split_experiment, trajectory_csv, train_qpignn,
+                            ablation_suite)
 from qpignn.metrics import MetricsReport
 from qpignn.rng import keyed_rng
 
@@ -72,6 +72,9 @@ def test_train_config_validation():
                 TrainConfig(**{name: bad})
     with pytest.raises(ParameterError):
         TrainConfig(loss_kind="huber")
+    # checked when built, not when a (possibly pooled) run starts
+    with pytest.raises(ParameterError, match="width_norm"):
+        TrainConfig(width_norm="l3")
     # quantile losses are tied to their architecture
     with pytest.raises(ContractError):
         TrainConfig(loss_kind="sqr", model_variant="dual")
@@ -82,13 +85,30 @@ def test_train_config_validation():
 
 
 def test_train_is_the_single_entry_point(small_ds):
-    assert train_qpignn is q.train and train_baseline is q.train
+    assert train_qpignn is q.train
     for kind, variant in (("qpi", "dual"), ("rqr_adj", "rqr")):
         cfg = TrainConfig(epochs=3, hidden=8, loss_kind=kind,
                           model_variant=variant)
         model, rec = q.train(small_ds, cfg)
         assert model.config.variant == variant
         assert rec.loss.shape == (3,) and np.all(np.isfinite(rec.loss))
+
+
+def test_one_interval_pass_per_epoch(small_ds, monkeypatch):
+    """The loss terms and the recorded trajectory share one masked pass
+    per epoch; each final per-mask report makes one more."""
+    calls = []
+    original = q.metrics.interval_stats
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    for module in (q.harness, q.losses, q.metrics):
+        if hasattr(module, "interval_stats"):
+            monkeypatch.setattr(module, "interval_stats", counted)
+    _, rec = q.train(small_ds, TrainConfig(epochs=4, hidden=8))
+    assert len(rec.reports) == 3
+    assert len(calls) == 4 + 3
 
 
 def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
@@ -221,7 +241,7 @@ def test_pure_noise_coverage_without_width_penalty(small_ds):
 def test_rqr_keeps_bounds_ordered(small_ds):
     cfg = TrainConfig(epochs=200, loss_kind="rqr_adj", model_variant="rqr",
                       seed=0)
-    _, rec = train_baseline(small_ds, cfg)
+    _, rec = q.train(small_ds, cfg)
     assert rec.crossing_rate < 0.05
     assert rec.crossing_rate == 0.0
 
@@ -229,7 +249,7 @@ def test_rqr_keeps_bounds_ordered(small_ds):
 def test_sqr_run_produces_intervals(small_ds):
     cfg = TrainConfig(epochs=100, loss_kind="sqr", model_variant="sqr",
                       seed=0)
-    _, rec = train_baseline(small_ds, cfg)
+    _, rec = q.train(small_ds, cfg)
     rep = rec.reports["test"]
     assert np.isfinite([rep.picp, rep.mpiw, rep.winkler]).all()
     assert rep.mpiw > 0
@@ -241,7 +261,7 @@ def test_mc_dropout_intervals_come_from_sampling(small_ds):
     dropout pass, not the loss."""
     cfg = TrainConfig(epochs=100, loss_kind="mse_mcdropout",
                       model_variant="dual", seed=0, mc_passes=30)
-    _, rec = train_baseline(small_ds, cfg)
+    _, rec = q.train(small_ds, cfg)
     assert np.all(rec.width == 0.0)
     assert rec.reports["test"].mpiw > 0
 

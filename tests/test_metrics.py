@@ -12,8 +12,7 @@ from qpignn.cli import RUN_COLUMNS, RUN_KEYS, _run_row, _write_outputs
 from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError
 from qpignn.metrics import (CWC_ETA, CWC_GAMMA, METRIC_FIELDS, MetricsReport,
-                            cwc, interval_stats, mpe, mpiw, nmpiw, picp,
-                            report, sharpness, winkler)
+                            cwc, interval_stats, report)
 from qpignn.model import IntervalSet
 from qpignn.rng import keyed_rng
 
@@ -55,16 +54,15 @@ ALL = np.ones(4, bool)
 
 
 def test_hand_example():
-    iv = _iv(LOW, UP)
-    y = np.array(Y)
-    assert picp(iv, y, ALL) == 0.5
-    assert mpiw(iv, ALL) == pytest.approx((1 + 2 + 2 + 2) / 4)
-    assert nmpiw(iv, y, ALL) == pytest.approx(1.75 / 3.0)
+    rep = report(_iv(LOW, UP), np.array(Y), ALL, 0.1)
+    assert rep.picp == 0.5
+    assert rep.mpiw == pytest.approx((1 + 2 + 2 + 2) / 4)
+    assert rep.nmpiw == pytest.approx(1.75 / 3.0)
     # centres 0.5, 0.0, 3.0, 1.0 -> errors 0, 2, 1, 2
-    assert mpe(iv, y, ALL) == pytest.approx(1.25)
-    assert sharpness(iv, ALL) == pytest.approx((1 + 4 + 4 + 4) / 4)
+    assert rep.mpe == pytest.approx(1.25)
+    assert rep.sharpness == pytest.approx((1 + 4 + 4 + 4) / 4)
     # overshoots 0, 1, 0, 1 at alpha 0.1 -> widths + 20*overshoot
-    assert winkler(iv, y, ALL, 0.1) == pytest.approx((1 + 22 + 2 + 22) / 4)
+    assert rep.winkler == pytest.approx((1 + 22 + 2 + 22) / 4)
 
 
 def test_cwc_at_nominal_coverage_doubles_nmpiw():
@@ -91,24 +89,24 @@ def test_report_matches_scalar_loop():
 def test_metrics_respect_mask():
     iv = _iv(LOW, UP)
     y = np.array(Y)
-    mask = np.array([1, 0, 1, 0], bool)
-    assert picp(iv, y, mask) == 1.0
-    assert mpiw(iv, mask) == pytest.approx(1.5)
+    rep = report(iv, y, np.array([1, 0, 1, 0], bool), 0.1)
+    assert rep.picp == 1.0
+    assert rep.mpiw == pytest.approx(1.5)
 
 
 def test_error_paths():
     iv = _iv(LOW, UP)
     y = np.array(Y)
     with pytest.raises(ContractError):
-        picp(iv, y, np.ones(3, bool))
+        report(iv, y, np.ones(3, bool), 0.1)
     with pytest.raises(ContractError):
-        mpiw(iv, np.zeros(4, bool))
+        report(iv, y, np.zeros(4, bool), 0.1)
     with pytest.raises(ContractError):
-        picp(iv, np.zeros(5), ALL)
+        report(iv, np.zeros(5), ALL, 0.1)
+    with pytest.raises(ParameterError):   # nmpiw: constant targets
+        report(iv, np.full(4, 2.0), ALL, 0.1)
     with pytest.raises(ParameterError):
-        nmpiw(iv, np.full(4, 2.0), ALL)
-    with pytest.raises(ParameterError):
-        winkler(iv, y, ALL, 0.0)
+        report(iv, y, ALL, 0.0)
     with pytest.raises(ParameterError):
         cwc(0.5, 0.9, 1.0)
 
@@ -126,9 +124,6 @@ def test_interval_stats_violation_and_overshoot():
     np.testing.assert_array_equal(st_.overshoot, [0.0, 2.0, 0.5, 1.0])
     masked = interval_stats(iv, y, np.array([0, 1, 0, 1], bool))
     assert masked.y.tolist() == [3.0, -1.0]
-    widths_only = interval_stats(iv, None, ALL)
-    assert widths_only.y is None and widths_only.violation is None
-    np.testing.assert_array_equal(widths_only.width, st_.width)
 
 
 finite = st.floats(-50, 50, allow_nan=False)
