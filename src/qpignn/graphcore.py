@@ -80,11 +80,11 @@ class Graph:
         if bad.any():
             raise ContractError(
                 f"row {rows[np.argmax(bad)]} is not strictly sorted")
-        # Symmetry: the set of (row, col) pairs must equal its transpose.
-        # Sorted rows make the forward keys ascending already.
-        fwd = rows * n + col
-        bwd = col * n + rows
-        if not np.array_equal(fwd, np.sort(bwd)):
+        # Symmetry: sorted unique rows equal their transpose iff the CSC
+        # form (a counting sort) repeats the CSR arrays.
+        csc = sparse.csr_matrix((np.ones(col.size, bool), col, off), (n, n)).tocsc()
+        if not (np.array_equal(csc.indptr, off)
+                and np.array_equal(csc.indices, col)):
             raise ContractError("adjacency is not symmetric")
 
     @property
@@ -111,28 +111,32 @@ def from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a Graph from an iterable of (u, v) pairs or an (m, 2) array.
 
     Symmetrises, removes duplicates and self loops, and sorts rows, so
-    callers may hand over edges in any order and direction.
+    callers may hand over edges in any order and direction.  Anything
+    but integer (u, v) pairs raises ParameterError.
     """
     if num_nodes < 1:
         raise ParameterError("num_nodes must be >= 1")
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    try:
+        arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+    except (TypeError, ValueError) as exc:
+        raise ParameterError(f"edges must be (u, v) pairs: {exc}") from exc
+    if arr.size == 0:
+        arr = np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2 or arr.dtype.kind not in "iu":
+        raise ParameterError("edges must be (u, v) pairs of integer node "
+                             f"ids, got shape {arr.shape} of {arr.dtype}")
     if arr.size:
         if arr.min() < 0 or arr.max() >= num_nodes:
             bad = int(arr.max() if arr.max() >= num_nodes else arr.min())
             raise ParameterError(f"edge endpoint {bad} out of range")
         arr = arr[arr[:, 0] != arr[:, 1]]
-    # One key per directed pair; ascending keys are (u, v) in
-    # lexicographic order.  Sort and drop repeats by hand: a bare
-    # np.unique hashes, which is far slower on large integer arrays.
+    # Both directions into COO; the CSR build sorts rows and merges repeats.
     u, v = arr[:, 0], arr[:, 1]
-    keys = np.sort(np.concatenate([u * num_nodes + v, v * num_nodes + u]))
-    keys = keys[np.diff(keys, prepend=-1) != 0]
-    rows, cols = np.divmod(keys, num_nodes)
-    offsets = np.zeros(num_nodes + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=num_nodes), out=offsets[1:])
-    return Graph(num_nodes, offsets, cols)
+    adj = sparse.coo_matrix((np.ones(2 * u.size, dtype=bool),
+                             (np.concatenate([u, v]), np.concatenate([v, u]))),
+                            shape=(num_nodes, num_nodes)).tocsr()
+    return Graph(num_nodes, adj.indptr.astype(np.int64),
+                 adj.indices.astype(np.int64))
 
 
 # One mean-adjacency operator per live Graph.  It is kept off the Graph
@@ -370,23 +374,25 @@ def _propagate_labels(graph: Graph) -> np.ndarray:
     among them, ties broken toward the lowest label; all nodes update at
     once from the previous round's labels, and isolated nodes keep their
     own.  Stops after ``_LABEL_PROP_ROUNDS`` rounds or when a round
-    changes nothing.  Each round sorts the (node, neighbour label) keys
-    once, so it costs O(E log E) with no per-node Python work.
+    changes nothing.  Each round's ``sum_duplicates`` on the CSR matrix
+    of neighbour labels sorts every row and counts its labels in C++.
     """
     n = graph.num_nodes
     labels = np.arange(n, dtype=np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    has = np.flatnonzero(graph.degrees)
     for _ in range(_LABEL_PROP_ROUNDS):
-        keys, counts = np.unique(rows * n + labels[graph.col_indices],
-                                 return_counts=True)
-        node, label = np.divmod(keys, n)
-        opens = np.diff(node, prepend=-1) != 0      # a node's first key
-        best = np.maximum.reduceat(counts, np.flatnonzero(opens))
-        hits = np.flatnonzero(counts == best[np.cumsum(opens) - 1])
-        # Keys ascend within a node, so its first hit is the lowest label.
-        first = hits[np.diff(node[hits], prepend=-1) != 0]
+        # scipy rewrites all three arrays in place: hand it fresh ones.
+        counts = sparse.csr_matrix(
+            (np.ones(graph.col_indices.size, dtype=np.int64),
+             labels[graph.col_indices], graph.row_offsets.copy()),
+            shape=(n, n))
+        counts.sum_duplicates()
+        # Row maximum of count, then of -label: the most frequent label,
+        # the lowest one on a tie.
+        best = np.maximum.reduceat(counts.data * n + (n - 1 - counts.indices),
+                                   counts.indptr[has])
         nxt = labels.copy()
-        nxt[node[first]] = label[first]
+        nxt[has] = n - 1 - best % n
         if np.array_equal(nxt, labels):
             break
         labels = nxt

@@ -12,7 +12,7 @@ import pytest
 import qpignn as q
 from qpignn.diffkit import Tape, finite_diff_check
 from qpignn.graphcore import Dataset, PerturbSpec, perturb
-from qpignn.harness import (DEFAULT_LAMBDA_GRID, TrainConfig,
+from qpignn.harness import (DEFAULT_LAMBDA_GRID, TrainConfig, _train_all,
                             concentration_check, convergence_check,
                             gaussian_optimal_halfwidth, lambda_sweep,
                             lambda_tune, train_qpignn)
@@ -44,19 +44,19 @@ def ds_main(graph42):
 
 
 @pytest.fixture(scope="module")
-def sigma_runs(graph42):
-    """Default-config runs at three target-noise levels."""
-    out = {}
-    for sigma in (0.1, 0.2, 0.3):
-        ds = q.synth_dataset(graph42, "gaussian", 8, sigma, seed=42)
-        _, rec = train_qpignn(ds, TrainConfig())
-        out[sigma] = (ds, rec)
-    return out
-
-
-@pytest.fixture(scope="module")
-def default_run(ds_main):
-    return train_qpignn(ds_main, TrainConfig())[1]
+def protocol_runs(graph42, ds_main):
+    """The five default-config runs of criteria 7 and 8, trained as one
+    batch on two workers: ``ds_main`` (sigma=1.0), three target-noise
+    levels, and sigma=0.3 after 20 % edge dropout."""
+    sigma_ds = {s: q.synth_dataset(graph42, "gaussian", 8, s, seed=42)
+                for s in (0.1, 0.2, 0.3)}
+    dropped = perturb(sigma_ds[0.3], PerturbSpec(
+        "edge_dropout", 0.2, seed=derive_seed(42, "acc-edge")))
+    datasets = [ds_main, *sigma_ds.values(), dropped]
+    recs = [rec for _, rec in
+            _train_all([(d, TrainConfig()) for d in datasets], jobs=2)]
+    return {"default": recs[0], "edge_dropout": recs[4],
+            "sigma": dict(zip(sigma_ds, recs[1:4]))}
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +264,10 @@ def test_criterion_6_coverage_concentration():
 # 7. Default-configuration runs converge
 # ---------------------------------------------------------------------------
 
-def test_criterion_7_training_convergence(default_run, sigma_runs):
-    recs = [("sigma=1.0", default_run)]
-    recs += [(f"sigma={s}", rec) for s, (_, rec) in sorted(sigma_runs.items())]
+def test_criterion_7_training_convergence(protocol_runs):
+    recs = [("sigma=1.0", protocol_runs["default"])]
+    recs += [(f"sigma={s}", rec)
+             for s, rec in sorted(protocol_runs["sigma"].items())]
     results = [(name, convergence_check(rec)) for name, rec in recs]
     ok = all(chk.passed for _, chk in results)
     _verdict(7, ok, ", ".join(
@@ -277,18 +278,15 @@ def test_criterion_7_training_convergence(default_run, sigma_runs):
 # 8. Widths track noise; coverage survives edge dropout
 # ---------------------------------------------------------------------------
 
-def test_criterion_8_noise_robustness(sigma_runs):
-    reps = {s: rec.reports["test"] for s, (_, rec) in sigma_runs.items()}
+def test_criterion_8_noise_robustness(protocol_runs):
+    reps = {s: rec.reports["test"] for s, rec in protocol_runs["sigma"].items()}
     mpiws = [reps[s].mpiw for s in (0.1, 0.2, 0.3)]
     picps = [reps[s].picp for s in (0.1, 0.2, 0.3)]
     widths_ok = mpiws[0] <= mpiws[1] <= mpiws[2]
     coverage_ok = all(p >= 0.85 for p in picps)
 
-    ds3, rec3 = sigma_runs[0.3]
-    pds = perturb(ds3, PerturbSpec("edge_dropout", 0.2,
-                                   seed=derive_seed(42, "acc-edge")))
-    _, prec = train_qpignn(pds, TrainConfig())
-    delta = abs(prec.reports["test"].picp - rec3.reports["test"].picp)
+    delta = abs(protocol_runs["edge_dropout"].reports["test"].picp
+                - reps[0.3].picp)
     ok = widths_ok and coverage_ok and delta <= 0.1
     _verdict(8, ok,
              f"mpiw {mpiws[0]:.3f}/{mpiws[1]:.3f}/{mpiws[2]:.3f}, "

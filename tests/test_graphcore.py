@@ -77,6 +77,20 @@ def test_from_edges_dedupes_and_validates():
         q.from_edges(3, [(0, 5)])
     with pytest.raises(ContractError):
         q.Graph(2, np.array([0, 1, 2]), np.array([0, 0]))
+    # a pair repeated past any small integer width is still one edge
+    g = q.from_edges(3, [(0, 2)] * 300 + [(2, 0)] * 300)
+    assert g.num_edges == 1
+    assert np.array_equal(g.col_indices, [2, 0])
+    # empty input of any container is an edgeless graph
+    for empty in ([], (), np.empty((0, 2), dtype=np.int64), np.array([])):
+        assert q.from_edges(3, empty).num_edges == 0
+    # anything but integer (u, v) pairs is refused, never re-paired or
+    # truncated
+    for bad in (np.array([[0, 1, 2], [3, 4, 5]]), [(0, 1, 2)],
+                [(0, 1), (1,)], [(0.9, 2.7)], np.array([[0.0, 1.0]]),
+                np.array([0, 1]), [[True, False]], 5):
+        with pytest.raises(ParameterError):
+            q.from_edges(6, bad)
 
 
 @pytest.mark.parametrize("n, offsets, cols, message", [
@@ -259,13 +273,14 @@ def _reference_labels(graph):
     return labels
 
 
-def _reference_community_split(graph, spec):
-    """Dict-of-lists community grouping, the oracle for ``split``."""
+def _reference_community_split(graph, spec, labels):
+    """Dict-of-lists community grouping of the oracle's ``labels``, the
+    oracle for ``split``."""
     n = graph.num_nodes
     graphcore._mask_sizes(n, spec.ratios)
     n_train = int(spec.ratios[0] * n)
     comms = {}
-    for v, lab in enumerate(_reference_labels(graph)):
+    for v, lab in enumerate(labels):
         comms.setdefault(int(lab), []).append(v)
     ordered = sorted(comms.values(), key=lambda nodes: (-len(nodes), nodes[0]))
     train_nodes, i = [], 0
@@ -285,11 +300,12 @@ def _reference_community_split(graph, spec):
 
 
 def _assert_community_matches_reference(g):
-    assert np.array_equal(graphcore._propagate_labels(g), _reference_labels(g))
+    labels = _reference_labels(g)
+    assert np.array_equal(graphcore._propagate_labels(g), labels)
     for ratios in (DEFAULT_RATIOS, (0.3, 0.4, 0.3), (0.8, 0.1, 0.1)):
         spec = SplitSpec(kind="community", ratios=ratios, seed=0)
         try:
-            want = _reference_community_split(g, spec)
+            want = _reference_community_split(g, spec, labels)
         except ParameterError:
             with pytest.raises(ParameterError):
                 split(g, spec)
@@ -319,9 +335,24 @@ def test_community_split_matches_reference_on_random_graphs(n, edges):
     lambda: q.gen_tree(2, 5), lambda: q.gen_tree(3, 3),
     lambda: q.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # tied cycle
     lambda: q.gen_ba(60, 2, seed=1), lambda: q.gen_er(50, 0.05, seed=2),
+    # K(2, 300): in round 2 each hub sees 300 neighbours of one label
+    lambda: q.from_edges(302, [(h, v) for h in (0, 1) for v in range(2, 302)]),
+    lambda: q.gen_grid(40, 41),  # every node changes in all 20 rounds
+    lambda: q.gen_ba(400, 3, seed=5),
 ])
 def test_community_split_matches_reference_on_presets(make):
     _assert_community_matches_reference(make())
+
+
+def test_graph_arrays_are_never_rewritten():
+    g = q.gen_grid(20, 20)
+    for arr in (g.row_offsets, g.col_indices):
+        arr.flags.writeable = False
+    before = g.row_offsets.tobytes(), g.col_indices.tobytes()
+    split(g, SplitSpec(kind="community", ratios=DEFAULT_RATIOS, seed=0))
+    mean_adjacency(g)
+    g.validate()
+    assert (g.row_offsets.tobytes(), g.col_indices.tobytes()) == before
 
 
 def test_split_spec_validation():
