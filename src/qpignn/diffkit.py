@@ -152,18 +152,6 @@ class Tape:
     def record(self, step: Callable[[], None]) -> None:
         self._steps.append(step)
 
-    def release(self) -> None:
-        """Drop the recorded closures, and with them the arrays their
-        adjoints read; the tape cannot be replayed after.
-
-        ``harness.train`` releases each tape one epoch late, after the
-        next loss node is built, so the freed blocks lie under live ones
-        and get reused.  Released at the end of its own epoch, the top of
-        the heap went back to the system and the next forward pass
-        faulted it in again, which made epochs slower.
-        """
-        self._steps.clear()
-
     def __len__(self) -> int:
         return len(self._steps)
 

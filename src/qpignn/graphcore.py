@@ -341,8 +341,9 @@ class PerturbSpec:
     def __post_init__(self):
         if self.kind not in PERTURB_KINDS:
             raise ParameterError(f"unknown perturbation kind {self.kind!r}")
-        if self.level < 0.0:
-            raise ParameterError("level must be non-negative")
+        # Chained, so NaN (which fails every comparison) is refused too.
+        if not 0.0 <= self.level < math.inf:
+            raise ParameterError("level must be finite and >= 0")
         if self.kind == "edge_dropout" and self.level > 1.0:
             raise ParameterError("edge_dropout level must lie in [0, 1]")
 

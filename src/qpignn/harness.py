@@ -110,6 +110,7 @@ class TrainConfig:
             raise ContractError(
                 f"loss_kind {self.loss_kind!r} cannot train "
                 f"model_variant {self.model_variant!r}")
+        self.model_config(1)  # hidden and dropout_p
         if self.mc_passes < 2:
             raise ParameterError("mc_passes must be >= 2")
 
@@ -117,6 +118,11 @@ class TrainConfig:
         return LossConfig(alpha=self.alpha, lambda_width=self.lambda_width,
                           width_norm=self.width_norm,
                           smooth_coverage=self.smooth_coverage)
+
+    def model_config(self, in_dim: int) -> ModelConfig:
+        return ModelConfig(in_dim=in_dim, hidden=self.hidden,
+                           variant=self.model_variant,
+                           dropout_p=self.dropout_p)
 
 
 @dataclass(frozen=True)
@@ -219,18 +225,18 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
                 lcfg: LossConfig, ep: int):
     """Build one epoch's loss node.
 
-    Returns (node, tape, stats) where stats carries the float values for
-    the RunRecord arrays.  Coverage/width/violation are recorded for the
-    train mask from whatever intervals the loss kind provides; MSE kinds
-    record the degenerate point interval so the trajectory makes the
-    absence of interval training visible.
+    Returns (node, stats) where ``node.tape`` is the epoch's tape and
+    stats carries the float values for the RunRecord arrays.
+    Coverage/width/violation are recorded for the train mask from
+    whatever intervals the loss kind provides; MSE kinds record the
+    degenerate point interval so the trajectory makes the absence of
+    interval training visible.
     """
     y, mask = ds.targets, ds.train_mask
     ep_seed = derive_seed(cfg.seed, "epoch", ep)
 
     if cfg.loss_kind == "sqr":
         node = sqr_loss(model, ds, mask, seed=ep_seed)
-        tape = node.tape
         iv = forward_intervals(model, ds.graph, ds.features, alpha=cfg.alpha)
     else:
         tape = dk.Tape()
@@ -253,9 +259,8 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
         node = rqr_adj_loss(iv, st, cfg.alpha, RQR_LAMBDA, RQR_GAMMA_ORDER)
     elif cfg.loss_kind not in ("sqr", "mse_only", "mse_mcdropout"):
         raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
-    return node, tape, dict(coverage=st.coverage, width=float(st.width.mean()),
-                            loss=node.item(),
-                            violation=float(st.violation.mean()))
+    return node, dict(coverage=st.coverage, width=float(st.width.mean()),
+                      loss=node.item(), violation=float(st.violation.mean()))
 
 
 def _final_intervals(model: Model, ds: Dataset, cfg: TrainConfig) -> IntervalSet:
@@ -278,9 +283,7 @@ def train(ds: Dataset,
     """
     cfg = cfg or TrainConfig()
     lcfg = cfg.loss_config()
-    mcfg = ModelConfig(in_dim=ds.feat_dim, hidden=cfg.hidden,
-                       variant=cfg.model_variant, dropout_p=cfg.dropout_p)
-    model = init_model(mcfg, cfg.seed)
+    model = init_model(cfg.model_config(ds.feat_dim), cfg.seed)
     state = AdamState.for_params(model.params, lr=cfg.lr,
                                  weight_decay=cfg.weight_decay,
                                  sqrt_decay=cfg.sqrt_lr_decay)
@@ -292,26 +295,22 @@ def train(ds: Dataset,
     gnorm = np.zeros(n_ep)
     viol = np.zeros(n_ep)
 
-    prev_tape = None
     for ep in range(n_ep):
-        node, tape, stats = _epoch_loss(model, ds, cfg, lcfg, ep)
-        # Release the previous epoch's tape one epoch late, while this
-        # epoch's buffers are live (see ``Tape.release``).
-        if prev_tape is not None:
-            prev_tape.release()
-        prev_tape = tape
+        node, stats = _epoch_loss(model, ds, cfg, lcfg, ep)
         if not math.isfinite(stats["loss"]):
             raise TrainingError("loss became non-finite", epoch=ep,
                                 diagnostics=stats)
-        dk.backward(tape, node)
+        dk.backward(node.tape, node)
         gnorm[ep] = grad_norm(model.params)
         adam_step(model.params, state)
+        # The loss node holds the last reference to the epoch's tape, so
+        # the tape and every array it holds are freed here, before the
+        # next forward pass.
+        del node
         cov[ep] = stats["coverage"]
         wid[ep] = stats["width"]
         loss[ep] = stats["loss"]
         viol[ep] = stats["violation"]
-    if prev_tape is not None:
-        prev_tape.release()
 
     iv = _final_intervals(model, ds, cfg)
     reports = {name: report(iv, ds.targets, mask, cfg.alpha)

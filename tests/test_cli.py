@@ -27,6 +27,11 @@ def test_unknown_subcommand_exits_1(capsys):
     *(["train", flag, value] for flag in ("--lr", "--weight-decay", "--lambda")
       for value in ("nan", "inf")),
     ["train", "--noise-sigma", "nan"],
+    # model shapes are refused before any run, and before a pool starts
+    ["train", "--hidden", "0"],
+    ["train", "--dropout", "1.5"],
+    ["train", "--dropout", "nan"],
+    ["sweep", "--hidden", "0", "--jobs", "2"],
     ["sweep", "--grid", "nan"],
     ["sweep", "--tune", "--bounds", "0.1,inf"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))

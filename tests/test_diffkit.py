@@ -309,7 +309,7 @@ def test_param_store_guards():
 
 
 # ---------------------------------------------------------------------------
-# Lazy grad buffers, passed-on adjoints, lifetimes and released tapes
+# Lazy grad buffers, passed-on adjoints and lifetimes
 # ---------------------------------------------------------------------------
 
 def test_unreached_tensors_keep_no_grad():
@@ -437,15 +437,6 @@ def test_backward_replays_a_tape_once():
     backward(tape, loss)
     with pytest.raises(ContractError, match="already replayed"):
         backward(tape, loss)
-
-
-def test_release_drops_the_steps():
-    tape = Tape()
-    a = tape.leaf(np.ones((2, 2)))
-    dk.reduce_mean(dk.mul(a, a))
-    assert len(tape) == 2
-    tape.release()
-    assert len(tape) == 0
 
 
 def test_mean_adjacency_is_memoised_per_graph(small_ds):

@@ -415,6 +415,12 @@ def test_perturb_spec_validation():
         PerturbSpec(kind="target_noise", level=-1.0, seed=0)
     with pytest.raises(ParameterError):
         PerturbSpec(kind="edge_dropout", level=1.5, seed=0)
+    # NaN fails every comparison; neither it nor infinity is a level
+    for kind in ("feature_noise", "target_noise", "edge_dropout"):
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="level"):
+                PerturbSpec(kind=kind, level=bad, seed=0)
+        assert PerturbSpec(kind=kind, level=0.0).level == 0.0
 
 
 # ---------------------------------------------------------------------------
