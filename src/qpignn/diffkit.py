@@ -162,7 +162,7 @@ def backward(tape: Tape, loss: Tensor) -> None:
     Afterwards only leaves hold ``grad``: every intermediate has passed
     its gradient on.  Parameter leaves add into their store's buffers.
     """
-    if loss.tape is not tape:
+    if tape is None or loss.tape is not tape:
         raise ContractError("loss was not recorded on this tape")
     if loss.shape != (1, 1):
         raise ContractError("backward needs a scalar (1, 1) loss")

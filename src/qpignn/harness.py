@@ -46,7 +46,7 @@ _ALLOWED_VARIANTS = {
     "width_only": ("dual", "fixed_margin", "single"),
     "mse_only": ("dual", "fixed_margin", "single"),
     "sqr": ("sqr",),
-    "rqr_adj": ("rqr",),
+    "rqr_adj": ("single", "dual", "fixed_margin"),
     "mse_mcdropout": ("dual",),
 }
 
@@ -106,10 +106,11 @@ class TrainConfig:
         self.loss_config()  # alpha and width_norm
         if self.loss_kind not in _ALLOWED_VARIANTS:
             raise ParameterError(f"unknown loss_kind {self.loss_kind!r}")
-        if self.model_variant not in _ALLOWED_VARIANTS[self.loss_kind]:
+        allowed = _ALLOWED_VARIANTS[self.loss_kind]
+        if self.model_variant not in allowed:
             raise ContractError(
-                f"loss_kind {self.loss_kind!r} cannot train "
-                f"model_variant {self.model_variant!r}")
+                f"loss_kind {self.loss_kind!r} cannot train model_variant "
+                f"{self.model_variant!r}; it trains {', '.join(allowed)}")
         self.model_config(1)  # hidden and dropout_p
         if self.mc_passes < 2:
             raise ParameterError("mc_passes must be >= 2")
@@ -277,9 +278,9 @@ def train(ds: Dataset,
           cfg: TrainConfig | None = None) -> tuple[Model, RunRecord]:
     """Full-batch training of any loss kind: forward, loss, backward, Adam.
 
-    The joint interval loss and its ablations train the interval heads;
-    the reference objectives (SQR, RQR-adj, MSE+MC-dropout) train the
-    architecture each is tied to, as ``TrainConfig`` enforces.
+    The joint interval loss, its ablations and RQR-adj train the
+    interval heads; SQR and MSE+MC-dropout train the architecture each
+    is tied to, as ``TrainConfig`` enforces.
     """
     cfg = cfg or TrainConfig()
     lcfg = cfg.loss_config()

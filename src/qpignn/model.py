@@ -11,8 +11,6 @@ dropout) after each.  Heads differ:
                     ordering constraint.
 - ``sqr``:          a point head conditioned on a quantile level passed
                     as an extra input column.
-- ``rqr``:          same shape as ``single``; trained with a different
-                    objective by the harness.
 """
 from __future__ import annotations
 
@@ -29,7 +27,14 @@ from .errors import ContractError, ParameterError, ShapeError
 from .graphcore import Graph
 from .rng import derive_seed, keyed_rng
 
-VARIANTS = ("dual", "fixed_margin", "single", "sqr", "rqr")
+# Each variant's output heads: (name, width) pairs, one linear layer each.
+_HEADS = {
+    "dual": (("pred", 1), ("width", 1)),
+    "fixed_margin": (("pred", 1),),
+    "single": (("bounds", 2),),
+    "sqr": (("pred", 1),),
+}
+VARIANTS = tuple(_HEADS)
 
 
 @dataclass(frozen=True)
@@ -105,32 +110,24 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
     """
     d_in = config.encoder_in_dim
     h = config.hidden
+    heads = _HEADS[config.variant]
     shapes: dict[str, tuple[int, int]] = {
         "sage1.self": (d_in, h),
         "sage1.neigh": (d_in, h),
         "sage2.self": (h, h),
         "sage2.neigh": (h, h),
     }
-    if config.variant in ("dual", "fixed_margin", "sqr"):
-        shapes["pred.weight"] = (h, 1)
-    if config.variant == "dual":
-        shapes["width.weight"] = (h, 1)
-    if config.variant in ("single", "rqr"):
-        shapes["bounds.weight"] = (h, 2)
+    shapes.update((f"{head}.weight", (h, k)) for head, k in heads)
 
     params = ParamStore()
     for name, shape in sorted(shapes.items()):
         params.add(name, _glorot(shape, seed, name))
     params.add("sage1.bias", np.zeros((1, h)))
     params.add("sage2.bias", np.zeros((1, h)))
-    if config.variant in ("dual", "fixed_margin", "sqr"):
-        params.add("pred.bias", np.zeros((1, 1)))
-    if config.variant == "dual":
-        params.add("width.bias", np.zeros((1, 1)))
+    for head, k in heads:
+        params.add(f"{head}.bias", np.zeros((1, k)))
     if config.variant == "fixed_margin":
         params.add("margin", np.zeros((1, 1)))
-    if config.variant in ("single", "rqr"):
-        params.add("bounds.bias", np.zeros((1, 2)))
     return params
 
 
@@ -178,13 +175,15 @@ def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
                               dropout_p, train_mode, seed)
 
 
+def _head(h: Tensor, params: Mapping[str, Tensor], name: str) -> Tensor:
+    """One linear output head of ``_HEADS``: ``h @ weight + bias``."""
+    return dk.add_row_bias(dk.matmul(h, params[f"{name}.weight"]),
+                           params[f"{name}.bias"])
+
+
 def qpi_forward(h: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
     """Dual head: point prediction and softplus half-width (always >= 0)."""
-    yhat = dk.add_row_bias(dk.matmul(h, params["pred.weight"]),
-                           params["pred.bias"])
-    dhat = dk.softplus(dk.add_row_bias(dk.matmul(h, params["width.weight"]),
-                                       params["width.bias"]))
-    return yhat, dhat
+    return _head(h, params, "pred"), dk.softplus(_head(h, params, "width"))
 
 
 def intervals(yhat: Tensor, dhat: Tensor) -> IntervalSet:
@@ -200,14 +199,12 @@ def variant_forward(h: Tensor, params: Mapping[str, Tensor],
     if variant == "dual":
         return intervals(*qpi_forward(h, params))
     if variant == "fixed_margin":
-        yhat = dk.add_row_bias(dk.matmul(h, params["pred.weight"]),
-                               params["pred.bias"])
+        yhat = _head(h, params, "pred")
         half = dk.softplus(params["margin"])
         return IntervalSet(dk.add_row_bias(yhat, dk.scale(half, -1.0)),
                            dk.add_row_bias(yhat, half))
-    if variant in ("single", "rqr"):
-        bounds = dk.add_row_bias(dk.matmul(h, params["bounds.weight"]),
-                                 params["bounds.bias"])
+    if variant == "single":
+        bounds = _head(h, params, "bounds")
         # Raw (low, up) columns: no ordering is imposed here.
         return IntervalSet(dk.slice_cols(bounds, 0, 1),
                            dk.slice_cols(bounds, 1, 2))
@@ -233,8 +230,7 @@ def sqr_forward(graph: Graph, x: np.ndarray, tau, params: Mapping[str, Tensor],
     x_tau = constant(np.hstack([np.asarray(x, dtype=np.float64),
                                 tau_arr.reshape(-1, 1)]))
     h = encode(graph, x_tau, params, dropout_p, train_mode, seed)
-    return dk.add_row_bias(dk.matmul(h, params["pred.weight"]),
-                           params["pred.bias"])
+    return _head(h, params, "pred")
 
 
 def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
@@ -287,9 +283,7 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     for t in range(passes):
         h = _after_first_layer(graph, h1, params, dropout_p, True,
                                derive_seed(seed, "mc", t))
-        yhat = dk.add_row_bias(dk.matmul(h, params["pred.weight"]),
-                               params["pred.bias"])
-        rows.append(yhat.value.ravel())
+        rows.append(_head(h, params, "pred").value.ravel())
     return interval_from_mc_samples(np.vstack(rows), t_mult)
 
 
@@ -320,28 +314,45 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> Model:
     """Rebuild a model, validating every parameter's shape against the
     config and rejecting non-finite values.  A checkpoint without a
-    ``format_version`` is version 1; any other version is rejected."""
-    payload = json.loads(Path(path).read_text())
+    ``format_version`` is version 1; any other version is rejected.
+    Every malformed checkpoint raises ``ContractError``, an unknown
+    variant included."""
+    try:
+        payload = json.loads(Path(path).read_text())
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ContractError(f"checkpoint is not JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ContractError("checkpoint is not a JSON object")
     version = payload.get("format_version", CHECKPOINT_FORMAT)
     if type(version) is not int or version != CHECKPOINT_FORMAT:
         raise ContractError(
             f"checkpoint format_version {version!r} is not supported "
             f"(expected {CHECKPOINT_FORMAT})")
-    config = ModelConfig(**payload["config"])
-    expected = init_params(config, 0)
-    stored = payload["params"]
+    stored = payload.get("params")
+    if not isinstance(stored, dict):
+        raise ContractError("checkpoint has no 'params' object")
+    try:
+        config = ModelConfig(**payload.get("config"))
+        expected = init_params(config, 0)
+    except (TypeError, ValueError) as exc:
+        raise ContractError(f"checkpoint config is invalid: {exc}") from exc
     if set(stored) != set(expected.names()):
         raise ContractError("checkpoint parameter names do not match config")
     params = ParamStore()
     for name in expected.names():
-        shape = tuple(stored[name]["shape"])
-        if shape != expected.value(name).shape:
+        try:
+            shape = tuple(stored[name]["shape"])
+            arr = np.asarray(stored[name]["values"], dtype=np.float64)
+        except (TypeError, KeyError, ValueError) as exc:
             raise ContractError(
-                f"checkpoint shape {shape} for {name!r}, "
-                f"expected {expected.value(name).shape}")
-        arr = np.asarray(stored[name]["values"], dtype=np.float64).reshape(shape)
+                f"checkpoint parameter {name!r} is malformed") from exc
+        want = expected.value(name).shape
+        if shape != want or arr.size != expected.value(name).size:
+            raise ContractError(
+                f"checkpoint shape {shape} with {arr.size} values for "
+                f"{name!r}, expected {want}")
         if not np.all(np.isfinite(arr)):
             # json reads NaN and Infinity without complaint.
             raise ContractError(f"checkpoint parameter {name!r} is not finite")
-        params.add(name, arr)
+        params.add(name, arr.reshape(want))
     return Model(config, params)

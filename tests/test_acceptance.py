@@ -107,7 +107,7 @@ def test_criterion_1_gradient_fidelity():
 
     errs["sqr"] = finite_diff_check(f_sqr, sqr_model.params)
 
-    rqr_model = _jittered("rqr", 3)
+    rqr_model = _jittered("single", 3)
 
     def f_rqr(params):
         iv = q.forward_intervals(rqr_model, ds.graph, ds.features,

@@ -46,8 +46,13 @@ def test_loss_variant_mismatch_exits_1(tmp_path, capsys):
     code = run(["train", *FAST_DS, *FAST_TRAIN, "--loss", "sqr",
                 "--variant", "dual", "--out", str(tmp_path / "x")])
     assert code == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err
+    assert "it trains sqr" in err  # the rejection names what would run
     assert not (tmp_path / "x").exists()
+    assert run(["train", *FAST_DS, *FAST_TRAIN, "--loss", "mse_mcdropout",
+                "--variant", "single", "--out", str(tmp_path / "x")]) == 1
+    assert "it trains dual" in capsys.readouterr().err
 
 
 def test_bad_jobs_and_mc_passes_exit_1(tmp_path, capsys):
@@ -106,6 +111,45 @@ def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):
                 "--out", str(tmp_path / "y")])
     assert code == 2
     assert f"{name!r} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory):
+    out = tmp_path_factory.mktemp("run")
+    assert _train(out) == 0
+    return (out / "checkpoint.json").read_text()
+
+
+def _edited(text, edit):
+    payload = json.loads(text)
+    edit(payload)
+    return json.dumps(payload)
+
+
+# A checkpoint of the retired "rqr" variant is refused like any other
+# unknown variant: "single" has its parameters and forward pass.
+@pytest.mark.parametrize("make, message", [
+    (lambda t: _edited(t, lambda p: p["config"].update(variant="rqr")),
+     "unknown variant 'rqr'"),
+    (lambda t: _edited(t, lambda p: p["config"].update(hidden=0)),
+     "hidden must be positive"),
+    (lambda t: _edited(t, lambda p: p["config"].update(width=3)),
+     "unexpected keyword argument 'width'"),
+    (lambda t: _edited(t, lambda p: p.pop("params")),
+     "no 'params' object"),
+    (lambda t: t[:-1], "not JSON"),
+    (lambda t: json.dumps([json.loads(t)]), "not a JSON object"),
+], ids=["rqr_variant", "hidden_0", "extra_key", "no_params", "not_json",
+        "list"])
+def test_eval_rejects_malformed_checkpoint(make, message, checkpoint_text,
+                                           tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(make(checkpoint_text))
+    code = run(["eval", "--checkpoint", str(ckpt), *FAST_DS,
+                "--out", str(tmp_path / "y")])
+    assert code == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "y").exists()
 
 

@@ -289,6 +289,8 @@ def test_shape_and_contract_errors():
     c = other.leaf(np.ones((2, 3)))
     with pytest.raises(ContractError):
         dk.add(a, c)  # tensors from different tapes
+    with pytest.raises(ContractError, match="not recorded on this tape"):
+        backward(None, constant(np.ones((1, 1))))  # untracked loss
     with pytest.raises(ParameterError):
         dk.dropout(a, 1.0, seed=0, train_mode=True)
 

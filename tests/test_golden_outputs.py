@@ -128,11 +128,11 @@ GOLDEN = {
     },
     "train_rqr_adj": {
         "checkpoint.json":
-            "7282006c306d817deb56506ad83a4beb30b238c0ce0bdf7b64d9d60b41fb4191",
+            "22e5926a401fec547f2ad469f41f2a624241e2b9be6ad92d630ced52ccca496c",
         "config.json":
             "7a6e487f8a3b5716e46eab0e3f70332cc68fc7501424c22f41cd94d24061bdc4",
         "metrics.csv":
-            "e91bb33c30654ceb9195727348b352df83fb1decaf8769053a886ef29552ca20",
+            "ed2035da63bb7487c124318e922d43c73f4e53392c1bd9308ba170ea95bc305d",
         "trajectory.csv":
             "720ca5b05f1e1e74f0e56e60edd2c4404b36aa4ba5f39748f68aff72258e34f9",
     },

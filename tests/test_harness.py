@@ -29,8 +29,8 @@ from qpignn.errors import ContractError, ParameterError
 from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
                             DEFAULT_TUNE_BOUNDS, COVERAGE_PENALTY_WEIGHT,
                             SweepEntry, SweepResult, TrainConfig,
-                            convergence_check, dataset_preset, lambda_sweep,
-                            lambda_tune, robustness_suite,
+                            _train_all, convergence_check, dataset_preset,
+                            lambda_sweep, lambda_tune, robustness_suite,
                             selection_objective, shift_matrix,
                             split_experiment, trajectory_csv, train_qpignn,
                             ablation_suite)
@@ -89,12 +89,13 @@ def test_train_config_validation():
     with pytest.raises(ContractError):
         TrainConfig(loss_kind="qpi", model_variant="sqr")
     with pytest.raises(ContractError):
-        TrainConfig(loss_kind="mse_mcdropout", model_variant="rqr")
+        TrainConfig(loss_kind="mse_mcdropout", model_variant="single")
 
 
 def test_train_is_the_single_entry_point(small_ds):
     assert train_qpignn is q.train
-    for kind, variant in (("qpi", "dual"), ("rqr_adj", "rqr")):
+    for kind, variant in (("qpi", "dual"), ("rqr_adj", "single"),
+                          ("rqr_adj", "dual"), ("rqr_adj", "fixed_margin")):
         cfg = TrainConfig(epochs=3, hidden=8, loss_kind=kind,
                           model_variant=variant)
         model, rec = q.train(small_ds, cfg)
@@ -263,11 +264,31 @@ def test_pure_noise_coverage_without_width_penalty(small_ds):
 
 
 def test_rqr_keeps_bounds_ordered(small_ds):
-    cfg = TrainConfig(epochs=200, loss_kind="rqr_adj", model_variant="rqr",
+    cfg = TrainConfig(epochs=200, loss_kind="rqr_adj", model_variant="single",
                       seed=0)
     _, rec = q.train(small_ds, cfg)
     assert rec.crossing_rate < 0.05
     assert rec.crossing_rate == 0.0
+
+
+def test_rqr_adj_under_covers_on_the_qpignn_architecture():
+    """The paper keeps the architecture fixed, swaps the QpiGNN objective
+    for the RQR loss, and reports that RQR collapses to 0.19 coverage on
+    BA and 0.27 on Tree.  Here both objectives train the dual head: QpiGNN
+    must stay near the nominal 1 - alpha, RQR-adj below half of it."""
+    alpha = 0.1
+    presets = ("ba", "tree")
+    runs = [(dataset_preset(name, 300, 0, family="gaussian",
+                            noise_sigma=1.0),
+             TrainConfig(epochs=200, seed=seed, alpha=alpha, loss_kind=kind,
+                         model_variant="dual"))
+            for name in presets for kind in ("qpi", "rqr_adj")
+            for seed in (0, 1)]
+    picp = np.array([rec.reports["test"].picp
+                     for _, rec in _train_all(runs, jobs=2)])
+    qpi, rqr = picp.reshape(len(presets), 2, 2).mean(axis=2).T
+    assert np.all(qpi >= 1 - alpha - 0.15), qpi
+    assert np.all(rqr <= (1 - alpha) / 2), rqr
 
 
 def test_sqr_run_produces_intervals(small_ds):

@@ -18,8 +18,7 @@ def _features(n, d, tag="x"):
     return keyed_rng(0, tag).standard_normal((n, d))
 
 
-@pytest.mark.parametrize("variant",
-                         ("dual", "fixed_margin", "single", "sqr", "rqr"))
+@pytest.mark.parametrize("variant", ("dual", "fixed_margin", "single", "sqr"))
 def test_forward_shapes(ring6, variant):
     model = init_model(ModelConfig(in_dim=3, hidden=4, variant=variant), 0)
     iv = forward_intervals(model, ring6, _features(6, 3))
@@ -32,7 +31,7 @@ def test_forward_shapes(ring6, variant):
 @pytest.mark.parametrize("variant", ("dual", "fixed_margin"))
 def test_interval_heads_never_cross(ring6, variant):
     """Widths go through softplus, so low <= up by construction for the
-    halfwidth-based variants.  single/rqr emit raw bound columns and may
+    halfwidth-based variants.  single emits raw bound columns and may
     cross; ordering there is the loss's job."""
     for seed in range(5):
         model = init_model(ModelConfig(in_dim=3, hidden=4, variant=variant),
