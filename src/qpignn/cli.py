@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ContractError, IngestionError, ParameterError, QpignnError
 from .graphcore import SplitSpec, load_csv, save_csv
-from .harness import (_ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
+from .harness import (ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
                       DEFAULT_TUNE_BOUNDS, GRAPH_PRESETS, TrainConfig,
                       ablation_suite, concentration_check, convergence_check,
                       dataset_preset, gaussian_optimal_halfwidth,
@@ -98,7 +98,7 @@ def _add_train(p: _Parser) -> None:
     p.add_argument("--lambda", dest="lambda_width", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--loss", default="qpi",
-                   choices=tuple(_ALLOWED_VARIANTS))
+                   choices=tuple(ALLOWED_VARIANTS))
     p.add_argument("--variant", default=None, choices=VARIANTS,
                    help="defaults to the natural head for --loss")
     p.add_argument("--dropout", type=float, default=0.2)
@@ -147,7 +147,7 @@ def _dataset_from_args(args):
 
 
 def _config_from_args(args) -> TrainConfig:
-    variant = args.variant or _ALLOWED_VARIANTS[args.loss][0]
+    variant = args.variant or ALLOWED_VARIANTS[args.loss][0]
     try:
         return TrainConfig(epochs=args.epochs, lr=args.lr,
                            weight_decay=args.weight_decay, alpha=args.alpha,

@@ -41,7 +41,7 @@ from .rng import derive_seed, keyed_rng
 # Variants each loss kind may train, its default first.  The interval
 # losses run on any of the interval heads; the quantile and baseline
 # losses are tied to the architecture they parameterize.
-_ALLOWED_VARIANTS = {
+ALLOWED_VARIANTS = {
     "qpi": ("dual", "fixed_margin", "single"),
     "width_only": ("dual", "fixed_margin", "single"),
     "mse_only": ("dual", "fixed_margin", "single"),
@@ -104,9 +104,9 @@ class TrainConfig:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0")
         self.loss_config()  # alpha and width_norm
-        if self.loss_kind not in _ALLOWED_VARIANTS:
+        if self.loss_kind not in ALLOWED_VARIANTS:
             raise ParameterError(f"unknown loss_kind {self.loss_kind!r}")
-        allowed = _ALLOWED_VARIANTS[self.loss_kind]
+        allowed = ALLOWED_VARIANTS[self.loss_kind]
         if self.model_variant not in allowed:
             raise ContractError(
                 f"loss_kind {self.loss_kind!r} cannot train model_variant "
@@ -490,6 +490,13 @@ def _width_trend_flags(entries) -> tuple[str, ...]:
     return ()
 
 
+def _refuse_duplicates(values: tuple, what: str) -> None:
+    """Each repeated entry would train a second, identical run whose rows
+    cannot be told apart from the first's."""
+    if len(set(values)) < len(values):
+        raise ParameterError(f"{what} must not repeat an entry, got {values}")
+
+
 def lambda_sweep(ds: Dataset, cfg: TrainConfig | None = None,
                  grid=DEFAULT_LAMBDA_GRID, jobs: int = 1) -> SweepResult:
     """Train one model per grid value and pick the best by the objective."""
@@ -497,6 +504,7 @@ def lambda_sweep(ds: Dataset, cfg: TrainConfig | None = None,
     grid = tuple(float(g) for g in grid)
     if not grid:
         raise ParameterError("lambda grid must be non-empty")
+    _refuse_duplicates(grid, "lambda grid")
     entries = tuple(sorted(_sweep_entries(ds, cfg, grid, jobs),
                            key=lambda e: e.lambda_width))
     best = min(entries, key=lambda e: (e.objective, e.lambda_width))
@@ -584,6 +592,7 @@ def ablation_suite(ds: Dataset, cfg: TrainConfig | None = None,
     seeds = tuple(seeds)
     if not seeds:
         raise ParameterError("ablation needs at least one seed")
+    _refuse_duplicates(seeds, "ablation seeds")
     cfg = cfg or TrainConfig()
     settings = [replace(cfg, model_variant=variant, loss_kind=loss_kind,
                         lambda_width=cfg.lambda_width if lam is None else lam)
@@ -662,6 +671,8 @@ def dataset_preset(name: str, nodes: int, seed: int, family: str = "basic",
     `tree` is binary with the smallest depth reaching `nodes`; those
     two may therefore exceed `nodes` slightly.
     """
+    if nodes < 1:
+        raise ParameterError(f"nodes must be >= 1, got {nodes}")
     if name == "er":
         if nodes < 2:
             raise ParameterError("er preset needs >= 2 nodes")
@@ -699,6 +710,7 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
     families = tuple(families)
     if len(families) < 2:
         raise ParameterError("shift matrix needs at least 2 families")
+    _refuse_duplicates(families, "shift matrix families")
     if runs < 1:
         raise ParameterError("shift matrix needs runs >= 1")
     cfg = cfg or TrainConfig(lambda_width=SHIFT_LAMBDA)
@@ -737,6 +749,7 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
     kinds = tuple(kinds)
     if len(kinds) < 2:
         raise ParameterError("split experiment needs >= 2 kinds")
+    _refuse_duplicates(kinds, "split experiment kinds")
     cfg = cfg or TrainConfig()
     variants = []
     for kind in kinds:

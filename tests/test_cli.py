@@ -34,6 +34,11 @@ def test_unknown_subcommand_exits_1(capsys):
     ["sweep", "--hidden", "0", "--jobs", "2"],
     ["sweep", "--grid", "nan"],
     ["sweep", "--tune", "--bounds", "0.1,inf"],
+    # a repeated entry would train a second run with identical rows
+    ["sweep", "--grid", "0.1,0.1"],
+    ["shift", "--families", "er,er"],
+    ["splits", "--kinds", "random,random"],
+    ["ablate", "--seeds", "0,0"],
 ], ids=lambda argv: "_".join(a.removeprefix("--") for a in argv))
 def test_bad_parameter_exits_1(argv, tmp_path, capsys):
     code = run([*argv, "--out", str(tmp_path / "x")])

@@ -757,6 +757,9 @@ def test_dataset_preset_validation():
         dataset_preset("hypercube", 100, 0)
     with pytest.raises(ParameterError):
         dataset_preset("er", 1, 0)
+    for name, nodes in (("grid", -5), ("tree", 0)):
+        with pytest.raises(ParameterError, match="nodes"):
+            dataset_preset(name, nodes, 0)
     g = dataset_preset("tree", 100, 0)
     assert g.num_nodes == 127  # smallest full binary tree covering 100
 
