@@ -27,6 +27,15 @@ COMMANDS = {
     "train_rqr_adj": ["train", *DS, *TRAIN, "--loss", "rqr_adj"],
     "train_mse_mcdropout": ["train", *DS, *TRAIN, "--loss", "mse_mcdropout",
                             "--mc-passes", "3"],
+    "train_rqr_adj_dual": ["train", *DS, *TRAIN, "--loss", "rqr_adj",
+                           "--variant", "dual"],
+    "train_rqr_adj_fixed_margin": ["train", *DS, *TRAIN, "--loss", "rqr_adj",
+                                   "--variant", "fixed_margin"],
+    "train_width_only_single": ["train", *DS, *TRAIN, "--loss", "width_only",
+                                "--variant", "single"],
+    "train_mse_only": ["train", *DS, *TRAIN, "--loss", "mse_only"],
+    "train_smooth_l2": ["train", *DS, *TRAIN, "--smooth-coverage",
+                        "--width-norm", "l2"],
     "eval": ["eval", *DS, "--checkpoint", "ckpt/checkpoint.json",
              "--no-timestamp"],
     "sweep_grid": ["sweep", *DS, *TRAIN, "--grid", "0.1,0.5"],
@@ -126,6 +135,16 @@ GOLDEN = {
         "trajectory.csv":
             "bde65d58b18167c4110f30823bc645c500e009b450829f83e30e34cade3808e3",
     },
+    "train_mse_only": {
+        "checkpoint.json":
+            "fc3f0f7b29b20d2ba5842e36a52e8e10efb413d2d0fdc8f68dfd6ec93db5bea8",
+        "config.json":
+            "2de33048e4732fba21ab0b30df1d8831554c4e8c495c872cbbb1061eeb3142c4",
+        "metrics.csv":
+            "808bb9c0e6940ab12ba479bb9f996239c685f664b6299e4039e37d62093d1899",
+        "trajectory.csv":
+            "bde65d58b18167c4110f30823bc645c500e009b450829f83e30e34cade3808e3",
+    },
     "train_rqr_adj": {
         "checkpoint.json":
             "22e5926a401fec547f2ad469f41f2a624241e2b9be6ad92d630ced52ccca496c",
@@ -136,6 +155,36 @@ GOLDEN = {
         "trajectory.csv":
             "720ca5b05f1e1e74f0e56e60edd2c4404b36aa4ba5f39748f68aff72258e34f9",
     },
+    "train_rqr_adj_dual": {
+        "checkpoint.json":
+            "06e95654fd4d8d96c771c9213fd12b7dce073cf9b090739f889cf4d0072f7c88",
+        "config.json":
+            "660f9665d26094e5c04cce7b603a838b58698ac6f1f2669455f1d1d827f487d1",
+        "metrics.csv":
+            "a7236e49a2786478870ab674d73a91f31b1cc26e4148757fb4dc05dda8e5c86a",
+        "trajectory.csv":
+            "b7d5c6ba65bbd201d1f42d3f0fa3f30b387b568ac08b3494d4169aabe123d50a",
+    },
+    "train_rqr_adj_fixed_margin": {
+        "checkpoint.json":
+            "e11eb51151b115b32086413bacc6ebab1a283f5ddc8e3e790b496dd73341970b",
+        "config.json":
+            "5ae7163f209a12be26dafed62214b8f5841b8a60ab837d778cc456d0216c8db5",
+        "metrics.csv":
+            "5c15efd7486f09f419b5668336e17fe45ef3b6faa8b3fade668c83fbec359626",
+        "trajectory.csv":
+            "cc69407bbafdeb5cb725b7f1b540057b89da4f5bf9c7a311f11e8bbe7598017f",
+    },
+    "train_smooth_l2": {
+        "checkpoint.json":
+            "706f3bec96d9b7fe6f08034500c2eee7170504fa3c9c1f2d6a69d3a845041d83",
+        "config.json":
+            "05573cf408edff06ceb3cf239271bf5e4162d74f98dbee37e69421ea8ab1a7e4",
+        "metrics.csv":
+            "e18f777fd455c7a8b6aeb94e2c23cfb38f9fca7c6d3b854678af6625706cae33",
+        "trajectory.csv":
+            "8ac72b7c817190c60b331efb3bf52d55217d880439408abbfeee3098118de1a8",
+    },
     "train_sqr": {
         "checkpoint.json":
             "f090a5bbe53a59198f06b5b5269cfa196dc001554e03bb1f14c05a0ddd7796da",
@@ -145,6 +194,16 @@ GOLDEN = {
             "47bd0e6d202cb77cff9d6ab69969c98c3bc5a7bbe3571ab478049e3a594ede4f",
         "trajectory.csv":
             "23c3b7b2057b17d83d6be2062bf5de1a0ac55b1f26d9d7ed9e3cc099bbb8fa3f",
+    },
+    "train_width_only_single": {
+        "checkpoint.json":
+            "091b994c5636ae2a0d24c1748510759c6a532859514e317bdcd70413c9db2c8f",
+        "config.json":
+            "2ee81b5dca54be6d7049d725e7dced254584257da713d94c04510319b812416e",
+        "metrics.csv":
+            "8e9387a94237e41a00780ca838410cb2dd750fc0fa8d7c7b8955cc90a5750fb1",
+        "trajectory.csv":
+            "3c86a2c445ac4fe7a6a68cee634ec5a1e49fb15aa3d7e4a82d40184b805e7dce",
     },
 }
 
