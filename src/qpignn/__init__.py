@@ -9,12 +9,12 @@ from .graphcore import (Dataset, Graph, PerturbSpec, SplitSpec, from_edges,
 from .diffkit import (ParamStore, Tape, Tensor, backward, constant,
                       finite_diff_check)
 from .model import (IntervalSet, Model, ModelConfig, encode, forward_intervals,
-                    init_model, init_params, intervals, load_checkpoint,
-                    mc_dropout_interval, qpi_forward, save_checkpoint,
-                    sqr_forward, variant_forward)
+                    init_model, init_params, load_checkpoint,
+                    mc_dropout_interval, save_checkpoint, sqr_forward,
+                    variant_forward)
 from .losses import (LossBreakdown, LossConfig, mse_loss, pinball_loss,
-                     qpi_total_loss, rqr_adj_loss, rqr_w_loss, sqr_loss,
-                     violation_loss, width_loss)
+                     qpi_total_loss, rqr_adj_loss, sqr_loss, violation_loss,
+                     width_loss)
 from .optim import AdamState, adam_step, grad_norm
 from .metrics import IntervalStats, MetricsReport, cwc, interval_stats, report
 from .harness import (ConcentrationReport, ConvergenceReport, RunRecord,

@@ -595,13 +595,6 @@ class ParamStore:
     def __contains__(self, name: str) -> bool:
         return name in self._values
 
-    def __len__(self) -> int:
-        return len(self._values)
-
-    @property
-    def size(self) -> int:
-        return sum(v.size for v in self._values.values())
-
     def zero_grads(self) -> None:
         for g in self._grads.values():
             g[:] = 0.0
@@ -614,12 +607,6 @@ class ParamStore:
         """Untracked views for forward-only evaluation."""
         return {name: Tensor(self._values[name])
                 for name in self.names()}
-
-    def copy(self) -> "ParamStore":
-        other = ParamStore()
-        for name in self.names():
-            other.add(name, self._values[name])
-        return other
 
 
 def finite_diff_check(f: Callable[[ParamStore], Tensor], params: ParamStore,

@@ -139,8 +139,11 @@ class RunRecord:
     crossing_rate: float
     config: TrainConfig
 
+    # The per-epoch array fields, in order.
+    TRAJECTORIES = ("coverage", "width", "loss", "grad_norm", "violation")
+
     def __post_init__(self):
-        for name in ("coverage", "width", "loss", "grad_norm", "violation"):
+        for name in self.TRAJECTORIES:
             arr = getattr(self, name)
             if arr.shape != (self.config.epochs,):
                 raise ContractError(
@@ -203,7 +206,6 @@ class ConvergenceReport:
     loss_first: float
     loss_final: float
     note: str
-    csv: str
 
 
 @dataclass(frozen=True)
@@ -245,20 +247,23 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
                                train_mode=True, seed=ep_seed, alpha=cfg.alpha)
     if cfg.loss_kind in ("mse_only", "mse_mcdropout"):
         center = dk.scale(dk.add(iv.low, iv.up), 0.5)
-        node = mse_loss(center, y, mask)
-        iv = IntervalSet.from_arrays(center.value, center.value)
+        iv = IntervalSet(center, center)
 
     st = interval_stats(iv, y, mask)
+    # The epoch's one masked bound pair, which every interval loss reads.
+    low = dk.masked_select(iv.low, st.mask)
+    up = dk.masked_select(iv.up, st.mask)
     if cfg.loss_kind == "qpi":
-        node = qpi_total_loss(iv, st, lcfg).node
+        node = qpi_total_loss(low, up, st, lcfg).node
     elif cfg.loss_kind == "width_only":
         # Coverage terms off: only the width penalty reaches the tape.
-        node = dk.scale(width_loss(dk.masked_select(iv.low, st.mask),
-                                   dk.masked_select(iv.up, st.mask),
-                                   cfg.width_norm), cfg.lambda_width)
+        node = dk.scale(width_loss(low, up, cfg.width_norm), cfg.lambda_width)
     elif cfg.loss_kind == "rqr_adj":
-        node = rqr_adj_loss(iv, st, cfg.alpha, RQR_LAMBDA, RQR_GAMMA_ORDER)
-    elif cfg.loss_kind not in ("sqr", "mse_only", "mse_mcdropout"):
+        node = rqr_adj_loss(low, up, st, cfg.alpha, RQR_LAMBDA,
+                            RQR_GAMMA_ORDER)
+    elif cfg.loss_kind in ("mse_only", "mse_mcdropout"):
+        node = mse_loss(low, st.y)
+    elif cfg.loss_kind != "sqr":
         raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
     return node, dict(coverage=st.coverage, width=float(st.width.mean()),
                       loss=node.item(), violation=float(st.violation.mean()))
@@ -289,35 +294,27 @@ def train(ds: Dataset,
                                  weight_decay=cfg.weight_decay,
                                  sqrt_decay=cfg.sqrt_lr_decay)
 
-    n_ep = cfg.epochs
-    cov = np.zeros(n_ep)
-    wid = np.zeros(n_ep)
-    loss = np.zeros(n_ep)
-    gnorm = np.zeros(n_ep)
-    viol = np.zeros(n_ep)
-
-    for ep in range(n_ep):
+    # One trajectory per RunRecord array field, filled epoch by epoch.
+    traj = {name: np.zeros(cfg.epochs) for name in RunRecord.TRAJECTORIES}
+    for ep in range(cfg.epochs):
         node, stats = _epoch_loss(model, ds, cfg, lcfg, ep)
         if not math.isfinite(stats["loss"]):
             raise TrainingError("loss became non-finite", epoch=ep,
                                 diagnostics=stats)
         dk.backward(node.tape, node)
-        gnorm[ep] = grad_norm(model.params)
+        stats["grad_norm"] = grad_norm(model.params)
         adam_step(model.params, state)
         # The loss node holds the last reference to the epoch's tape, so
         # the tape and every array it holds are freed here, before the
         # next forward pass.
         del node
-        cov[ep] = stats["coverage"]
-        wid[ep] = stats["width"]
-        loss[ep] = stats["loss"]
-        viol[ep] = stats["violation"]
+        for name, arr in traj.items():
+            arr[ep] = stats[name]
 
     iv = _final_intervals(model, ds, cfg)
     reports = {name: report(iv, ds.targets, mask, cfg.alpha)
                for name, mask in sorted(ds.masks().items())}
-    rec = RunRecord(coverage=cov, width=wid, loss=loss, grad_norm=gnorm,
-                    violation=viol, reports=reports,
+    rec = RunRecord(**traj, reports=reports,
                     crossing_rate=iv.crossing_rate(), config=cfg)
     return model, rec
 
@@ -900,5 +897,4 @@ def convergence_check(rec: RunRecord) -> ConvergenceReport:
     passed = (ratio <= 0.25) and (loss_final <= loss_first) and not note
     return ConvergenceReport(passed=passed, grad_first=gf, grad_last=gl,
                              grad_ratio=ratio, loss_first=loss_first,
-                             loss_final=loss_final, note=note,
-                             csv=trajectory_csv(rec))
+                             loss_final=loss_final, note=note)

@@ -12,7 +12,9 @@ Indicator functions are evaluated on raw values and re-enter the graph
 as constant coefficients: the coverage-squared term contributes no
 gradient (unless the logistic surrogate is switched on) and the
 violation term differentiates only through the distance magnitudes.
-All losses are evaluated on the caller-supplied node mask only.
+All losses are evaluated on the caller-supplied node mask only: the
+interval losses and ``mse_loss`` take values already masked, and
+``sqr_loss`` takes the mask.
 """
 from __future__ import annotations
 
@@ -26,7 +28,7 @@ from .diffkit import Tensor, constant
 from .errors import ContractError, ParameterError
 from .graphcore import Dataset
 from .metrics import IntervalStats
-from .model import IntervalSet, Model, sqr_forward
+from .model import Model, sqr_forward
 from .rng import keyed_rng
 
 # Temperature of the optional logistic coverage surrogate.
@@ -91,12 +93,10 @@ def width_loss(low: Tensor, up: Tensor, width_norm: str = "l1") -> Tensor:
     return dk.reduce_mean(w)
 
 
-def qpi_total_loss(iv: IntervalSet, st: IntervalStats,
+def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats,
                    cfg: LossConfig) -> LossBreakdown:
-    """Joint coverage/violation/width objective on ``st``'s masked nodes;
-    every term reads the one masked (low, up) pair."""
-    low = dk.masked_select(iv.low, st.mask)
-    up = dk.masked_select(iv.up, st.mask)
+    """Joint coverage/violation/width objective; ``low`` and ``up`` are
+    the bounds on ``st``'s mask, and every term reads that one pair."""
     target = 1.0 - cfg.alpha
 
     cov_term = None
@@ -176,37 +176,31 @@ def sqr_loss(model: Model, dataset: Dataset, mask: np.ndarray,
     return pinball_loss(dataset.targets[mask], yhat_m, tau[mask])
 
 
-def rqr_w_loss(iv: IntervalSet, st: IntervalStats, alpha: float,
-               lam: float) -> Tensor:
-    """Interval-regression objective on raw (low, up) pairs.
+def rqr_adj_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
+                 lam: float, gamma_order: float) -> Tensor:
+    """RQR-adj on the masked bounds ``low`` and ``up`` of ``st``'s mask.
 
     Mean of (alpha + 2 lam - 1[low <= y <= up]) (y - low) (y - up)
-    plus (lam / 2) (up - low)^2; the coverage indicator is constant.
+    plus (lam / 2) (up - low)^2, with a constant coverage indicator,
+    plus gamma * mean relu(low - up), penalising crossed bounds.  The
+    crossing term is taped first, so backward adds its gradient to each
+    bound last, after the sum of the two RQR terms' gradients.
     """
-    low_m = dk.masked_select(iv.low, st.mask)
-    up_m = dk.masked_select(iv.up, st.mask)
+    crossing = dk.scale(dk.reduce_mean(dk.relu(dk.sub(low, up))), gamma_order)
     coeff = alpha + 2.0 * lam - st.inside.astype(np.float64).reshape(-1, 1)
     yc = constant(st.y)
-    product = dk.mul(dk.sub(yc, low_m), dk.sub(yc, up_m))
-    w = dk.sub(up_m, low_m)
+    product = dk.mul(dk.sub(yc, low), dk.sub(yc, up))
+    w = dk.sub(up, low)
     penalty = dk.scale(dk.mul(w, w), lam / 2.0)
-    return dk.reduce_mean(dk.add(dk.scale(product, coeff), penalty))
+    base = dk.reduce_mean(dk.add(dk.scale(product, coeff), penalty))
+    return dk.add(base, crossing)
 
 
-def rqr_adj_loss(iv: IntervalSet, st: IntervalStats, alpha: float,
-                 lam: float, gamma_order: float) -> Tensor:
-    """rqr_w plus gamma * mean relu(low - up), penalising crossed bounds."""
-    base = rqr_w_loss(iv, st, alpha, lam)
-    gap = dk.sub(dk.masked_select(iv.low, st.mask),
-                 dk.masked_select(iv.up, st.mask))
-    return dk.add(base, dk.scale(dk.reduce_mean(dk.relu(gap)), gamma_order))
-
-
-def mse_loss(yhat: Tensor, y: np.ndarray, mask: np.ndarray) -> Tensor:
-    """Mean squared error of the point prediction on the mask."""
-    mask = np.asarray(mask).astype(bool)
-    if not mask.any():
-        raise ContractError("mask selects no nodes")
-    ym = np.asarray(y, dtype=np.float64).reshape(-1)[mask].reshape(-1, 1)
-    diff = dk.sub(dk.masked_select(yhat, mask), constant(ym))
+def mse_loss(yhat: Tensor, y: np.ndarray) -> Tensor:
+    """Mean squared error of the masked point prediction ``yhat`` against
+    the masked targets ``y``."""
+    ym = np.asarray(y, dtype=np.float64).reshape(-1, 1)
+    if ym.shape != yhat.shape:
+        raise ContractError("y must match yhat row for row")
+    diff = dk.sub(yhat, constant(ym))
     return dk.reduce_mean(dk.mul(diff, diff))

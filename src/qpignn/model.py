@@ -181,23 +181,14 @@ def _head(h: Tensor, params: Mapping[str, Tensor], name: str) -> Tensor:
                            params[f"{name}.bias"])
 
 
-def qpi_forward(h: Tensor, params: Mapping[str, Tensor]) -> tuple[Tensor, Tensor]:
-    """Dual head: point prediction and softplus half-width (always >= 0)."""
-    return _head(h, params, "pred"), dk.softplus(_head(h, params, "width"))
-
-
-def intervals(yhat: Tensor, dhat: Tensor) -> IntervalSet:
-    """[center - halfwidth, center + halfwidth]; halfwidths must be >= 0."""
-    if np.any(dhat.value < 0):
-        raise ContractError("half-widths must be non-negative")
-    return IntervalSet(dk.sub(yhat, dhat), dk.add(yhat, dhat))
-
-
 def variant_forward(h: Tensor, params: Mapping[str, Tensor],
                     variant: str) -> IntervalSet:
     """Intervals for the encoder-output-based variants."""
     if variant == "dual":
-        return intervals(*qpi_forward(h, params))
+        # A softplus half-width is never negative.
+        yhat = _head(h, params, "pred")
+        dhat = dk.softplus(_head(h, params, "width"))
+        return IntervalSet(dk.sub(yhat, dhat), dk.add(yhat, dhat))
     if variant == "fixed_margin":
         yhat = _head(h, params, "pred")
         half = dk.softplus(params["margin"])

@@ -7,8 +7,7 @@ from qpignn import diffkit as dk
 from qpignn.diffkit import ParamStore, Tape, backward, finite_diff_check
 from qpignn.errors import ContractError, ParameterError
 from qpignn.losses import (LossConfig, mse_loss, pinball_loss, qpi_total_loss,
-                           rqr_adj_loss, rqr_w_loss, sqr_loss, violation_loss,
-                           width_loss)
+                           rqr_adj_loss, sqr_loss, violation_loss, width_loss)
 from qpignn.metrics import interval_stats
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from qpignn.rng import keyed_rng
@@ -67,7 +66,7 @@ def test_qpi_total_decomposition():
     iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([-0.5, 2.0, 0.5, 1.0])
     cfg = LossConfig(alpha=0.1, lambda_width=0.3)
-    br = qpi_total_loss(iv, interval_stats(iv, y, ALL), cfg)
+    br = qpi_total_loss(*_masked(iv, y), cfg)
     assert br.empirical_coverage == 0.5
     assert br.coverage_term == pytest.approx((0.5 - 0.9) ** 2)
     assert br.violation_term == pytest.approx(0.375)
@@ -83,7 +82,7 @@ def test_hard_coverage_term_is_stop_gradient():
     y = np.array([0.0, 0.0, 0.0, 0.0])
     iv, tape = _iv([-1, -1, -1, -1], [1, 1, 1, 1])
     cfg = LossConfig(alpha=0.1, lambda_width=0.4)
-    br = qpi_total_loss(iv, interval_stats(iv, y, ALL), cfg)
+    br = qpi_total_loss(*_masked(iv, y), cfg)
     assert br.coverage_term == pytest.approx((1.0 - 0.9) ** 2)
     backward(tape, br.node)
     np.testing.assert_allclose(iv.up.grad.ravel(), 0.4 / 4)
@@ -94,7 +93,7 @@ def test_smooth_coverage_routes_gradient():
     y = np.array([0.0, 0.0, 0.0, 0.0])
     cfg = LossConfig(alpha=0.1, lambda_width=0.0, smooth_coverage=True)
     iv, tape = _iv([-1, -1, -1, -1], [1, 1, 1, 1])
-    br = qpi_total_loss(iv, interval_stats(iv, y, ALL), cfg)
+    br = qpi_total_loss(*_masked(iv, y), cfg)
     backward(tape, br.node)
     # the logistic surrogate passes gradient even with zero violation
     assert np.abs(iv.up.grad).sum() > 0
@@ -126,7 +125,10 @@ def test_mse_oracle():
     yhat = tape.leaf(np.array([[1.0], [3.0], [0.0]]))
     y = np.array([0.0, 1.0, 0.0])
     mask = np.array([1, 1, 0], bool)
-    assert mse_loss(yhat, y, mask).item() == pytest.approx((1 + 4) / 2)
+    yhat_m = dk.masked_select(yhat, mask)
+    assert mse_loss(yhat_m, y[mask]).item() == pytest.approx((1 + 4) / 2)
+    with pytest.raises(ContractError):
+        mse_loss(yhat_m, y)
 
 
 def test_rqr_w_oracle():
@@ -138,7 +140,8 @@ def test_rqr_w_oracle():
     # covered: coeff = alpha + 2 lam - 1 = 0.1; product (y-low)(y-up) = -1
     # penalty (lam/2) w^2 = 0.25 * 4 = 1  -> total = -0.1 + 1
     iv = IntervalSet(low, up)
-    loss = rqr_w_loss(iv, interval_stats(iv, y, np.ones(1, bool)), alpha, lam)
+    loss = rqr_adj_loss(*_masked(iv, y, np.ones(1, bool)), alpha, lam,
+                        gamma_order=0.0)
     assert loss.item() == pytest.approx(0.9)
 
 
@@ -148,14 +151,13 @@ def test_rqr_adj_penalises_crossing():
     tape = Tape()
     iv = IntervalSet(tape.leaf(np.array([[1.0]])),
                      tape.leaf(np.array([[-1.0]])))  # crossed by 2
-    st = interval_stats(iv, y, mask)
-    base = rqr_w_loss(iv, st, 0.1, 1.0).item()
+    base = rqr_adj_loss(*_masked(iv, y, mask), 0.1, 1.0,
+                        gamma_order=0.0).item()
     for gamma in (0.0, 1.0, 2.5):
         t2 = Tape()
         iv2 = IntervalSet(t2.leaf(np.array([[1.0]])),
                           t2.leaf(np.array([[-1.0]])))
-        adj = rqr_adj_loss(iv2, interval_stats(iv2, y, mask), 0.1, 1.0,
-                           gamma).item()
+        adj = rqr_adj_loss(*_masked(iv2, y, mask), 0.1, 1.0, gamma).item()
         assert adj == pytest.approx(base + gamma * 2.0)
 
 
@@ -209,7 +211,7 @@ def test_qpi_gradient_matches_finite_differences(tiny_ds):
         tape = Tape()
         iv = q.forward_intervals(model, tiny_ds.graph, tiny_ds.features,
                                  tape=tape)
-        st = interval_stats(iv, tiny_ds.targets, tiny_ds.train_mask)
-        return qpi_total_loss(iv, st, cfg).node
+        return qpi_total_loss(
+            *_masked(iv, tiny_ds.targets, tiny_ds.train_mask), cfg).node
 
     assert finite_diff_check(f, model.params) < 1e-4
