@@ -22,14 +22,17 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, IngestionError, ParameterError, QpignnError
-from .graphcore import SplitSpec, load_csv, save_csv
+from .graphcore import (DEFAULT_RATIOS, SPLIT_KINDS, SplitSpec, load_csv,
+                        save_csv)
 from .harness import (ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
-                      DEFAULT_TUNE_BOUNDS, GRAPH_PRESETS, TrainConfig,
-                      ablation_suite, concentration_check, convergence_check,
-                      dataset_preset, gaussian_optimal_halfwidth,
-                      hoeffding_epsilon, lambda_sweep, lambda_tune,
-                      mcdiarmid_prob, robustness_suite, shift_matrix,
-                      split_experiment, train, trajectory_csv)
+                      DEFAULT_TUNE_BOUNDS, GRAPH_PRESETS, SHIFT_FAMILIES,
+                      SHIFT_LAMBDA, TrainConfig, ablation_suite,
+                      concentration_check, convergence_check, dataset_preset,
+                      gaussian_optimal_halfwidth, hoeffding_epsilon,
+                      lambda_sweep, lambda_tune, mcdiarmid_prob,
+                      robustness_suite, shift_matrix, split_experiment, train,
+                      trajectory_csv)
+from .losses import WIDTH_NORMS
 from .metrics import METRIC_FIELDS
 from .metrics import report as metrics_report
 from .model import (VARIANTS, forward_intervals, load_checkpoint,
@@ -80,9 +83,8 @@ def _add_dataset(p: _Parser) -> None:
     p.add_argument("--feat-dim", type=int, default=8)
     p.add_argument("--noise-sigma", type=float, default=1.0)
     p.add_argument("--data-seed", type=int, default=42)
-    p.add_argument("--split", choices=("random", "degree", "community"),
-                   default="random")
-    p.add_argument("--ratios", default="0.6,0.2,0.2")
+    p.add_argument("--split", choices=SPLIT_KINDS, default=SPLIT_KINDS[0])
+    p.add_argument("--ratios", default=",".join(map(str, DEFAULT_RATIOS)))
     p.add_argument("--edges", default=None, help="edge CSV instead of synthetic")
     p.add_argument("--features", default=None)
     p.add_argument("--targets", default=None)
@@ -90,23 +92,29 @@ def _add_dataset(p: _Parser) -> None:
                    help="input CSVs carry a header line")
 
 
+# The defaults of every training flag.
+_TRAIN_DEFAULTS = TrainConfig()
+
+
 def _add_train(p: _Parser) -> None:
-    p.add_argument("--epochs", type=int, default=500)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-3)
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--lambda", dest="lambda_width", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--loss", default="qpi",
+    d = _TRAIN_DEFAULTS
+    p.add_argument("--epochs", type=int, default=d.epochs)
+    p.add_argument("--lr", type=float, default=d.lr)
+    p.add_argument("--weight-decay", type=float, default=d.weight_decay)
+    p.add_argument("--alpha", type=float, default=d.alpha)
+    p.add_argument("--lambda", dest="lambda_width", type=float,
+                   default=d.lambda_width)
+    p.add_argument("--seed", type=int, default=d.seed)
+    p.add_argument("--loss", default=d.loss_kind,
                    choices=tuple(ALLOWED_VARIANTS))
-    p.add_argument("--variant", default=None, choices=VARIANTS,
+    p.add_argument("--variant", choices=VARIANTS,
                    help="defaults to the natural head for --loss")
-    p.add_argument("--dropout", type=float, default=0.2)
-    p.add_argument("--hidden", type=int, default=64)
+    p.add_argument("--dropout", type=float, default=d.dropout_p)
+    p.add_argument("--hidden", type=int, default=d.hidden)
     p.add_argument("--no-sqrt-decay", action="store_true")
-    p.add_argument("--width-norm", choices=("l1", "l2"), default="l1")
+    p.add_argument("--width-norm", choices=WIDTH_NORMS, default=d.width_norm)
     p.add_argument("--smooth-coverage", action="store_true")
-    p.add_argument("--mc-passes", type=int, default=100)
+    p.add_argument("--mc-passes", type=int, default=d.mc_passes)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +396,9 @@ def _cmd_splits(args) -> int:
     cfg = _config_from_args(args)
     ds, label = _dataset_from_args(args)
     kinds = tuple(args.kinds.split(","))
-    table = split_experiment(ds, cfg, kinds=kinds, jobs=args.jobs)
+    table = split_experiment(ds, cfg, kinds=kinds,
+                             ratios=_comma_list(args.ratios, "--ratios"),
+                             jobs=args.jobs)
 
     rows = [_run_row(row["report"], f"splits-{row['kind']}", label,
                      cfg.model_variant, cfg.lambda_width, cfg.seed, "splits",
@@ -488,7 +498,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on a dataset")
     _add_common(p); _add_dataset(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--alpha", type=float, default=0.1)
+    p.add_argument("--alpha", type=float, default=_TRAIN_DEFAULTS.alpha)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="lambda grid sweep or bounded tuning")
@@ -512,18 +522,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("shift", help="cross-family transfer matrix")
     _add_common(p); _add_train(p); _add_jobs(p)
-    p.add_argument("--families", default="er,ba")
+    p.add_argument("--families", default=",".join(SHIFT_FAMILIES))
     p.add_argument("--nodes", type=int, default=500)
     p.add_argument("--runs", type=int, default=10)
     p.add_argument("--data-seed", type=int, default=11)
     p.add_argument("--family", default="basic")
     p.add_argument("--noise-sigma", type=float, default=0.3)
     p.add_argument("--feat-dim", type=int, default=8)
-    p.set_defaults(func=_cmd_shift, lambda_width=0.5)
+    p.set_defaults(func=_cmd_shift, lambda_width=SHIFT_LAMBDA)
 
     p = sub.add_parser("splits", help="compare split strategies")
     _add_common(p); _add_dataset(p); _add_train(p); _add_jobs(p)
-    p.add_argument("--kinds", default="random,degree,community")
+    p.add_argument("--kinds", default=",".join(SPLIT_KINDS))
     p.set_defaults(func=_cmd_splits)
 
     p = sub.add_parser("theory", help="closed-form bounds and MC checks")

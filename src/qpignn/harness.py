@@ -27,10 +27,10 @@ from scipy.special import ndtr, ndtri
 
 from . import diffkit as dk
 from .errors import ContractError, ParameterError, TrainingError
-from .graphcore import (Dataset, PerturbSpec, SplitSpec, gen_ba, gen_chain,
-                        gen_er, gen_grid, gen_tree, perturb, split,
-                        synth_dataset)
-from .losses import (LossConfig, mse_loss, qpi_total_loss, rqr_adj_loss,
+from .graphcore import (DEFAULT_RATIOS, SPLIT_KINDS, Dataset, PerturbSpec,
+                        SplitSpec, gen_ba, gen_chain, gen_er, gen_grid,
+                        gen_tree, perturb, split, synth_dataset)
+from .losses import (WIDTH_NORMS, mse_loss, qpi_total_loss, rqr_adj_loss,
                      sqr_loss, width_loss)
 from .metrics import METRIC_FIELDS, MetricsReport, interval_stats, report
 from .model import (IntervalSet, Model, ModelConfig, forward_intervals,
@@ -98,12 +98,15 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ParameterError("epochs must be >= 1")
-        # The chained range checks here and in LossConfig also reject
-        # NaN, which fails every comparison, and infinity.
+        # The chained range checks also reject NaN, which fails every
+        # comparison, and infinity.
         for name in ("lr", "weight_decay", "lambda_width"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0")
-        self.loss_config()  # alpha and width_norm
+        if not 0.0 < self.alpha < 1.0:
+            raise ParameterError("alpha must lie in (0, 1)")
+        if self.width_norm not in WIDTH_NORMS:
+            raise ParameterError(f"width_norm must be one of {WIDTH_NORMS}")
         if self.loss_kind not in ALLOWED_VARIANTS:
             raise ParameterError(f"unknown loss_kind {self.loss_kind!r}")
         allowed = ALLOWED_VARIANTS[self.loss_kind]
@@ -114,11 +117,9 @@ class TrainConfig:
         self.model_config(1)  # hidden and dropout_p
         if self.mc_passes < 2:
             raise ParameterError("mc_passes must be >= 2")
-
-    def loss_config(self) -> LossConfig:
-        return LossConfig(alpha=self.alpha, lambda_width=self.lambda_width,
-                          width_norm=self.width_norm,
-                          smooth_coverage=self.smooth_coverage)
+        if self.loss_kind == "mse_mcdropout" and self.dropout_p == 0.0:
+            # Every MC pass would be the same point: a zero-width interval.
+            raise ParameterError("mse_mcdropout needs dropout_p > 0")
 
     def model_config(self, in_dim: int) -> ModelConfig:
         return ModelConfig(in_dim=in_dim, hidden=self.hidden,
@@ -224,8 +225,7 @@ class ConcentrationReport:
 # Single-run training
 # ---------------------------------------------------------------------------
 
-def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
-                lcfg: LossConfig, ep: int):
+def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
     """Build one epoch's loss node.
 
     Returns (node, stats) where ``node.tape`` is the epoch's tape and
@@ -254,7 +254,8 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig,
     low = dk.masked_select(iv.low, st.mask)
     up = dk.masked_select(iv.up, st.mask)
     if cfg.loss_kind == "qpi":
-        node = qpi_total_loss(low, up, st, lcfg).node
+        node = qpi_total_loss(low, up, st, cfg.alpha, cfg.lambda_width,
+                              cfg.width_norm, cfg.smooth_coverage).node
     elif cfg.loss_kind == "width_only":
         # Coverage terms off: only the width penalty reaches the tape.
         node = dk.scale(width_loss(low, up, cfg.width_norm), cfg.lambda_width)
@@ -285,25 +286,24 @@ def train(ds: Dataset,
 
     The joint interval loss, its ablations and RQR-adj train the
     interval heads; SQR and MSE+MC-dropout train the architecture each
-    is tied to, as ``TrainConfig`` enforces.
+    is tied to, as ``TrainConfig`` enforces.  Epoch ``ep`` steps Adam
+    by ``cfg.lr``, divided by sqrt(ep + 1) under ``cfg.sqrt_lr_decay``.
     """
     cfg = cfg or TrainConfig()
-    lcfg = cfg.loss_config()
     model = init_model(cfg.model_config(ds.feat_dim), cfg.seed)
-    state = AdamState.for_params(model.params, lr=cfg.lr,
-                                 weight_decay=cfg.weight_decay,
-                                 sqrt_decay=cfg.sqrt_lr_decay)
+    state = AdamState.for_params(model.params)
 
     # One trajectory per RunRecord array field, filled epoch by epoch.
     traj = {name: np.zeros(cfg.epochs) for name in RunRecord.TRAJECTORIES}
     for ep in range(cfg.epochs):
-        node, stats = _epoch_loss(model, ds, cfg, lcfg, ep)
+        node, stats = _epoch_loss(model, ds, cfg, ep)
         if not math.isfinite(stats["loss"]):
             raise TrainingError("loss became non-finite", epoch=ep,
                                 diagnostics=stats)
         dk.backward(node.tape, node)
         stats["grad_norm"] = grad_norm(model.params)
-        adam_step(model.params, state)
+        lr = cfg.lr / np.sqrt(ep + 1) if cfg.sqrt_lr_decay else cfg.lr
+        adam_step(model.params, state, lr, cfg.weight_decay)
         # The loss node holds the last reference to the epoch's tape, so
         # the tape and every array it holds are freed here, before the
         # next forward pass.
@@ -494,6 +494,15 @@ def _refuse_duplicates(values: tuple, what: str) -> None:
         raise ParameterError(f"{what} must not repeat an entry, got {values}")
 
 
+def _sweep_result(entries) -> SweepResult:
+    """The entries ordered by lambda, and the winner: the lowest
+    objective, ties going to the smaller lambda."""
+    entries = tuple(sorted(entries, key=lambda e: e.lambda_width))
+    best = min(entries, key=lambda e: (e.objective, e.lambda_width))
+    return SweepResult(entries, best.lambda_width, best.objective,
+                       _width_trend_flags(entries))
+
+
 def lambda_sweep(ds: Dataset, cfg: TrainConfig | None = None,
                  grid=DEFAULT_LAMBDA_GRID, jobs: int = 1) -> SweepResult:
     """Train one model per grid value and pick the best by the objective."""
@@ -502,11 +511,7 @@ def lambda_sweep(ds: Dataset, cfg: TrainConfig | None = None,
     if not grid:
         raise ParameterError("lambda grid must be non-empty")
     _refuse_duplicates(grid, "lambda grid")
-    entries = tuple(sorted(_sweep_entries(ds, cfg, grid, jobs),
-                           key=lambda e: e.lambda_width))
-    best = min(entries, key=lambda e: (e.objective, e.lambda_width))
-    return SweepResult(entries, best.lambda_width, best.objective,
-                       _width_trend_flags(entries))
+    return _sweep_result(_sweep_entries(ds, cfg, grid, jobs))
 
 
 def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
@@ -542,9 +547,8 @@ def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
     for _ in range(2):
         if len(evaluated) >= budget:
             break
-        best = min(evaluated.values(), key=lambda e: (e.objective, e.lambda_width))
         lams = sorted(evaluated)
-        idx = lams.index(best.lambda_width)
+        idx = lams.index(_sweep_result(evaluated.values()).chosen)
         left = lams[idx - 1] if idx > 0 else lo
         right = lams[idx + 1] if idx + 1 < len(lams) else hi
         if right / left < 1.0 + 1e-9:
@@ -558,10 +562,7 @@ def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
             break
         _eval_batch(probes)
 
-    entries = tuple(sorted(evaluated.values(), key=lambda e: e.lambda_width))
-    best = min(entries, key=lambda e: (e.objective, e.lambda_width))
-    return SweepResult(entries, best.lambda_width, best.objective,
-                       _width_trend_flags(entries))
+    return _sweep_result(evaluated.values())
 
 
 # ---------------------------------------------------------------------------
@@ -736,8 +737,8 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
 
 
 def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
-                     kinds=("random", "degree", "community"),
-                     ratios=(0.6, 0.2, 0.2), split_seed: int = 0,
+                     kinds=SPLIT_KINDS, ratios=DEFAULT_RATIOS,
+                     split_seed: int = 0,
                      jobs: int = 1) -> list[dict]:
     """Re-split one dataset by each strategy, retrain, report test metrics.
 

@@ -34,21 +34,8 @@ from .rng import keyed_rng
 # Temperature of the optional logistic coverage surrogate.
 SMOOTH_COVERAGE_TEMPERATURE = 0.1
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    alpha: float = 0.1
-    lambda_width: float = 0.05
-    width_norm: str = "l1"
-    smooth_coverage: bool = False
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
-        if not 0.0 <= self.lambda_width < math.inf:
-            raise ParameterError("lambda_width must be finite and >= 0")
-        if self.width_norm not in ("l1", "l2"):
-            raise ParameterError("width_norm must be 'l1' or 'l2'")
+# The width term's norms: mean width, or mean squared width.
+WIDTH_NORMS = ("l1", "l2")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,19 +75,25 @@ def width_loss(low: Tensor, up: Tensor, width_norm: str = "l1") -> Tensor:
     w = dk.sub(up, low)
     if width_norm == "l2":
         w = dk.mul(w, w)
-    elif width_norm != "l1":
-        raise ParameterError("width_norm must be 'l1' or 'l2'")
+    elif width_norm not in WIDTH_NORMS:
+        raise ParameterError(f"width_norm must be one of {WIDTH_NORMS}")
     return dk.reduce_mean(w)
 
 
-def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats,
-                   cfg: LossConfig) -> LossBreakdown:
+def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
+                   lambda_width: float, width_norm: str = "l1",
+                   smooth_coverage: bool = False) -> LossBreakdown:
     """Joint coverage/violation/width objective; ``low`` and ``up`` are
     the bounds on ``st``'s mask, and every term reads that one pair."""
-    target = 1.0 - cfg.alpha
+    # The chained range checks also reject NaN and infinity.
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError("alpha must lie in (0, 1)")
+    if not 0.0 <= lambda_width < math.inf:
+        raise ParameterError("lambda_width must be finite and >= 0")
+    target = 1.0 - alpha
 
     cov_term = None
-    if cfg.smooth_coverage:
+    if smooth_coverage:
         # Logistic surrogate: product of two sigmoids per node peaks at 1
         # inside the interval and lets the squared term pass gradient.
         inv_t = 1.0 / SMOOTH_COVERAGE_TEMPERATURE
@@ -115,8 +108,8 @@ def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats,
         coverage_value = (st.coverage - target) ** 2
 
     viol = violation_loss(low, up, st)
-    width = width_loss(low, up, cfg.width_norm)
-    partial = dk.add(viol, dk.scale(width, cfg.lambda_width))
+    width = width_loss(low, up, width_norm)
+    partial = dk.add(viol, dk.scale(width, lambda_width))
     node = dk.add_scalar(partial, coverage_value) if cov_term is None \
         else dk.add(cov_term, partial)
 

@@ -17,7 +17,7 @@ from qpignn.harness import (DEFAULT_LAMBDA_GRID, TrainConfig, _train_all,
                             concentration_check, convergence_check,
                             gaussian_optimal_halfwidth, lambda_sweep,
                             lambda_tune, train_qpignn)
-from qpignn.losses import LossConfig, qpi_total_loss, rqr_adj_loss, sqr_loss
+from qpignn.losses import qpi_total_loss, rqr_adj_loss, sqr_loss
 from qpignn.metrics import interval_stats, report
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from qpignn.rng import derive_seed, keyed_rng
@@ -92,7 +92,6 @@ def test_criterion_1_gradient_fidelity():
     errs = {}
 
     model = _jittered("dual", 1)
-    cfg = LossConfig(alpha=ALPHA, lambda_width=0.5)
 
     def masked(iv):
         """The masked bound pair and stats that the interval losses take."""
@@ -102,7 +101,7 @@ def test_criterion_1_gradient_fidelity():
 
     def f_qpi(params):
         iv = q.forward_intervals(model, ds.graph, ds.features, tape=Tape())
-        return qpi_total_loss(*masked(iv), cfg).node
+        return qpi_total_loss(*masked(iv), alpha=ALPHA, lambda_width=0.5).node
 
     errs["qpi"] = finite_diff_check(f_qpi, model.params)
 
@@ -182,6 +181,7 @@ def test_criterion_2_metric_oracles():
 # 3. Tuned width penalty hits nominal coverage at near-oracle width
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_3_tuned_coverage_width(ds_main):
     t0 = time.perf_counter()
     result = lambda_tune(ds_main, TrainConfig(), budget=9)
@@ -208,6 +208,7 @@ def test_criterion_3_tuned_coverage_width(ds_main):
 # 4. Loss-term and architecture ablations, five seeds
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_4_ablation_dominance(ds_main):
     rows = q.ablation_suite(ds_main, TrainConfig(), seeds=(0, 1, 2, 3, 4),
                             jobs=2)
@@ -239,6 +240,7 @@ def test_criterion_4_ablation_dominance(ds_main):
 # 5. Coverage responds monotonically to the width penalty
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_width_penalty_monotonicity(ds_main):
     res = lambda_sweep(ds_main, TrainConfig(), grid=DEFAULT_LAMBDA_GRID,
                        jobs=2)
@@ -269,6 +271,7 @@ def test_criterion_6_coverage_concentration():
 # 7. Default-configuration runs converge
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_7_training_convergence(protocol_runs):
     recs = [("sigma=1.0", protocol_runs["default"])]
     recs += [(f"sigma={s}", rec)
@@ -283,6 +286,7 @@ def test_criterion_7_training_convergence(protocol_runs):
 # 8. Widths track noise; coverage survives edge dropout
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_noise_robustness(protocol_runs):
     reps = {s: rec.reports["test"] for s, rec in protocol_runs["sigma"].items()}
     mpiws = [reps[s].mpiw for s in (0.1, 0.2, 0.3)]

@@ -31,6 +31,8 @@ def test_unknown_subcommand_exits_1(capsys):
     ["train", "--hidden", "0"],
     ["train", "--dropout", "1.5"],
     ["train", "--dropout", "nan"],
+    # every MC pass would be the same point: a zero-width interval
+    ["train", "--loss", "mse_mcdropout", "--dropout", "0"],
     ["sweep", "--hidden", "0", "--jobs", "2"],
     ["sweep", "--grid", "nan"],
     ["sweep", "--tune", "--bounds", "0.1,inf"],
@@ -301,11 +303,15 @@ def test_splits_command(tmp_path, capsys):
     out = tmp_path / "splits"
     assert run(["splits", "--graph", "grid", "--nodes", "100",
                 "--feat-dim", "4", "--noise-sigma", "0.5",
-                "--data-seed", "1", *FAST_TRAIN,
+                "--data-seed", "1", *FAST_TRAIN, "--ratios", "0.5,0.25,0.25",
                 "--kinds", "random,degree",
                 "--out", str(out), "--no-timestamp"]) == 0
     rows = (out / "splits.csv").read_text().strip().split("\n")
     assert len(rows) == 3
+    # every strategy re-splits at --ratios, not at the default
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["random", "degree"]
+    assert all(line.endswith("train=50") for line in lines)
 
 
 def test_report_aggregates_runs(tmp_path, capsys):

@@ -90,6 +90,9 @@ def test_train_config_validation():
         TrainConfig(loss_kind="qpi", model_variant="sqr")
     with pytest.raises(ContractError):
         TrainConfig(loss_kind="mse_mcdropout", model_variant="single")
+    # every MC pass of a dropout-free model is the same point
+    with pytest.raises(ParameterError, match="dropout_p"):
+        TrainConfig(loss_kind="mse_mcdropout", dropout_p=0.0)
 
 
 def test_train_is_the_single_entry_point(small_ds):
@@ -136,7 +139,7 @@ def test_one_masked_bound_pair_per_epoch(kind, variant, small_ds,
     cfg = TrainConfig(epochs=1, hidden=8, loss_kind=kind,
                       model_variant=variant)
     model = q.init_model(cfg.model_config(small_ds.feat_dim), cfg.seed)
-    q.harness._epoch_loss(model, small_ds, cfg, cfg.loss_config(), 0)
+    q.harness._epoch_loss(model, small_ds, cfg, 0)
     assert len(calls) == 2
 
 
@@ -201,6 +204,23 @@ def test_run_is_deterministic(small_ds):
     assert a.reports["test"] == b.reports["test"]
     _, c = train_qpignn(small_ds, TrainConfig(epochs=50, seed=5))
     assert not np.array_equal(a.loss, c.loss)
+
+
+@pytest.mark.parametrize("decay", [True, False])
+def test_train_steps_adam_on_the_sqrt_schedule(decay, small_ds, monkeypatch):
+    """Epoch ep steps by lr / sqrt(ep + 1) under sqrt_lr_decay, by lr
+    without it, and always decays weights by weight_decay."""
+    steps = []
+    adam = q.harness.adam_step
+
+    def recorded(params, state, lr, weight_decay):
+        steps.append((lr, weight_decay))
+        return adam(params, state, lr, weight_decay)
+    monkeypatch.setattr(q.harness, "adam_step", recorded)
+    train_qpignn(small_ds, TrainConfig(epochs=3, hidden=8, lr=0.01,
+                                       weight_decay=0.5, sqrt_lr_decay=decay))
+    want = [0.01 / np.sqrt(t) if decay else 0.01 for t in (1, 2, 3)]
+    assert steps == [(lr, 0.5) for lr in want]
 
 
 def test_train_keeps_at_most_two_tapes_alive(small_ds, monkeypatch):

@@ -6,7 +6,7 @@ import qpignn as q
 from qpignn import diffkit as dk
 from qpignn.diffkit import ParamStore, Tape, backward, finite_diff_check
 from qpignn.errors import ContractError, ParameterError
-from qpignn.losses import (LossConfig, mse_loss, pinball_loss, qpi_total_loss,
+from qpignn.losses import (mse_loss, pinball_loss, qpi_total_loss,
                            rqr_adj_loss, sqr_loss, violation_loss, width_loss)
 from qpignn.metrics import interval_stats
 from qpignn.model import IntervalSet, ModelConfig, init_model
@@ -65,8 +65,7 @@ def test_width_loss_l1_l2():
 def test_qpi_total_decomposition():
     iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([-0.5, 2.0, 0.5, 1.0])
-    cfg = LossConfig(alpha=0.1, lambda_width=0.3)
-    br = qpi_total_loss(*_masked(iv, y), cfg)
+    br = qpi_total_loss(*_masked(iv, y), alpha=0.1, lambda_width=0.3)
     assert br.empirical_coverage == 0.5
     assert br.coverage_term == pytest.approx((0.5 - 0.9) ** 2)
     assert br.violation_term == pytest.approx(0.375)
@@ -81,8 +80,7 @@ def test_hard_coverage_term_is_stop_gradient():
     the width penalty: exactly lambda/n on each bound."""
     y = np.array([0.0, 0.0, 0.0, 0.0])
     iv, tape = _iv([-1, -1, -1, -1], [1, 1, 1, 1])
-    cfg = LossConfig(alpha=0.1, lambda_width=0.4)
-    br = qpi_total_loss(*_masked(iv, y), cfg)
+    br = qpi_total_loss(*_masked(iv, y), alpha=0.1, lambda_width=0.4)
     assert br.coverage_term == pytest.approx((1.0 - 0.9) ** 2)
     backward(tape, br.node)
     np.testing.assert_allclose(iv.up.grad.ravel(), 0.4 / 4)
@@ -91,9 +89,9 @@ def test_hard_coverage_term_is_stop_gradient():
 
 def test_smooth_coverage_routes_gradient():
     y = np.array([0.0, 0.0, 0.0, 0.0])
-    cfg = LossConfig(alpha=0.1, lambda_width=0.0, smooth_coverage=True)
     iv, tape = _iv([-1, -1, -1, -1], [1, 1, 1, 1])
-    br = qpi_total_loss(*_masked(iv, y), cfg)
+    br = qpi_total_loss(*_masked(iv, y), alpha=0.1, lambda_width=0.0,
+                        smooth_coverage=True)
     backward(tape, br.node)
     # the logistic surrogate passes gradient even with zero violation
     assert np.abs(iv.up.grad).sum() > 0
@@ -179,13 +177,15 @@ def test_sqr_loss_contract(small_ds):
 
 
 def test_loss_config_validation():
+    iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
+    pair = _masked(iv, np.zeros(4))
     with pytest.raises(ParameterError):
-        LossConfig(alpha=0.0)
+        qpi_total_loss(*pair, alpha=0.0, lambda_width=0.05)
     for bad in (-0.1, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
-            LossConfig(lambda_width=bad)
+            qpi_total_loss(*pair, alpha=0.1, lambda_width=bad)
     with pytest.raises(ParameterError):
-        LossConfig(width_norm="l3")
+        qpi_total_loss(*pair, alpha=0.1, lambda_width=0.05, width_norm="l3")
 
 
 def test_masked_only_evaluation():
@@ -205,13 +205,13 @@ def test_qpi_gradient_matches_finite_differences(tiny_ds):
     for name in model.params.names():
         v = model.params.value(name)
         v += rng.uniform(-0.3, 0.3, size=v.shape)
-    cfg = LossConfig(alpha=0.1, lambda_width=0.5)
 
     def f(params):
         tape = Tape()
         iv = q.forward_intervals(model, tiny_ds.graph, tiny_ds.features,
                                  tape=tape)
         return qpi_total_loss(
-            *_masked(iv, tiny_ds.targets, tiny_ds.train_mask), cfg).node
+            *_masked(iv, tiny_ds.targets, tiny_ds.train_mask),
+            alpha=0.1, lambda_width=0.5).node
 
     assert finite_diff_check(f, model.params) < 1e-4

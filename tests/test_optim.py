@@ -30,8 +30,8 @@ def _expected_step(theta, g_raw, m, v, t, lr, wd, b1=0.9, b2=0.999, eps=1e-8,
 
 def test_first_step_with_coupled_decay():
     ps = _scalar_store(1.0, 0.5)
-    state = AdamState.for_params(ps, lr=0.1, weight_decay=0.1)
-    adam_step(ps, state)
+    state = AdamState.for_params(ps)
+    adam_step(ps, state, 0.1, 0.1)
     want, m, v = _expected_step(1.0, 0.5, 0.0, 0.0, 1, 0.1, 0.1)
     assert ps.value("w")[0, 0] == pytest.approx(want, abs=1e-15)
     assert state.m["w"][0, 0] == pytest.approx(m, abs=1e-15)
@@ -40,11 +40,11 @@ def test_first_step_with_coupled_decay():
 
 def test_second_step_tracks_moments():
     ps = _scalar_store(1.0, 0.5)
-    state = AdamState.for_params(ps, lr=0.1, weight_decay=0.1)
-    adam_step(ps, state)
+    state = AdamState.for_params(ps)
+    adam_step(ps, state, 0.1, 0.1)
     t1, m, v = _expected_step(1.0, 0.5, 0.0, 0.0, 1, 0.1, 0.1)
     ps.grad("w")[:] = 0.25
-    adam_step(ps, state)
+    adam_step(ps, state, 0.1, 0.1)
     t2, _, _ = _expected_step(t1, 0.25, m, v, 2, 0.1, 0.1)
     assert ps.value("w")[0, 0] == pytest.approx(t2, abs=1e-14)
     assert state.t == 2
@@ -52,28 +52,29 @@ def test_second_step_tracks_moments():
 
 def test_decay_pulls_toward_zero_with_no_gradient():
     ps = _scalar_store(5.0, 0.0)
-    state = AdamState.for_params(ps, lr=0.01, weight_decay=0.5)
+    state = AdamState.for_params(ps)
     for _ in range(50):
-        adam_step(ps, state)
+        adam_step(ps, state, 0.01, 0.5)
     assert 0 < ps.value("w")[0, 0] < 5.0
 
 
 def test_first_step_magnitude_without_decay():
     # at t=1, m_hat / sqrt(v_hat) collapses to sign(g) so |delta| ~ lr
     ps = _scalar_store(0.0, 3.7)
-    state = AdamState.for_params(ps, lr=0.05, weight_decay=0.0)
-    adam_step(ps, state)
+    state = AdamState.for_params(ps)
+    adam_step(ps, state, 0.05, 0.0)
     assert ps.value("w")[0, 0] == pytest.approx(-0.05, rel=1e-6)
 
 
 def test_sqrt_decay_schedule():
+    """The 1/sqrt(t) step size that ``train`` passes under
+    ``sqrt_lr_decay``."""
     theta, m, v = 0.0, 0.0, 0.0
     ps = _scalar_store(theta, 1.0)
-    state = AdamState.for_params(ps, lr=0.1, weight_decay=0.0,
-                                 sqrt_decay=True)
+    state = AdamState.for_params(ps)
     for t in (1, 2, 3):
         ps.grad("w")[:] = 1.0
-        adam_step(ps, state)
+        adam_step(ps, state, 0.1 / np.sqrt(t), 0.0)
         theta, m, v = _expected_step(theta, 1.0, m, v, t, 0.1, 0.0,
                                      sqrt_decay=True)
         assert ps.value("w")[0, 0] == pytest.approx(theta, abs=1e-14)
@@ -83,8 +84,8 @@ def test_sqrt_decay_schedule():
 
 def test_grads_zeroed_after_step():
     ps = _scalar_store(1.0, 0.5)
-    state = AdamState.for_params(ps, lr=0.1)
-    adam_step(ps, state)
+    state = AdamState.for_params(ps)
+    adam_step(ps, state, 0.1, 1e-3)
     assert ps.grad("w")[0, 0] == 0.0
 
 
@@ -94,24 +95,23 @@ def test_state_param_mismatch():
     other.add("b", np.zeros((1, 1)))
     state = AdamState.for_params(other)
     with pytest.raises(ContractError):
-        adam_step(ps, state)
+        adam_step(ps, state, 1e-3, 1e-3)
 
 
 def test_config_validation():
+    ps = _scalar_store(1.0, 0.5)
+    state = AdamState.for_params(ps)
     with pytest.raises(ParameterError):
-        AdamState(lr=-1.0)
+        adam_step(ps, state, -1.0, 1e-3)
     with pytest.raises(ParameterError):
-        AdamState(beta1=1.0)
-    with pytest.raises(ParameterError):
-        AdamState(beta2=-0.1)
-    with pytest.raises(ParameterError):
-        AdamState(eps=0.0)
-    with pytest.raises(ParameterError):
-        AdamState(weight_decay=-0.5)
-    for name in ("lr", "weight_decay", "eps"):
-        for bad in (float("nan"), float("inf")):
-            with pytest.raises(ParameterError):
-                AdamState(**{name: bad})
+        adam_step(ps, state, 1e-3, -0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            adam_step(ps, state, bad, 1e-3)
+        with pytest.raises(ParameterError):
+            adam_step(ps, state, 1e-3, bad)
+    # a refused step changes nothing
+    assert state.t == 0 and ps.value("w")[0, 0] == 1.0
 
 
 def test_grad_norm_oracle():
@@ -121,8 +121,8 @@ def test_grad_norm_oracle():
     ps.grad("a")[:] = [[3.0, 0.0]]
     ps.grad("b")[:] = [[0.0], [4.0]]
     assert grad_norm(ps) == pytest.approx(5.0, abs=1e-15)
-    state = AdamState.for_params(ps, lr=0.1)
-    adam_step(ps, state)
+    state = AdamState.for_params(ps)
+    adam_step(ps, state, 0.1, 1e-3)
     assert grad_norm(ps) == 0.0
 
 
@@ -130,8 +130,8 @@ def test_vector_params_update_elementwise():
     ps = ParamStore()
     ps.add("w", np.array([[1.0, 2.0], [3.0, 4.0]]))
     ps.grad("w")[:] = [[1.0, 0.0], [0.0, -1.0]]
-    state = AdamState.for_params(ps, lr=0.1, weight_decay=0.0)
-    adam_step(ps, state)
+    state = AdamState.for_params(ps)
+    adam_step(ps, state, 0.1, 0.0)
     w = ps.value("w")
     assert w[0, 0] < 1.0 and w[1, 1] > 4.0
     assert w[0, 1] == 2.0 and w[1, 0] == 3.0  # zero grad, zero decay
