@@ -23,9 +23,11 @@ over the run's epochs: ``forward_ms`` (the taped forward pass),
 evaluated untaped ``EVAL_CALLS`` times, as ``perfbench`` times it: one
 ``forward_intervals`` plus ``report`` on the test mask.  ``eval_ms`` is
 the median call and ``eval_minflt_per_call`` the minor faults per call.
-``digest`` hashes the run's record and ``eval_digest`` its evaluated
-intervals, so two sides can be checked for identical output;
-``peak_rss_mb`` is the process peak.
+Then one ``mc_dropout_interval`` call runs with ``perfbench``'s pass
+count for the case (``MC_PASSES``): ``mc_s`` is its wall time and
+``mc_digest`` hashes its intervals.  ``digest`` hashes the run's record
+and ``eval_digest`` its evaluated intervals, so two sides can be checked
+for identical output; ``peak_rss_mb`` is the process peak, MC included.
 """
 from __future__ import annotations
 
@@ -42,10 +44,17 @@ import driver
 EPOCHS = {"er2k": 150, "grid20k": 5, "grid200k": 1}
 PHASES = ("forward_ms", "loss_ms", "backward_ms", "adam_ms")
 EVAL_CALLS = 5
+MC_PASSES = {"er2k": 100, "grid20k": 5, "grid200k": 5}
 
 
 def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _digest(iv) -> str:
+    import numpy as np
+    return hashlib.sha256(np.concatenate([iv.low_values, iv.up_values])
+                          .tobytes()).hexdigest()[:16]
 
 
 def measure(name: str) -> dict:
@@ -103,9 +112,14 @@ def measure(name: str) -> dict:
             calls.append((time.perf_counter() - t0) * 1e3)
         row["eval_ms"] = median(calls)
         row["eval_minflt_per_call"] = (_minflt() - flt0) / EVAL_CALLS
-        row["eval_digest"] = hashlib.sha256(
-            np.concatenate([iv.low_values, iv.up_values]).tobytes()
-        ).hexdigest()[:16]
+        row["eval_digest"] = _digest(iv)
+
+        t0 = time.perf_counter()
+        iv = model.mc_dropout_interval(ds.graph, ds.features, fitted,
+                                       passes=MC_PASSES[name],
+                                       dropout_p=cfg.dropout_p, seed=1)
+        row["mc_s"] = time.perf_counter() - t0
+        row["mc_digest"] = _digest(iv)
         return row
 
     with contextlib.ExitStack() as patches:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import sys
@@ -370,13 +371,17 @@ def _cmd_robust(args) -> int:
     return 0
 
 
+# The options of ``qpignn shift`` that pass straight to ``shift_matrix``,
+# whose defaults they take.
+_SHIFT_DATA = ("nodes", "runs", "data_seed", "family", "noise_sigma",
+               "feat_dim")
+
+
 def _cmd_shift(args) -> int:
     cfg = _config_from_args(args)
     families = tuple(args.families.split(","))
-    matrix = shift_matrix(families, cfg, nodes=args.nodes, runs=args.runs,
-                          data_seed=args.data_seed, family=args.family,
-                          noise_sigma=args.noise_sigma,
-                          feat_dim=args.feat_dim, jobs=args.jobs)
+    matrix = shift_matrix(families, cfg, jobs=args.jobs,
+                          **{name: getattr(args, name) for name in _SHIFT_DATA})
 
     rows = [{"source_family": fi, "target_family": fj,
              "picp": float(matrix.picp[i, j]),
@@ -523,12 +528,11 @@ def build_parser() -> _Parser:
     p = sub.add_parser("shift", help="cross-family transfer matrix")
     _add_common(p); _add_train(p); _add_jobs(p)
     p.add_argument("--families", default=",".join(SHIFT_FAMILIES))
-    p.add_argument("--nodes", type=int, default=500)
-    p.add_argument("--runs", type=int, default=10)
-    p.add_argument("--data-seed", type=int, default=11)
-    p.add_argument("--family", default="basic")
-    p.add_argument("--noise-sigma", type=float, default=0.3)
-    p.add_argument("--feat-dim", type=int, default=8)
+    shift = inspect.signature(shift_matrix).parameters
+    for name in _SHIFT_DATA:
+        default = shift[name].default
+        p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                       default=default)
     p.set_defaults(func=_cmd_shift, lambda_width=SHIFT_LAMBDA)
 
     p = sub.add_parser("splits", help="compare split strategies")

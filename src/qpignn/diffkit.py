@@ -20,13 +20,22 @@ same values as adding it to zeros, up to the sign of zero entries;
 parameter buffers start at +0 and always add, so parameter gradients are
 unchanged bit for bit.
 
-The tape keeps only what backward reads.  Each adjoint closes over
-slots and the few arrays it needs (a matmul the other operand's value,
-relu and dropout their bool masks), so every other forward value is
-freed as soon as the forward pass drops it.  Each adjoint takes its
-output's gradient out of the slot, so an intermediate's gradient is
-freed once passed on and after ``backward`` only leaves hold one.
-Untracked tensors have no slot and record nothing.
+The tape keeps only what backward reads, and only until it is read.
+Each adjoint closes over slots and the few arrays it needs (a matmul the
+other operand's value, relu and dropout their bool masks), so every
+other forward value is freed as soon as the forward pass drops it.
+Once a step has run, ``backward`` empties its closure cells, so the
+arrays it read are freed before the steps below it run; the closure
+itself stays on the tape.  Each adjoint takes its output's gradient out
+of the slot, so an intermediate's gradient is freed once passed on and
+after ``backward`` only leaves hold one.  Untracked tensors have no
+slot and record nothing.
+
+Products added to an array that already exists (``sage_relu``'s
+``agg @ W_neigh``, a second gradient part of ``h`` or of a matmul
+operand) go through ``_gemm_add``: one dgemm with beta = 1 from numpy's
+own OpenBLAS, which adds into the array's buffer with the bits of
+``c + a @ b`` and makes no n-row temporary.
 
 An adjoint owns the gradient it takes, so ``relu``, ``dropout`` and
 ``sage_relu`` mask it in place (see ``_take`` for why no other slot
@@ -42,6 +51,7 @@ faulting their pages in again, so a process's RSS stays near its peak.
 from __future__ import annotations
 
 import ctypes
+import functools
 from typing import Callable, Mapping
 
 import numpy as np
@@ -64,6 +74,76 @@ def _keep_freed_heap() -> None:
 
 
 _keep_freed_heap()
+
+
+# cblas_dgemm's arguments in numpy's ILP64 OpenBLAS: order, two transpose
+# flags, m, n, k, alpha, A, lda, B, ldb, beta, C, ldc.
+_DGEMM_ARGS = (ctypes.c_int,) * 3 + (ctypes.c_int64,) * 3 + (
+    ctypes.c_double, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+    ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_int64)
+_ROW_MAJOR, _NO_TRANS, _TRANS = 101, 111, 112
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS, if this process has it loaded."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split(None, 5)[-1].strip() for line in maps
+                     if "openblas" in line}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if (hasattr(lib, "scipy_openblas_set_num_threads64_")
+                and hasattr(lib, "scipy_cblas_dgemm64_")):
+            lib.scipy_cblas_dgemm64_.argtypes = _DGEMM_ARGS
+            lib.scipy_cblas_dgemm64_.restype = None
+            return lib
+    return None
+
+
+def _blas_layout(x: np.ndarray) -> tuple[int, int] | None:
+    """The transpose flag and leading dimension under which row-major
+    BLAS reads ``x`` in place, or None when it cannot.  A transposed view
+    is read as its base with ``_TRANS``, as numpy passes it."""
+    if x.dtype != np.float64 or x.ndim != 2 or not x.flags.aligned:
+        return None
+    if x.flags.c_contiguous:
+        return _NO_TRANS, x.shape[1]
+    if x.flags.f_contiguous:
+        return _TRANS, x.shape[0]
+    return None
+
+
+def _gemm_add(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> None:
+    """``c += a @ b`` inside ``c``'s buffer, with no ``a @ b`` temporary.
+
+    OpenBLAS's dgemm with beta = 1 adds each finished dot product to
+    ``c``, so the bits are those of ``c + a @ b`` wherever numpy's
+    product is a dgemm too.  A one-row or one-column product is a GEMV
+    in numpy, with other bits, so it takes numpy's ``c += a @ b``; so
+    does anything dgemm would misread: no library, a shape, dtype or
+    layout it cannot take, an empty operand, or ``c`` overlapping one.
+    """
+    lib = _openblas()
+    la = _blas_layout(a)
+    lb = _blas_layout(b)
+    if (lib is None or la is None or lb is None or c.dtype != np.float64
+            or not c.flags.c_contiguous or not c.flags.aligned
+            or not c.flags.writeable or a.shape[1] != b.shape[0]
+            or c.shape != (a.shape[0], b.shape[1]) or min(c.shape) < 2
+            or not a.shape[1] or np.may_share_memory(c, a)
+            or np.may_share_memory(c, b)):
+        c += a @ b
+        return
+    (m, k), n = a.shape, b.shape[1]
+    lib.scipy_cblas_dgemm64_(_ROW_MAJOR, la[0], lb[0], m, n, k, 1.0,
+                             a.ctypes.data, la[1], b.ctypes.data, lb[1], 1.0,
+                             c.ctypes.data, n)
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -131,7 +211,8 @@ class Tape:
 
     The forward pass appends one adjoint closure per operation;
     ``backward`` visits them strictly in reverse, once: ``sage_relu``'s
-    step overwrites a forward array it has read.
+    step overwrites a forward array it has read, and each step's closure
+    cells are emptied once it has run.
     """
 
     __slots__ = ("_steps", "_replayed")
@@ -150,6 +231,8 @@ class Tape:
         return Tensor(arr, self, grad)
 
     def record(self, step: Callable[[], None]) -> None:
+        """Append ``step``.  Its closure cells must be its own, since
+        ``backward`` empties them."""
         self._steps.append(step)
 
     def __len__(self) -> int:
@@ -172,6 +255,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     _accumulate(loss._slot, np.ones((1, 1)))
     for step in reversed(tape._steps):
         step()
+        # The step has run for good: empty its cells so the arrays and
+        # slots it captured are freed now, while the closure itself
+        # stays on the tape.
+        for cell in step.__closure__ or ():
+            cell.cell_contents = None
 
 
 def _tape_of(*tensors: Tensor) -> Tape | None:
@@ -319,12 +407,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     value = (_blocked_column(a.value, b.value) if b.shape[1] == 1
              else a.value @ b.value)
     out = Tensor(value, _tape_of(a, b))
-    if out.tape is not None:
-        # Each operand's gradient reads only the other operand's value.
-        av = a.value if b.tape is not None else None
-        bv = b.value if a.tape is not None else None
-        _record_binary(out, a, b, lambda g: g @ bv.T,
-                       lambda g: _blocked_at_g(av, g))
+    if out.tape is None:
+        return out
+    # Each operand's gradient reads only the other operand's value.
+    so, sa, sb = out._slot, a._slot, b._slot
+    av = a.value if sb is not None else None
+    bv = b.value if sa is not None else None
+
+    def step():
+        g = _take(so)
+        if g is None:
+            return
+        if sa is not None and sa.grad is None:
+            sa.grad = g @ bv.T
+        elif sa is not None:  # a later part, such as the second head's
+            _gemm_add(g, bv.T, sa.grad)
+        if sb is not None:
+            _accumulate(sb, _blocked_at_g(av, g))
+    out.tape.record(step)
     return out
 
 
@@ -445,8 +545,9 @@ def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
     size = a.value.size
     draws = keyed_rng(seed, "dropout").integers(0, 1 << 64, (size + 1) // 2,
                                                dtype=np.uint64)
-    draws = draws.astype("<u8", copy=False).view("<u4")[:size].reshape(a.shape)
-    keep = draws >= _keep_threshold(p)
+    keep = (draws.astype("<u8", copy=False).view("<u4")[:size]
+            .reshape(a.shape) >= _keep_threshold(p))
+    del draws  # half an input's size, freed before the output is made
     k = 1.0 / (1.0 - p)
     v = a.value * keep
     v *= k
@@ -495,7 +596,7 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
     op = mean_adjacency(graph)
     agg = np.asarray(op @ h.value)
     v = h.value @ w_self.value
-    v += agg @ w_neigh.value
+    _gemm_add(agg, w_neigh.value, v)
     v += bias.value
     tape = _tape_of(h, w_self, w_neigh, bias)
     mask = v > 0.0 if tape is not None else None
@@ -519,12 +620,11 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
         if sn is not None:
             _accumulate(sn, _blocked_at_g(agg, g))
         if sh is not None:
-            # Nothing reads agg now, so both n x in_dim products go into
-            # it.  The sparse product is fresh, so no slot adopts agg.
+            # Nothing reads agg now, so the first n x in_dim product goes
+            # into it.  The sparse product is fresh, so no slot adopts agg.
             np.matmul(g, wn.T, out=agg)
             _accumulate(sh, op.T @ agg)
-            np.matmul(g, ws.T, out=agg)
-            sh.grad += agg
+            _gemm_add(g, ws.T, sh.grad)
         if ss is not None:
             _accumulate(ss, _blocked_at_g(hv, g))
     tape.record(step)

@@ -12,7 +12,6 @@ workers of one BLAS thread each.
 from __future__ import annotations
 
 import ctypes
-import functools
 import math
 import multiprocessing
 import os
@@ -332,30 +331,11 @@ def selection_objective(val: MetricsReport, alpha: float) -> float:
     return val.mpiw + COVERAGE_PENALTY_WEIGHT * max(0.0, (1.0 - alpha) - val.picp)
 
 
-@functools.cache
-def _openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS, if this process has it loaded."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split(None, 5)[-1].strip() for line in maps
-                     if "openblas" in line}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
-    return None
-
-
 def _stop_blas_server() -> None:
     """Shut down this process's OpenBLAS thread server, whose idle helper
     busy-waits after a threaded call until OpenBLAS's idle timeout.  The
     next threaded call starts it again."""
-    lib = _openblas()
+    lib = dk._openblas()
     if lib is not None:
         lib.blas_thread_shutdown_()
 
@@ -383,7 +363,7 @@ def _worker_start(parent: int) -> None:
                                 ctypes.c_ulong(signal.SIGTERM))
         if os.getppid() != parent:
             os._exit(0)
-    lib = _openblas()
+    lib = dk._openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
     _stop_blas_server()

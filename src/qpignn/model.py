@@ -158,21 +158,32 @@ def _first_layer(graph: Graph, x: Tensor,
                         params["sage1.bias"])
 
 
-def _after_first_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
-                       dropout_p: float, train_mode: bool, seed: int) -> Tensor:
-    """The rest of ``encode``, from the first layer's output on."""
-    h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 1), train_mode)
+def _dropout(h: Tensor, dropout_p: float, train_mode: bool, seed: int,
+             layer: int) -> Tensor:
+    """The dropout after encoder layer ``layer``."""
+    return dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", layer),
+                      train_mode)
+
+
+def _second_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
+                  dropout_p: float, train_mode: bool, seed: int) -> Tensor:
+    """The rest of ``encode``, from the first layer's dropout output on."""
     h = dk.sage_relu(graph, h, params["sage2.self"], params["sage2.neigh"],
                      params["sage2.bias"])
-    return dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", 2), train_mode)
+    return _dropout(h, dropout_p, train_mode, seed, 2)
 
 
 def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
            dropout_p: float = 0.0, train_mode: bool = False,
            seed: int = 0) -> Tensor:
-    """Two message-passing layers with ReLU, dropout after each ReLU."""
-    return _after_first_layer(graph, _first_layer(graph, x, params), params,
-                              dropout_p, train_mode, seed)
+    """Two message-passing layers with ReLU, dropout after each ReLU.
+
+    Rebinding ``h`` frees the first layer's output once dropout has read
+    it: an argument stays alive until the call it was passed to returns.
+    """
+    h = _first_layer(graph, x, params)
+    h = _dropout(h, dropout_p, train_mode, seed, 1)
+    return _second_layer(graph, h, params, dropout_p, train_mode, seed)
 
 
 def _head(h: Tensor, params: Mapping[str, Tensor], name: str) -> Tensor:
@@ -272,9 +283,11 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     h1 = _first_layer(graph, constant(x), params)
     rows = []
     for t in range(passes):
-        h = _after_first_layer(graph, h1, params, dropout_p, True,
-                               derive_seed(seed, "mc", t))
+        s = derive_seed(seed, "mc", t)
+        h = _second_layer(graph, _dropout(h1, dropout_p, True, s, 1), params,
+                          dropout_p, True, s)
         rows.append(_head(h, params, "pred").value.ravel())
+        del h  # this pass's encoder output, before the next pass starts
     return interval_from_mc_samples(np.vstack(rows), t_mult)
 
 

@@ -116,8 +116,9 @@ def test_epoch_er2k_and_its_timers_are_removed():
     assert set(row) == {"epoch_ms", "minflt_per_epoch", "forward_ms",
                         "loss_ms", "backward_ms", "adam_ms", "eval_ms",
                         "eval_minflt_per_call", "digest", "eval_digest",
-                        "epochs", "nodes", "peak_rss_mb"}
-    assert row["epochs"] == 150 and row["nodes"] == 2000
+                        "mc_s", "mc_digest", "epochs", "nodes",
+                        "peak_rss_mb"}
+    assert row["epochs"] == 150 and row["nodes"] == 2000 and row["mc_s"] > 0
     assert all(row[k] > 0 for k in bench_epoch.PHASES)
     assert (harness.forward_intervals, harness._epoch_loss, dk.backward,
             harness.grad_norm, harness.adam_step) == bindings

@@ -374,3 +374,17 @@ def test_ablate_and_robust_small(tmp_path):
                 "--out", str(out2), "--no-timestamp"]) == 0
     header = (out2 / "robustness.csv").read_text().split("\n")[0]
     assert header.endswith(",coverage_retention,width_growth")
+
+
+def test_shift_options_default_to_shift_matrix_defaults(monkeypatch):
+    """``qpignn shift`` restates none of ``shift_matrix``'s defaults:
+    the parser reads them from its signature."""
+    from qpignn import cli
+
+    def shift_matrix(families=(), cfg=None, nodes=7, runs=2, data_seed=3,
+                     family="kin", noise_sigma=0.5, feat_dim=4, jobs=1):
+        raise AssertionError("not run")
+    monkeypatch.setattr(cli, "shift_matrix", shift_matrix)
+    args = cli.build_parser().parse_args(["shift", "--runs", "5"])
+    assert (args.nodes, args.runs, args.data_seed, args.family,
+            args.noise_sigma, args.feat_dim) == (7, 5, 3, "kin", 0.5, 4)

@@ -1,12 +1,12 @@
 """Reverse-mode engine: every primitive checked against central differences."""
 import pickle
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from qpignn import diffkit as dk
-from qpignn import harness
 from qpignn.diffkit import (ParamStore, Tape, backward, constant,
                             finite_diff_check)
 from qpignn.errors import ContractError, ParameterError, ShapeError
@@ -124,22 +124,118 @@ def test_one_column_products_keep_the_plain_products_bits():
             dk.matmul(constant(a[:n]), constant(b)).value, a[:n] @ b)
 
 
-def test_one_column_products_do_not_depend_on_blas_threads():
-    lib = harness._openblas()
-    if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS, with its thread count restored afterwards."""
+    lib = dk._openblas()
+    if lib is None:
         pytest.skip("numpy's OpenBLAS is not loaded")
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
+
+
+def test_one_column_products_do_not_depend_on_blas_threads(openblas):
     rng = keyed_rng(0, "dk-gemv")
     a = rng.standard_normal((20022, 64))  # the 20k grid's node count
     b = rng.standard_normal((64, 1))
-    before = lib.scipy_openblas_get_num_threads64_()
     outs = []
-    try:
-        for threads in (1, 2):
-            lib.scipy_openblas_set_num_threads64_(threads)
-            outs.append(dk.matmul(constant(a), constant(b)).value)
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
+    for threads in (1, 2):
+        openblas.scipy_openblas_set_num_threads64_(threads)
+        outs.append(dk.matmul(constant(a), constant(b)).value)
     np.testing.assert_array_equal(*outs)
+
+
+def _gemm_cases(sizes=(1, 255, 257, 2000, 20022)):
+    """(a, b, c) for the three products the engine adds in place: the
+    first layer's n x 8 . 8 x 64, the second's n x 64 . 64 x 64 and a
+    one-column head's adjoint n x 1 . (64 x 1).T, at row counts around
+    one 256-row block and up to the 20k grid's."""
+    rng = keyed_rng(0, "dk-gemm")
+    for n in sizes:
+        for a_shape, b in (((n, 8), rng.standard_normal((8, 64))),
+                           ((n, 64), rng.standard_normal((64, 64))),
+                           ((n, 1), rng.standard_normal((64, 1)).T)):
+            yield (rng.standard_normal(a_shape), b,
+                   rng.standard_normal((n, 64)))
+
+
+def _check_gemm_add(cases):
+    for a, b, c in cases:
+        want = c + a @ b
+        dk._gemm_add(a, b, c)
+        assert c.tobytes() == want.tobytes(), (a.shape, b.shape)
+
+
+@pytest.mark.parametrize("threads", (1, 2))
+def test_gemm_add_gives_the_bits_of_c_plus_a_at_b(openblas, threads):
+    openblas.scipy_openblas_set_num_threads64_(threads)
+    _check_gemm_add(_gemm_cases())
+
+
+def test_gemm_add_makes_no_product_temporary(openblas):
+    a, b, c = list(_gemm_cases((20022,)))[1]
+    tracemalloc.start()
+    try:
+        dk._gemm_add(a, b, c)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < c.nbytes // 8, peak
+
+
+def test_gemm_add_without_the_library_adds_with_numpy(monkeypatch):
+    monkeypatch.setattr(dk, "_openblas", lambda: None)
+    _check_gemm_add(_gemm_cases())
+
+
+class _NoBlas:
+    """Stands in for the library: reaching any of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"{name} was reached")
+
+
+def test_gemm_add_leaves_what_blas_cannot_take_to_numpy(monkeypatch):
+    monkeypatch.setattr(dk, "_openblas", _NoBlas)
+    rng = keyed_rng(0, "dk-gemm-bad")
+    a, b, c = (rng.standard_normal(shape) for shape in ((6, 3), (3, 4),
+                                                         (6, 4)))
+    wide = rng.standard_normal((6, 6))
+    with pytest.raises(AssertionError, match="dgemm"):
+        dk._gemm_add(a, b, c.copy())  # the stand-in does catch a call
+
+    def read_only():
+        out = c.copy()
+        out.flags.writeable = False
+        return out
+
+    cases = {
+        "inner dims": lambda: (a, b[:2], c.copy()),
+        "output shape": lambda: (a, b, c[:, :3].copy()),
+        "broadcast output": lambda: (a, b[:, :1], c.copy()),
+        "1-D operands": lambda: (a, b[:, 0].copy(), c[:, 0].copy()),
+        "float32 operand": lambda: (a.astype(np.float32), b, c.copy()),
+        "float32 output": lambda: (a, b, c.astype(np.float32)),
+        "strided operand": lambda: (wide[:, ::2], b, c.copy()),
+        "fortran output": lambda: (a, b, np.asfortranarray(c)),
+        "read-only output": lambda: (a, b, read_only()),
+        "output is an operand": lambda: (lambda s: (s, s, s))(wide.copy()),
+        "no rows": lambda: (a[:0], b, c[:0].copy()),
+        "no inner dim": lambda: (a[:, :0], b[:0], c.copy()),
+    }
+    for name, make in cases.items():
+        a_, b_, want = make()
+        try:
+            want += a_ @ b_
+        except Exception as exc:  # numpy's own error, from numpy's path
+            with pytest.raises(type(exc)):
+                dk._gemm_add(*make())
+            continue
+        a_, b_, got = make()
+        dk._gemm_add(a_, b_, got)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), \
+            name
 
 
 def test_matmul_gradients_over_several_row_blocks():
@@ -600,6 +696,26 @@ def test_untaped_sage_relu_records_nothing(ring6):
     assert out.tape is None and out.grad is None
     np.testing.assert_array_equal(
         out.value, _six_step_layer(ring6, constant(x), *weights).value)
+
+
+def test_backward_frees_what_each_step_read_and_keeps_the_steps(ring6):
+    ps, x = _layer_case()
+    tape = Tape()
+    p = ps.leaves(tape)
+    h = tape.leaf(x)
+    loss = dk.reduce_mean(dk.relu(dk.sage_relu(ring6, h, p["s"], p["n"],
+                                               p["b"])))
+    inputs = {id(h.value), id(p["s"].value), id(p["n"].value)}
+    # the layer's mask and A @ h, and relu's mask: only adjoints read them
+    read = [weakref.ref(arr) for step in tape._steps[:2]
+            for arr in _closure_arrays(step) if id(arr) not in inputs]
+    assert len(read) == 3 and all(ref() is not None for ref in read)
+    steps, last = len(tape), weakref.ref(tape._steps[-1])
+    backward(tape, loss)
+    assert all(ref() is None for ref in read)
+    # the steps stay on the tape, so a weakref to one sees the tape alive
+    assert len(tape) == steps and last() is tape._steps[-1]
+    assert np.abs(ps.grad("s")).sum() > 0
 
 
 def test_sage_relu_step_holds_only_what_backward_reads(ring6):

@@ -264,11 +264,13 @@ def test_train_keeps_at_most_two_tapes_alive(small_ds, monkeypatch):
 
 
 def test_training_peak_memory_is_a_few_node_arrays():
-    """Adjoints keep only the arrays they read, and each epoch's tape
-    dies with its epoch, so five epochs on the 2000-node protocol graph
-    peak below 8 live n x hidden float64 arrays (about 6; 9.4 while each
-    tape lived on into the next epoch; 41 when closures held every
-    forward value and gradient)."""
+    """Adjoints keep only the arrays they read and drop them once run,
+    each epoch's tape dies with its epoch, and products add in place, so
+    five epochs on the 2000-node protocol graph peak below 5.5 live
+    n x hidden float64 arrays (about 5.1; 6.2 with product temporaries,
+    steps that kept their arrays and dropout's draws alive beside its
+    output; 9.4 while each tape lived on into the next epoch; 41 when
+    closures held every forward value and gradient)."""
     n = 2000
     ds = q.synth_dataset(q.gen_er(n, 8 / (n - 1), seed=1), "gaussian", 8,
                          1.0, seed=1)
@@ -279,7 +281,7 @@ def test_training_peak_memory_is_a_few_node_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 8 * n * cfg.hidden * 8, peak / (n * cfg.hidden * 8)
+    assert peak < 5.5 * n * cfg.hidden * 8, peak / (n * cfg.hidden * 8)
 
 
 def test_violation_decays_as_coverage_rises(small_ds):
@@ -534,12 +536,12 @@ def _blas_threads(ds, cfg):
     worker's BLAS threads and OS threads (None without ``/proc``)."""
     np.ones((300, 300)) @ np.ones((300, 300))
     tasks = "/proc/self/task"
-    return (q.harness._openblas().scipy_openblas_get_num_threads64_(),
+    return (q.diffkit._openblas().scipy_openblas_get_num_threads64_(),
             len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
 
 
 def test_pool_workers_run_one_blas_thread(monkeypatch, no_kept_pool):
-    lib = q.harness._openblas()
+    lib = q.diffkit._openblas()
     if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy's OpenBLAS is not loaded")
     before = lib.scipy_openblas_get_num_threads64_()
@@ -635,7 +637,7 @@ def _parent_spin(ds, cfg):
 
 def test_parent_does_not_spin_while_its_workers_train(monkeypatch,
                                                       no_kept_pool):
-    lib = q.harness._openblas()
+    lib = q.diffkit._openblas()
     if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
         pytest.skip("numpy's OpenBLAS is not loaded")
     if not os.path.isdir("/proc/self/task"):
