@@ -67,8 +67,7 @@ def _digest(obj) -> str:
 
 
 def _record_key(rec):
-    return [getattr(rec, f).tobytes() for f in
-            ("coverage", "width", "loss", "grad_norm", "violation")] + \
+    return [getattr(rec, f).tobytes() for f in rec.TRAJECTORIES] + \
         [sorted(rec.reports.items())]
 
 

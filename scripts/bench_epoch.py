@@ -96,9 +96,8 @@ def measure(name: str) -> dict:
         row["adam_ms"] = median(np.add(spans["adam_ms"][0::2],
                                        spans["adam_ms"][1::2]))
         h = hashlib.sha256()
-        for arr in (rec.coverage, rec.width, rec.loss, rec.grad_norm,
-                    rec.violation):
-            h.update(np.ascontiguousarray(arr).tobytes())
+        for field in rec.TRAJECTORIES:
+            h.update(np.ascontiguousarray(getattr(rec, field)).tobytes())
         h.update(repr(sorted(rec.reports.items())).encode())
         row["digest"] = h.hexdigest()[:16]
 

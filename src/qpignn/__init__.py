@@ -23,6 +23,6 @@ from .harness import (ConcentrationReport, ConvergenceReport, RunRecord,
                       hoeffding_epsilon, inv_norm_cdf, lambda_sweep,
                       lambda_tune, mcdiarmid_prob, robustness_suite,
                       selection_objective, shift_matrix, split_experiment,
-                      train, train_qpignn, trajectory_csv)
+                      train, train_qpignn)
 
 __version__ = "0.1.0"

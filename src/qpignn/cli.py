@@ -27,12 +27,11 @@ from .graphcore import (DEFAULT_RATIOS, SPLIT_KINDS, SplitSpec, load_csv,
                         save_csv)
 from .harness import (ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
                       DEFAULT_TUNE_BOUNDS, GRAPH_PRESETS, SHIFT_FAMILIES,
-                      SHIFT_LAMBDA, TrainConfig, ablation_suite,
+                      SHIFT_LAMBDA, RunRecord, TrainConfig, ablation_suite,
                       concentration_check, convergence_check, dataset_preset,
                       gaussian_optimal_halfwidth, hoeffding_epsilon,
                       lambda_sweep, lambda_tune, mcdiarmid_prob,
-                      robustness_suite, shift_matrix, split_experiment, train,
-                      trajectory_csv)
+                      robustness_suite, shift_matrix, split_experiment, train)
 from .losses import WIDTH_NORMS
 from .metrics import METRIC_FIELDS
 from .metrics import report as metrics_report
@@ -172,13 +171,6 @@ def _config_from_args(args) -> TrainConfig:
         raise ParameterError(str(exc)) from exc
 
 
-def _stamp(args) -> list[str]:
-    if args.no_timestamp:
-        return []
-    now = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    return [f"# generated {now}"]
-
-
 def _write_outputs(args, default_name: str, **tables) -> Path:
     """Create the output directory, write each of ``tables`` in the
     requested format and the ``config.json`` echo of the arguments, and
@@ -192,21 +184,20 @@ def _write_outputs(args, default_name: str, **tables) -> Path:
     """
     out = Path(args.out) if args.out else Path("runs") / default_name
     out.mkdir(parents=True, exist_ok=True)
+    stamp = None if args.no_timestamp else datetime.now(
+        timezone.utc).isoformat(timespec="seconds")
     for stem, (columns, rows) in tables.items():
         if args.format == "json":
-            doc: dict = {}
-            if not args.no_timestamp:
-                doc["generated"] = datetime.now(timezone.utc).isoformat(
-                    timespec="seconds")
+            doc = {"generated": stamp} if stamp else {}
             doc["rows"] = [{name: _json_value(row[name])
                             for name, _ in columns} for row in rows]
             (out / f"{stem}.json").write_text(json.dumps(doc, indent=2) + "\n")
         else:
-            lines = [",".join(name for name, _ in columns)]
+            lines = [f"# generated {stamp}"] if stamp else []
+            lines.append(",".join(name for name, _ in columns))
             lines += [",".join(cell(row[name]) for name, cell in columns)
                       for row in rows]
-            (out / f"{stem}.csv").write_text(
-                "\n".join(_stamp(args) + lines) + "\n")
+            (out / f"{stem}.csv").write_text("\n".join(lines) + "\n")
     payload = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     (out / "config.json").write_text(json.dumps(payload, indent=2,
                                                 default=str) + "\n")
@@ -243,6 +234,10 @@ SUMMARY_COLUMNS = (("dataset", str), ("model", str), ("lambda", str),
 SHIFT_COLUMNS = (("source_family", str), ("target_family", str),
                  ("picp", _G10), ("mpiw", _G10), ("lambda", _G),
                  ("runs", str))
+# The trajectory of `train`: one row per epoch, one column per per-epoch
+# array of RunRecord.
+TRAJECTORY_COLUMNS = (("epoch", str),) + tuple(
+    (name, _G10) for name in RunRecord.TRAJECTORIES)
 
 
 def _with_cells(columns, **cells) -> tuple:
@@ -282,8 +277,11 @@ def _cmd_train(args) -> int:
     rows = [_run_row(rec.reports[mask_name], run_id, label, cfg.model_variant,
                      cfg.lambda_width, cfg.seed, "train", kind=mask_name)
             for mask_name in ("train", "val", "test")]
-    out = _write_outputs(args, "train", metrics=(RUN_COLUMNS, rows))
-    (out / "trajectory.csv").write_text(trajectory_csv(rec))
+    trajectory = [{"epoch": ep, **{name: float(getattr(rec, name)[ep])
+                                   for name in RunRecord.TRAJECTORIES}}
+                  for ep in range(cfg.epochs)]
+    out = _write_outputs(args, "train", metrics=(RUN_COLUMNS, rows),
+                         trajectory=(TRAJECTORY_COLUMNS, trajectory))
     save_checkpoint(model, out / "checkpoint.json")
 
     conv = convergence_check(rec)

@@ -259,6 +259,8 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
         # Coverage terms off: only the width penalty reaches the tape.
         node = dk.scale(width_loss(low, up, cfg.width_norm), cfg.lambda_width)
     elif cfg.loss_kind == "rqr_adj":
+        # Aims at coverage cfg.alpha, the miscoverage; RQR's own 1 - cfg.alpha
+        # would change every RQR-adj output.
         node = rqr_adj_loss(low, up, st, cfg.alpha, RQR_LAMBDA,
                             RQR_GAMMA_ORDER)
     elif cfg.loss_kind in ("mse_only", "mse_mcdropout"):
@@ -468,8 +470,8 @@ def _width_trend_flags(entries) -> tuple[str, ...]:
 
 
 def _refuse_duplicates(values: tuple, what: str) -> None:
-    """Each repeated entry would train a second, identical run whose rows
-    cannot be told apart from the first's."""
+    """Each repeated entry would train a second run whose rows cannot be
+    told apart from the first's."""
     if len(set(values)) < len(values):
         raise ParameterError(f"{what} must not repeat an entry, got {values}")
 
@@ -612,16 +614,22 @@ def robustness_suite(ds: Dataset, cfg: TrainConfig | None = None,
     """
     cfg = cfg or TrainConfig()
     levels = levels if levels is not None else DEFAULT_PERTURB_LEVELS
-    specs = [(kind, float(level), derive_seed(cfg.seed, "perturb:" + kind, i))
-             for kind in sorted(levels)
-             for i, level in enumerate(levels[kind])]
+    levels = {kind: tuple(float(level) for level in levels[kind])
+              for kind in sorted(levels)}
+    for kind, kind_levels in levels.items():
+        # Level 0 is the one unperturbed run every kind shares.
+        _refuse_duplicates((0.0,) + kind_levels,
+                           f"the shared level 0 and the {kind} levels")
+    specs = [(kind, level, derive_seed(cfg.seed, "perturb:" + kind, i))
+             for kind, kind_levels in levels.items()
+             for i, level in enumerate(kind_levels)]
     datasets = [ds] + [perturb(ds, PerturbSpec(kind, level, seed=pseed))
                        for kind, level, pseed in specs]
     runs = _train_all([(d, cfg) for d in datasets], jobs)
     base, *perturbed = (rec.reports["test"] for _, rec in runs)
 
     rows = []
-    for kind in sorted(levels):
+    for kind in levels:
         rows.append(_robust_row(kind, 0.0, base, base))
     for (kind, level, _), rep in zip(specs, perturbed):
         rows.append(_robust_row(kind, level, rep, base))
@@ -631,9 +639,8 @@ def robustness_suite(ds: Dataset, cfg: TrainConfig | None = None,
 
 def _robust_row(kind: str, level: float, rep: MetricsReport,
                 base: MetricsReport) -> dict:
-    row = {"kind": kind, "level": level, "report": rep}
-    for f in METRIC_FIELDS:
-        row[f] = getattr(rep, f)
+    row = {"kind": kind, "level": level, "report": rep,
+           **{f: getattr(rep, f) for f in METRIC_FIELDS}}
     row["coverage_retention"] = rep.picp / base.picp if base.picp > 0 else float("nan")
     row["width_growth"] = rep.mpiw / base.mpiw if base.mpiw > 0 else float("nan")
     return row
@@ -736,15 +743,11 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
         variants.append(ds.with_masks(*masks))
     reports = [rec.reports["test"]
                for _, rec in _train_all([(d, cfg) for d in variants], jobs)]
-    rows = []
-    for kind, d, rep in zip(kinds, variants, reports):
-        row = {"kind": kind, "train_size": int(d.train_mask.sum()),
-               "val_size": int(d.val_mask.sum()),
-               "test_size": int(d.test_mask.sum()), "report": rep}
-        for f in METRIC_FIELDS:
-            row[f] = getattr(rep, f)
-        rows.append(row)
-    return rows
+    return [{"kind": kind, "train_size": int(d.train_mask.sum()),
+             "val_size": int(d.val_mask.sum()),
+             "test_size": int(d.test_mask.sum()), "report": rep,
+             **{f: getattr(rep, f) for f in METRIC_FIELDS}}
+            for kind, d, rep in zip(kinds, variants, reports)]
 
 
 # ---------------------------------------------------------------------------
@@ -844,15 +847,6 @@ def concentration_check(interval_rule: tuple[float, float],
                                exceed_fraction=exceed, exceed_allowed=allowed,
                                stds=stds, std_ratios=tuple(ratios),
                                passed=passed, note=note)
-
-
-def trajectory_csv(rec: RunRecord) -> str:
-    """Per-epoch trajectory table, one row per epoch."""
-    lines = ["epoch,coverage,width,loss,grad_norm"]
-    for ep in range(rec.config.epochs):
-        lines.append(f"{ep},{rec.coverage[ep]:.10g},{rec.width[ep]:.10g},"
-                     f"{rec.loss[ep]:.10g},{rec.grad_norm[ep]:.10g}")
-    return "\n".join(lines) + "\n"
 
 
 def convergence_check(rec: RunRecord) -> ConvergenceReport:

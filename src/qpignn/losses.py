@@ -169,18 +169,20 @@ def sqr_loss(model: Model, dataset: Dataset, mask: np.ndarray,
     return pinball_loss(dataset.targets[mask], yhat_m, tau[mask])
 
 
-def rqr_adj_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
-                 lam: float, gamma_order: float) -> Tensor:
+def rqr_adj_loss(low: Tensor, up: Tensor, st: IntervalStats,
+                 coverage: float, lam: float, gamma_order: float) -> Tensor:
     """RQR-adj on the masked bounds ``low`` and ``up`` of ``st``'s mask.
 
-    Mean of (alpha + 2 lam - 1[low <= y <= up]) (y - low) (y - up)
+    Mean of (coverage + 2 lam - 1[low <= y <= up]) (y - low) (y - up)
     plus (lam / 2) (up - low)^2, with a constant coverage indicator,
-    plus gamma * mean relu(low - up), penalising crossed bounds.  The
-    crossing term is taped first, so backward adds its gradient to each
-    bound last, after the sum of the two RQR terms' gradients.
+    plus gamma * mean relu(low - up), penalising crossed bounds.  Its
+    minimiser covers y with probability ``coverage``, the target
+    coverage (not the miscoverage), whatever ``lam``.  The crossing term
+    is taped first, so backward adds its gradient to each bound last,
+    after the sum of the two RQR terms' gradients.
     """
     crossing = dk.scale(dk.reduce_mean(dk.relu(dk.sub(low, up))), gamma_order)
-    coeff = alpha + 2.0 * lam - st.inside.astype(np.float64).reshape(-1, 1)
+    coeff = coverage + 2.0 * lam - st.inside.astype(np.float64).reshape(-1, 1)
     yc = constant(st.y)
     product = dk.mul(dk.sub(yc, low), dk.sub(yc, up))
     w = dk.sub(up, low)

@@ -276,6 +276,8 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     """
     if passes < 2:
         raise ParameterError("passes must be >= 2")
+    if dropout_p == 0.0:  # every pass would be the same point
+        raise ParameterError("mc_dropout_interval needs dropout_p > 0")
     if "pred.weight" not in model.params:
         raise ContractError("model has no point-prediction head")
     params = model.params.constants()

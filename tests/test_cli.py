@@ -299,6 +299,28 @@ def test_json_format(tmp_path):
     assert {"picp", "mpiw", "run_id"} <= set(doc["rows"][0])
 
 
+def test_trajectory_follows_format(tmp_path):
+    """One trajectory row per epoch, one column per RunRecord array, in
+    the chosen format, with the timestamp line every table carries."""
+    names = ["epoch", "coverage", "width", "loss", "grad_norm", "violation"]
+    argv = ["train", *FAST_DS, "--epochs", "40", "--hidden", "8"]
+    assert run([*argv, "--out", str(tmp_path / "csv")]) == 0
+    stamp, header, *lines = \
+        (tmp_path / "csv" / "trajectory.csv").read_text().splitlines()
+    assert stamp.startswith("# generated ")
+    assert header == ",".join(names)
+    assert len(lines) == 40
+    assert lines[0].startswith("0,") and lines[-1].startswith("39,")
+
+    assert run([*argv, "--format", "json", "--out", str(tmp_path / "json"),
+                "--no-timestamp"]) == 0
+    assert not (tmp_path / "json" / "trajectory.csv").exists()
+    rows = json.loads((tmp_path / "json" / "trajectory.json").read_text())
+    assert list(rows) == ["rows"] and len(rows["rows"]) == 40
+    assert all(list(row) == names for row in rows["rows"])
+    assert [row["epoch"] for row in rows["rows"]] == list(range(40))
+
+
 def test_splits_command(tmp_path, capsys):
     out = tmp_path / "splits"
     assert run(["splits", "--graph", "grid", "--nodes", "100",

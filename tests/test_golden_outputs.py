@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from qpignn.cli import run
+from qpignn.harness import RunRecord
 
 DS = ["--nodes", "100", "--feat-dim", "4", "--noise-sigma", "0.5",
       "--data-seed", "1"]
@@ -113,7 +114,7 @@ GOLDEN = {
         "metrics.csv":
             "f9b9eacab0164cd9211603ca023b52ed4a578b1b0ef4c10e423d35f9e40acffe",
         "trajectory.csv":
-            "e2c3c79775681e55708c3ccb7da9d24efff41d3ea8171b680b5fcbc3c1f5e326",
+            "50aadfceb20b295344092a248f4beb0225a09e27ed67e8431cccbf7117fe1007",
     },
     "train_json": {
         "checkpoint.json":
@@ -122,8 +123,8 @@ GOLDEN = {
             "2454647ae8d30e2167ae799b06a93717fa9497d1b47db485454a2d4f9f4a0a5c",
         "metrics.json":
             "75fff4e9e55f0a2e062fcf7811411b3d1d091f0b029a6c1934a11a93175d473a",
-        "trajectory.csv":
-            "e2c3c79775681e55708c3ccb7da9d24efff41d3ea8171b680b5fcbc3c1f5e326",
+        "trajectory.json":
+            "eb45355ad0ea4e01357ba01229ea67f35b723173f8a7598a95fe855f87357480",
     },
     "train_mse_mcdropout": {
         "checkpoint.json":
@@ -133,7 +134,7 @@ GOLDEN = {
         "metrics.csv":
             "085b3f98b8dcd9f28b87e7a60108a086a1895a9ff88745f70134075c953212fd",
         "trajectory.csv":
-            "bde65d58b18167c4110f30823bc645c500e009b450829f83e30e34cade3808e3",
+            "c85eaab1172bca8dd5c488c486db01f7c30befa20a802d7d3585d1108668fed8",
     },
     "train_mse_only": {
         "checkpoint.json":
@@ -143,7 +144,7 @@ GOLDEN = {
         "metrics.csv":
             "808bb9c0e6940ab12ba479bb9f996239c685f664b6299e4039e37d62093d1899",
         "trajectory.csv":
-            "bde65d58b18167c4110f30823bc645c500e009b450829f83e30e34cade3808e3",
+            "c85eaab1172bca8dd5c488c486db01f7c30befa20a802d7d3585d1108668fed8",
     },
     "train_rqr_adj": {
         "checkpoint.json":
@@ -153,7 +154,7 @@ GOLDEN = {
         "metrics.csv":
             "ed2035da63bb7487c124318e922d43c73f4e53392c1bd9308ba170ea95bc305d",
         "trajectory.csv":
-            "720ca5b05f1e1e74f0e56e60edd2c4404b36aa4ba5f39748f68aff72258e34f9",
+            "696ddb64eb4875760b5d36eaa85165bd42dbb6f4162c98ac73e936a029889fde",
     },
     "train_rqr_adj_dual": {
         "checkpoint.json":
@@ -163,7 +164,7 @@ GOLDEN = {
         "metrics.csv":
             "a7236e49a2786478870ab674d73a91f31b1cc26e4148757fb4dc05dda8e5c86a",
         "trajectory.csv":
-            "b7d5c6ba65bbd201d1f42d3f0fa3f30b387b568ac08b3494d4169aabe123d50a",
+            "c4e5e0c3cd8858b86eee9d039f6eef582b2396714f609d2b54a534398757dad9",
     },
     "train_rqr_adj_fixed_margin": {
         "checkpoint.json":
@@ -173,7 +174,7 @@ GOLDEN = {
         "metrics.csv":
             "5c15efd7486f09f419b5668336e17fe45ef3b6faa8b3fade668c83fbec359626",
         "trajectory.csv":
-            "cc69407bbafdeb5cb725b7f1b540057b89da4f5bf9c7a311f11e8bbe7598017f",
+            "0f9135c9e73424da3fa1d273175b5d0114f1f7d320ad5310d2a1712b08aed545",
     },
     "train_smooth_l2": {
         "checkpoint.json":
@@ -183,7 +184,7 @@ GOLDEN = {
         "metrics.csv":
             "e18f777fd455c7a8b6aeb94e2c23cfb38f9fca7c6d3b854678af6625706cae33",
         "trajectory.csv":
-            "8ac72b7c817190c60b331efb3bf52d55217d880439408abbfeee3098118de1a8",
+            "32204981e4b6615fe1881ed94b0d0dd806c12548567c7a6faeed097cb55d026d",
     },
     "train_sqr": {
         "checkpoint.json":
@@ -193,7 +194,7 @@ GOLDEN = {
         "metrics.csv":
             "47bd0e6d202cb77cff9d6ab69969c98c3bc5a7bbe3571ab478049e3a594ede4f",
         "trajectory.csv":
-            "23c3b7b2057b17d83d6be2062bf5de1a0ac55b1f26d9d7ed9e3cc099bbb8fa3f",
+            "fe25b4a1e63685cc3fba308f106e20f4f88331e7430b6be295760c8adbe8bed0",
     },
     "train_width_only_single": {
         "checkpoint.json":
@@ -203,7 +204,7 @@ GOLDEN = {
         "metrics.csv":
             "8e9387a94237e41a00780ca838410cb2dd750fc0fa8d7c7b8955cc90a5750fb1",
         "trajectory.csv":
-            "3c86a2c445ac4fe7a6a68cee634ec5a1e49fb15aa3d7e4a82d40184b805e7dce",
+            "515e304e42866687e2f86cca7833a4b65b11d7749e803637b48d0f715512afbf",
     },
 }
 
@@ -275,6 +276,7 @@ FIXED_CELLS = {
     "shift": {"picp": ".10g", "mpiw": ".10g", "lambda": "g"},
     "summary": _STATS,
     "ablation_summary": _STATS,
+    "trajectory": {name: ".10g" for name in RunRecord.TRAJECTORIES},
 }
 TABLE_CASES = ("train_csv", "eval", "sweep_grid", "ablate", "robust",
                "splits", "shift", "report")
@@ -299,12 +301,10 @@ def test_json_holds_the_csv_table(case, tmp_path, monkeypatch):
     assert run([*argv, "--out", "csv"]) == 0
     assert run([*argv, "--format", "json", "--out", "json"]) == 0
 
-    # trajectory.csv is not a table that --format selects
-    assert {p.name for p in Path("json").glob("*.csv")} <= {"trajectory.csv"}
+    assert not list(Path("json").glob("*.csv"))
     tables = sorted(p.stem for p in Path("json").glob("*.json")
                     if p.stem not in ("config", "checkpoint"))
-    assert tables == sorted(p.stem for p in Path("csv").glob("*.csv")
-                            if p.stem != "trajectory")
+    assert tables == sorted(p.stem for p in Path("csv").glob("*.csv"))
     nulls = 0
     for stem in tables:
         with open(f"csv/{stem}.csv", newline="") as fh:
@@ -334,3 +334,5 @@ def test_json_holds_the_csv_table(case, tmp_path, monkeypatch):
         assert [row["lambda"] for row in summary] == [0.05, None]
     if case == "ablate":
         assert tables == ["ablation", "ablation_summary"]
+    if case == "train_csv":
+        assert tables == ["metrics", "trajectory"]

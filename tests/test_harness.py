@@ -32,7 +32,7 @@ from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
                             _train_all, convergence_check, dataset_preset,
                             lambda_sweep, lambda_tune, robustness_suite,
                             selection_objective, shift_matrix,
-                            split_experiment, trajectory_csv, train_qpignn,
+                            split_experiment, train_qpignn,
                             ablation_suite)
 from qpignn.metrics import MetricsReport
 from qpignn.rng import keyed_rng
@@ -351,15 +351,6 @@ def test_mc_dropout_intervals_come_from_sampling(small_ds):
     _, rec = q.train(small_ds, cfg)
     assert np.all(rec.width == 0.0)
     assert rec.reports["test"].mpiw > 0
-
-
-def test_trajectory_csv_shape(small_ds):
-    cfg = TrainConfig(epochs=40, seed=0)
-    _, rec = train_qpignn(small_ds, cfg)
-    lines = trajectory_csv(rec).strip().split("\n")
-    assert lines[0] == "epoch,coverage,width,loss,grad_norm"
-    assert len(lines) == 41
-    assert lines[1].startswith("0,") and lines[-1].startswith("39,")
 
 
 # ---------------------------------------------------------------------------
@@ -767,6 +758,21 @@ def test_robustness_trends(robust_ds):
     for r in ed:
         assert r["picp"] == pytest.approx(11 / 12, abs=1e-9)
         assert r["coverage_retention"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("levels", [
+    # two perturbations with different seeds under one label
+    {"target_noise": (0.1, 0.1)},
+    {"edge_dropout": (0.2, 0.1, 0.2)},
+    # a second copy of the shared unperturbed row
+    {"target_noise": (0.0, 0.1)},
+])
+def test_robustness_refuses_repeated_levels(levels, small_ds, monkeypatch):
+    def no_training(*_):
+        raise AssertionError("trained before the levels were checked")
+    monkeypatch.setattr(q.harness, "_train_all", no_training)
+    with pytest.raises(ParameterError):
+        robustness_suite(small_ds, TrainConfig(epochs=1), levels=levels)
 
 
 def test_split_strategies_er(small_ds):

@@ -134,13 +134,34 @@ def test_rqr_w_oracle():
     low = tape.leaf(np.array([[0.0]]))
     up = tape.leaf(np.array([[2.0]]))
     y = np.array([1.0])
-    alpha, lam = 0.1, 0.5
-    # covered: coeff = alpha + 2 lam - 1 = 0.1; product (y-low)(y-up) = -1
+    coverage, lam = 0.1, 0.5
+    # covered: coeff = coverage + 2 lam - 1 = 0.1; product (y-low)(y-up) = -1
     # penalty (lam/2) w^2 = 0.25 * 4 = 1  -> total = -0.1 + 1
     iv = IntervalSet(low, up)
-    loss = rqr_adj_loss(*_masked(iv, y, np.ones(1, bool)), alpha, lam,
+    loss = rqr_adj_loss(*_masked(iv, y, np.ones(1, bool)), coverage, lam,
                         gamma_order=0.0)
     assert loss.item() == pytest.approx(0.9)
+
+
+def test_rqr_adj_minimiser_covers_at_its_coverage_argument():
+    """Over a symmetric interval [-a, a] the derivative of RQR-adj in a
+    is -2a (coverage - P(|y| <= a)): the lam terms cancel, so the
+    minimising half-width covers y at ``coverage`` for every lam."""
+    y = keyed_rng(0, "rqr-adj-oracle").standard_normal(20_000)
+    mask = np.ones(y.size, bool)
+    grid = np.arange(0.01, 3.0, 0.01)
+    cases = [(coverage, lam) for coverage in (0.1, 0.9)
+             for lam in (1.0, 0.1, 0.01)]
+    losses = np.empty((len(cases), grid.size))
+    for j, a in enumerate(grid):
+        iv, _ = _iv(np.full(y.size, -a), np.full(y.size, a))
+        pair = _masked(iv, y, mask)
+        for i, (coverage, lam) in enumerate(cases):
+            losses[i, j] = rqr_adj_loss(*pair, coverage, lam, 1.0).item()
+    for (coverage, lam), row in zip(cases, losses):
+        best = grid[np.argmin(row)]
+        assert abs(np.mean(np.abs(y) <= best) - coverage) <= 0.01, \
+            (coverage, lam, best)
 
 
 def test_rqr_adj_penalises_crossing():

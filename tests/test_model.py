@@ -151,6 +151,15 @@ def test_mc_dropout_interval_properties(ring6):
         mc_dropout_interval(ring6, x, model, passes=1)
 
 
+def test_mc_dropout_interval_refuses_no_dropout(ring6):
+    """Without dropout every pass is the same point: a zero-width
+    interval that would read as certainty."""
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual"), 0)
+    with pytest.raises(ParameterError, match="dropout_p > 0"):
+        mc_dropout_interval(ring6, _features(6, 3), model, passes=5,
+                            dropout_p=0.0)
+
+
 # ---------------------------------------------------------------------------
 # Checkpoints
 # ---------------------------------------------------------------------------
