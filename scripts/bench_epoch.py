@@ -27,7 +27,10 @@ Then one ``mc_dropout_interval`` call runs with ``perfbench``'s pass
 count for the case (``MC_PASSES``): ``mc_s`` is its wall time and
 ``mc_digest`` hashes its intervals.  ``digest`` hashes the run's record
 and ``eval_digest`` its evaluated intervals, so two sides can be checked
-for identical output; ``peak_rss_mb`` is the process peak, MC included.
+for identical output; ``peak_rss_mb`` is the process peak, MC included,
+and ``train_peak_rss_mb`` the peak right after the first, untimed
+training run, before its evaluation and MC, so the two show which phase
+sets the peak.
 """
 from __future__ import annotations
 
@@ -49,6 +52,10 @@ MC_PASSES = {"er2k": 100, "grid20k": 5, "grid200k": 5}
 
 def _minflt() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+
+
+def _peak_rss_mb() -> float:
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _digest(iv) -> str:
@@ -87,7 +94,8 @@ def measure(name: str) -> dict:
         t0 = time.perf_counter()
         fitted, rec = harness.train(ds, cfg)
         row = {"epoch_ms": (time.perf_counter() - t0) / epochs * 1e3,
-               "minflt_per_epoch": (_minflt() - flt0) / epochs}
+               "minflt_per_epoch": (_minflt() - flt0) / epochs,
+               "train_peak_rss_mb": _peak_rss_mb()}
         # Taped forwards only: the final evaluation is one more call.
         forward = spans["forward_ms"][:epochs]
         row["forward_ms"] = median(forward)
@@ -128,10 +136,10 @@ def measure(name: str) -> dict:
                                  (harness, "grad_norm", "adam_ms"),
                                  (harness, "adam_step", "adam_ms")):
             patches.enter_context(timed(owner, attr, key))
-        run()
+        train_peak = run()["train_peak_rss_mb"]
         row = run()
     row.update(epochs=epochs, nodes=ds.graph.num_nodes,
-               peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+               train_peak_rss_mb=train_peak, peak_rss_mb=_peak_rss_mb())
     return row
 
 

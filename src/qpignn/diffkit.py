@@ -41,6 +41,14 @@ An adjoint owns the gradient it takes, so ``relu``, ``dropout`` and
 ``sage_relu`` mask it in place (see ``_take`` for why no other slot
 holds it).
 
+No op overwrites an input's value unless its caller passes ``dead``,
+saying nothing reads that value again (``model`` does, for encoder
+arrays it made).  ``dropout`` then masks in place, untaped ``sage_relu``
+computes ``h W_self`` over ``h`` and ``linear_heads``' step writes
+``h``'s gradient into ``h``'s buffer, all with the plain call's bits.
+``dropout`` draws its random numbers in fixed chunks, so no draw buffer
+grows with the input.
+
 Comparisons never flow gradient: coverage and violation indicators are
 computed on raw values and re-enter the graph as constant coefficients.
 
@@ -211,8 +219,9 @@ class Tape:
 
     The forward pass appends one adjoint closure per operation;
     ``backward`` visits them strictly in reverse, once: ``sage_relu``'s
-    step overwrites a forward array it has read, and each step's closure
-    cells are emptied once it has run.
+    step, and ``linear_heads``' step over a dead input, overwrite forward
+    arrays they have read, and each step's closure cells are emptied once
+    it has run.
     """
 
     __slots__ = ("_steps", "_replayed")
@@ -402,30 +411,8 @@ def _blocked_column(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
-    value = (_blocked_column(a.value, b.value) if b.shape[1] == 1
-             else a.value @ b.value)
-    out = Tensor(value, _tape_of(a, b))
-    if out.tape is None:
-        return out
-    # Each operand's gradient reads only the other operand's value.
-    so, sa, sb = out._slot, a._slot, b._slot
-    av = a.value if sb is not None else None
-    bv = b.value if sa is not None else None
-
-    def step():
-        g = _take(so)
-        if g is None:
-            return
-        if sa is not None and sa.grad is None:
-            sa.grad = g @ bv.T
-        elif sa is not None:  # a later part, such as the second head's
-            _gemm_add(g, bv.T, sa.grad)
-        if sb is not None:
-            _accumulate(sb, _blocked_at_g(av, g))
-    out.tape.record(step)
-    return out
+    """``a @ b``, as a head without a bias (see ``linear_heads``)."""
+    return linear_heads(a, [(b, None)])[0]
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -526,7 +513,11 @@ def _keep_threshold(p: float) -> int:
     return round(p * (1 << 32))
 
 
-def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
+_DRAW_CHUNK = 1 << 15  # uint64s per draw: a 256 KiB buffer
+
+
+def dropout(a: Tensor, p: float, seed: int, train_mode: bool,
+            dead: bool = False) -> Tensor:
     """Inverted dropout: kept entries are rescaled by 1 / (1 - p).
 
     Outside training (or at p == 0) this is the identity.  The mask is a
@@ -536,20 +527,23 @@ def dropout(a: Tensor, p: float, seed: int, train_mode: bool) -> Tensor:
     then its high half, so the draws are half as many uint64s viewed as
     little-endian uint32s: the same stream as
     ``integers(0, 1 << 32, dtype=np.uint32)`` at about half its cost.
-    The tape keeps the bool mask, not a float64 one.
+    A full-range uint64 draw takes one raw value, so chunks continue the
+    stream; each is compared straight into the bool mask, which the tape
+    keeps.  With ``dead``, ``a``'s own buffer is masked.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError("dropout probability must lie in [0, 1)")
     if not train_mode or p == 0.0:
         return a
-    size = a.value.size
-    draws = keyed_rng(seed, "dropout").integers(0, 1 << 64, (size + 1) // 2,
-                                               dtype=np.uint64)
-    keep = (draws.astype("<u8", copy=False).view("<u4")[:size]
-            .reshape(a.shape) >= _keep_threshold(p))
-    del draws  # half an input's size, freed before the output is made
+    keep = np.empty(a.shape, dtype=bool)
+    rng = keyed_rng(seed, "dropout")
+    for start in range(0, keep.size, 2 * _DRAW_CHUNK):
+        part = keep.reshape(-1)[start:start + 2 * _DRAW_CHUNK]
+        draws = rng.integers(0, 1 << 64, (part.size + 1) // 2, np.uint64)
+        np.greater_equal(draws.astype("<u8", copy=False).view("<u4")
+                         [:part.size], _keep_threshold(p), out=part)
     k = 1.0 / (1.0 - p)
-    v = a.value * keep
+    v = np.multiply(a.value, keep, out=a.value if dead else None)
     v *= k
     out = Tensor(v, a.tape)
     if a.tape is not None:
@@ -577,8 +571,21 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
     return out
 
 
+def _matmul_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for a square ``b``, over ``a``'s buffer in 256-row
+    blocks, which gave the plain product's bits at every size tried
+    under one and two BLAS threads.  A lone last row joins the block
+    before it, since a one-row product is a GEMV with other bits."""
+    starts = list(range(0, a.shape[0], _ROW_BLOCK))
+    if a.shape[0] % _ROW_BLOCK == 1 and len(starts) > 1:
+        starts.pop()
+    for start, stop in zip(starts, starts[1:] + [a.shape[0]]):
+        a[start:stop] = a[start:stop] @ b
+    return a
+
+
 def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
-              bias: Tensor) -> Tensor:
+              bias: Tensor, dead: bool = False) -> Tensor:
     """One encoder layer, ``relu(h W_self + mean_neighbours(h) W_neigh +
     bias)``, computed in the buffer of ``h W_self`` and taped as one step.
 
@@ -586,6 +593,8 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
     ``csr_mean_aggregate``, ``matmul``, ``add``, ``add_row_bias`` and
     ``relu`` in their order, so the bits are theirs; ``h`` takes its two
     gradient parts one after the other, as from the two matmul steps.
+    ``dead`` says nothing reads ``h``'s value again: untaped, ``h W_self``
+    is then computed over ``h``'s buffer (see ``_matmul_over``).
     """
     if (h.shape[0] != graph.num_nodes or w_self.shape[0] != h.shape[1]
             or w_neigh.shape != w_self.shape
@@ -595,10 +604,13 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
                          f"bias {bias.shape}")
     op = mean_adjacency(graph)
     agg = np.asarray(op @ h.value)
-    v = h.value @ w_self.value
+    tape = _tape_of(h, w_self, w_neigh, bias)
+    if dead and tape is None and w_self.shape[0] == w_self.shape[1]:
+        v = _matmul_over(h.value, w_self.value)
+    else:
+        v = h.value @ w_self.value
     _gemm_add(agg, w_neigh.value, v)
     v += bias.value
-    tape = _tape_of(h, w_self, w_neigh, bias)
     mask = v > 0.0 if tape is not None else None
     np.maximum(v, 0.0, out=v)
     out = Tensor(v, tape)
@@ -611,6 +623,7 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
     hv = h.value if ss is not None else None
 
     def step():
+        nonlocal hv
         g = _take(so)
         if g is None:
             return
@@ -619,16 +632,65 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
             _accumulate(sb, g.sum(axis=0, keepdims=True))
         if sn is not None:
             _accumulate(sn, _blocked_at_g(agg, g))
+        if ss is not None:
+            _accumulate(ss, _blocked_at_g(hv, g))
+        hv = None  # read for the last time: freed before h's gradient
         if sh is not None:
             # Nothing reads agg now, so the first n x in_dim product goes
             # into it.  The sparse product is fresh, so no slot adopts agg.
             np.matmul(g, wn.T, out=agg)
             _accumulate(sh, op.T @ agg)
             _gemm_add(g, ws.T, sh.grad)
-        if ss is not None:
-            _accumulate(ss, _blocked_at_g(hv, g))
     tape.record(step)
     return out
+
+
+def linear_heads(h: Tensor, heads: list[tuple[Tensor, Tensor | None]],
+                 dead: bool = False) -> list[Tensor]:
+    """``h @ weight + bias`` for each (weight, bias or None) pair, taped
+    as one step.  The step takes every bias and weight gradient, then
+    ``h``'s parts from the last head to the first, as one matmul and one
+    bias step per head would; with ``dead`` nothing reads ``h``'s value
+    after the weight gradients, so the first part goes into its buffer.
+    """
+    if any(w.shape[0] != h.shape[1] or b is not None
+           and b.shape != (1, w.shape[1]) for w, b in heads):
+        raise ShapeError(f"linear_heads: input {h.shape}, heads {heads}")
+    tape = _tape_of(h, *(t for pair in heads for t in pair if t is not None))
+    outs = []
+    for w, b in heads:
+        v = (_blocked_column(h.value, w.value) if w.shape[1] == 1
+             else h.value @ w.value)
+        if b is not None:
+            v += b.value
+        outs.append(Tensor(v, tape))
+    if tape is None:
+        return outs
+    so, sh = [out._slot for out in outs], h._slot
+    slots = [(w._slot, None if b is None else b._slot) for w, b in heads]
+    ws = [w.value for w, _ in heads] if sh is not None else None
+    hv = h.value if dead or any(sw is not None for sw, _ in slots) else None
+
+    def step():
+        nonlocal hv
+        gs = [_take(slot) for slot in so]
+        for g, (sw, sb) in zip(gs, slots):
+            if g is not None and sb is not None:
+                _accumulate(sb, g.sum(axis=0, keepdims=True))
+            if g is not None and sw is not None:
+                _accumulate(sw, _blocked_at_g(hv, g))
+        buf, hv = (hv if dead else None), None
+        if sh is None:
+            return
+        for g, w in reversed(list(zip(gs, ws))):
+            if g is None:
+                continue
+            if sh.grad is None:
+                sh.grad = np.matmul(g, w.T, out=buf)
+            else:  # a later part, or a leaf's own buffer
+                _gemm_add(g, w.T, sh.grad)
+    tape.record(step)
+    return outs
 
 
 def masked_select(a: Tensor, mask: np.ndarray) -> Tensor:

@@ -303,6 +303,10 @@ def train(ds: Dataset,
                                 diagnostics=stats)
         dk.backward(node.tape, node)
         stats["grad_norm"] = grad_norm(model.params)
+        if not math.isfinite(stats["grad_norm"]):  # before Adam spreads it
+            raise TrainingError(f"gradient norm {stats['grad_norm']} at "
+                                f"epoch {ep} is not finite", epoch=ep,
+                                diagnostics=stats)
         lr = cfg.lr / np.sqrt(ep + 1) if cfg.sqrt_lr_decay else cfg.lr
         adam_step(model.params, state, lr, cfg.weight_decay)
         # The loss node holds the last reference to the epoch's tape, so

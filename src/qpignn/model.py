@@ -159,18 +159,19 @@ def _first_layer(graph: Graph, x: Tensor,
 
 
 def _dropout(h: Tensor, dropout_p: float, train_mode: bool, seed: int,
-             layer: int) -> Tensor:
+             layer: int, dead: bool) -> Tensor:
     """The dropout after encoder layer ``layer``."""
     return dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", layer),
-                      train_mode)
+                      train_mode, dead=dead)
 
 
 def _second_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
-                  dropout_p: float, train_mode: bool, seed: int) -> Tensor:
+                  dropout_p: float, train_mode: bool, seed: int,
+                  dead: bool = False) -> Tensor:
     """The rest of ``encode``, from the first layer's dropout output on."""
     h = dk.sage_relu(graph, h, params["sage2.self"], params["sage2.neigh"],
-                     params["sage2.bias"])
-    return _dropout(h, dropout_p, train_mode, seed, 2)
+                     params["sage2.bias"], dead=dead)
+    return _dropout(h, dropout_p, train_mode, seed, 2, dead=True)
 
 
 def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
@@ -178,35 +179,37 @@ def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
            seed: int = 0) -> Tensor:
     """Two message-passing layers with ReLU, dropout after each ReLU.
 
-    Rebinding ``h`` frees the first layer's output once dropout has read
-    it: an argument stays alive until the call it was passed to returns.
+    Each dropout masks the layer output it is given in place, since
+    nothing else reads it; ``x`` is never written.
     """
     h = _first_layer(graph, x, params)
-    h = _dropout(h, dropout_p, train_mode, seed, 1)
+    h = _dropout(h, dropout_p, train_mode, seed, 1, dead=True)
     return _second_layer(graph, h, params, dropout_p, train_mode, seed)
 
 
-def _head(h: Tensor, params: Mapping[str, Tensor], name: str) -> Tensor:
-    """One linear output head of ``_HEADS``: ``h @ weight + bias``."""
-    return dk.add_row_bias(dk.matmul(h, params[f"{name}.weight"]),
-                           params[f"{name}.bias"])
+def _heads(h: Tensor, params: Mapping[str, Tensor], names,
+           dead: bool = False) -> list[Tensor]:
+    """The output heads ``names`` of ``_HEADS`` on ``h``, as one step."""
+    return dk.linear_heads(h, [(params[f"{n}.weight"], params[f"{n}.bias"])
+                               for n in names], dead)
 
 
 def variant_forward(h: Tensor, params: Mapping[str, Tensor],
-                    variant: str) -> IntervalSet:
-    """Intervals for the encoder-output-based variants."""
+                    variant: str, dead: bool = False) -> IntervalSet:
+    """Intervals for the encoder-output-based variants.  ``h`` is left as
+    it is unless ``dead`` (see ``dk.linear_heads``)."""
     if variant == "dual":
         # A softplus half-width is never negative.
-        yhat = _head(h, params, "pred")
-        dhat = dk.softplus(_head(h, params, "width"))
+        yhat, width = _heads(h, params, ("pred", "width"), dead)
+        dhat = dk.softplus(width)
         return IntervalSet(dk.sub(yhat, dhat), dk.add(yhat, dhat))
     if variant == "fixed_margin":
-        yhat = _head(h, params, "pred")
+        (yhat,) = _heads(h, params, ("pred",), dead)
         half = dk.softplus(params["margin"])
         return IntervalSet(dk.add_row_bias(yhat, dk.scale(half, -1.0)),
                            dk.add_row_bias(yhat, half))
     if variant == "single":
-        bounds = _head(h, params, "bounds")
+        (bounds,) = _heads(h, params, ("bounds",), dead)
         # Raw (low, up) columns: no ordering is imposed here.
         return IntervalSet(dk.slice_cols(bounds, 0, 1),
                            dk.slice_cols(bounds, 1, 2))
@@ -232,7 +235,7 @@ def sqr_forward(graph: Graph, x: np.ndarray, tau, params: Mapping[str, Tensor],
     x_tau = constant(np.hstack([np.asarray(x, dtype=np.float64),
                                 tau_arr.reshape(-1, 1)]))
     h = encode(graph, x_tau, params, dropout_p, train_mode, seed)
-    return _head(h, params, "pred")
+    return _heads(h, params, ("pred",), dead=True)[0]
 
 
 def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
@@ -252,7 +255,7 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
         up = sqr_forward(graph, x, 1.0 - alpha / 2.0, params, p, train_mode, seed)
         return IntervalSet(low, up)
     h = encode(graph, constant(x), params, p, train_mode, seed)
-    return variant_forward(h, params, model.config.variant)
+    return variant_forward(h, params, model.config.variant, dead=True)
 
 
 def interval_from_mc_samples(samples: np.ndarray, t_mult: float) -> IntervalSet:
@@ -281,14 +284,16 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     if "pred.weight" not in model.params:
         raise ContractError("model has no point-prediction head")
     params = model.params.constants()
-    # The first layer has no dropout yet, so every pass shares it.
+    # The first layer has no dropout yet, so every pass shares it and
+    # only its dropped copy is overwritten.
     h1 = _first_layer(graph, constant(x), params)
     rows = []
     for t in range(passes):
         s = derive_seed(seed, "mc", t)
-        h = _second_layer(graph, _dropout(h1, dropout_p, True, s, 1), params,
-                          dropout_p, True, s)
-        rows.append(_head(h, params, "pred").value.ravel())
+        h = _second_layer(graph, _dropout(h1, dropout_p, True, s, 1,
+                                          dead=False),
+                          params, dropout_p, True, s, dead=True)
+        rows.append(_heads(h, params, ("pred",))[0].value.ravel())
         del h  # this pass's encoder output, before the next pass starts
     return interval_from_mc_samples(np.vstack(rows), t_mult)
 

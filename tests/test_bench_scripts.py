@@ -117,8 +117,9 @@ def test_epoch_er2k_and_its_timers_are_removed():
                         "loss_ms", "backward_ms", "adam_ms", "eval_ms",
                         "eval_minflt_per_call", "digest", "eval_digest",
                         "mc_s", "mc_digest", "epochs", "nodes",
-                        "peak_rss_mb"}
+                        "train_peak_rss_mb", "peak_rss_mb"}
     assert row["epochs"] == 150 and row["nodes"] == 2000 and row["mc_s"] > 0
+    assert 0 < row["train_peak_rss_mb"] <= row["peak_rss_mb"]
     assert all(row[k] > 0 for k in bench_epoch.PHASES)
     assert (harness.forward_intervals, harness._epoch_loss, dk.backward,
             harness.grad_norm, harness.adam_step) == bindings

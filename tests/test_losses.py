@@ -236,3 +236,25 @@ def test_qpi_gradient_matches_finite_differences(tiny_ds):
             alpha=0.1, lambda_width=0.5).node
 
     assert finite_diff_check(f, model.params) < 1e-4
+
+
+@pytest.mark.parametrize("variant", ("dual", "single", "fixed_margin"))
+def test_gradient_through_the_dropped_encoder(tiny_ds, variant):
+    """The same loss in training mode with dropout 0.2, so gradients pass
+    both masks and every head's one step."""
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant=variant,
+                                   dropout_p=0.2), 1)
+    rng = keyed_rng(1, "loss-jitter")
+    for name in model.params.names():
+        v = model.params.value(name)
+        v += rng.uniform(-0.3, 0.3, size=v.shape)
+
+    def f(params):
+        tape = Tape()
+        iv = q.forward_intervals(model, tiny_ds.graph, tiny_ds.features,
+                                 tape=tape, train_mode=True, seed=0)
+        return qpi_total_loss(
+            *_masked(iv, tiny_ds.targets, tiny_ds.train_mask),
+            alpha=0.1, lambda_width=0.5).node
+
+    assert finite_diff_check(f, model.params) < 1e-4

@@ -8,6 +8,7 @@ import pytest
 
 import qpignn as q
 from qpignn import diffkit as dk
+from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError
 from qpignn.model import (ModelConfig, forward_intervals, init_model,
                           interval_from_mc_samples, mc_dropout_interval,
@@ -81,6 +82,44 @@ def test_forward_is_pure(ring6):
     a = forward_intervals(model, ring6, x)
     b = forward_intervals(model, ring6, x)
     assert np.array_equal(a.low_values, b.low_values)
+
+
+@pytest.mark.parametrize("variant", ("dual", "fixed_margin", "single"))
+def test_variant_forward_overwrites_h_only_when_dead(ring6, variant):
+    """By default the heads leave ``h`` as it is; marked dead, ``h``'s
+    buffer takes its gradient, with the same bits."""
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant=variant), 0)
+    h0 = np.abs(_features(6, 4, "h"))
+    grads = []
+    for dead in (False, True):
+        tape = Tape()
+        h = tape.leaf(h0.copy())
+        iv = q.variant_forward(h, model.params.leaves(tape), variant,
+                               dead=dead)
+        dk.backward(tape, dk.reduce_mean(dk.mul(iv.low, iv.up)))
+        assert (h.grad is h.value) == dead
+        if not dead:
+            assert h.value.tobytes() == h0.tobytes()
+        grads.append(h.grad.tobytes())
+    assert grads[0] == grads[1]
+
+
+def test_mc_dropout_leaves_the_shared_first_layer_as_it_is(ring6,
+                                                           monkeypatch):
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual",
+                                   dropout_p=0.3), 0)
+    shared = []
+    first = q.model._first_layer
+
+    def capture(*args):
+        out = first(*args)
+        shared.append((out, out.value.tobytes()))
+        return out
+    monkeypatch.setattr(q.model, "_first_layer", capture)
+    mc_dropout_interval(ring6, _features(6, 3), model, passes=4,
+                        dropout_p=0.3, seed=2)
+    (h1, before), = shared
+    assert h1.value.tobytes() == before
 
 
 def test_training_mode_dropout_changes_output(ring6):
@@ -285,11 +324,12 @@ def test_untaped_eval_peak_memory_is_a_few_node_arrays(er2k):
 
 
 def test_mc_dropout_peak_memory_is_a_few_node_arrays(er2k):
-    """About 4.1 arrays over five passes: 6.1 while each pass's encoder
-    output lived through the next pass, beside a product temporary and
-    each dropout's draws."""
+    """About 3.2 arrays over five passes: 4.1 while each pass's second
+    layer and its dropout allocated beside their dead inputs; 6.1 while
+    each pass's encoder output lived through the next pass, beside a
+    product temporary and each dropout's draws."""
     graph, x, model = er2k
     peak = _peak_node_arrays(
         lambda: mc_dropout_interval(graph, x, model, passes=5),
         graph.num_nodes)
-    assert peak < 4.6, peak
+    assert peak < 3.9, peak
