@@ -3,7 +3,19 @@ import numpy as np
 import pytest
 
 import qpignn as q
+from qpignn import diffkit as dk
 from qpignn.rng import keyed_rng
+
+
+@pytest.fixture
+def openblas():
+    """numpy's OpenBLAS, with its thread count restored afterwards."""
+    lib = dk._openblas()
+    if lib is None:
+        pytest.skip("numpy's OpenBLAS is not loaded")
+    before = lib.scipy_openblas_get_num_threads64_()
+    yield lib
+    lib.scipy_openblas_set_num_threads64_(before)
 
 
 @pytest.fixture(scope="session")

@@ -124,17 +124,6 @@ def test_one_column_products_keep_the_plain_products_bits():
             dk.matmul(constant(a[:n]), constant(b)).value, a[:n] @ b)
 
 
-@pytest.fixture
-def openblas():
-    """numpy's OpenBLAS, with its thread count restored afterwards."""
-    lib = dk._openblas()
-    if lib is None:
-        pytest.skip("numpy's OpenBLAS is not loaded")
-    before = lib.scipy_openblas_get_num_threads64_()
-    yield lib
-    lib.scipy_openblas_set_num_threads64_(before)
-
-
 def test_one_column_products_do_not_depend_on_blas_threads(openblas):
     rng = keyed_rng(0, "dk-gemv")
     a = rng.standard_normal((20022, 64))  # the 20k grid's node count

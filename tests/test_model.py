@@ -1,4 +1,5 @@
 """Encoder, head variants, MC dropout, and checkpointing."""
+import hashlib
 import platform
 import sys
 import tracemalloc
@@ -197,6 +198,23 @@ def test_mc_dropout_interval_refuses_no_dropout(ring6):
     with pytest.raises(ParameterError, match="dropout_p > 0"):
         mc_dropout_interval(ring6, _features(6, 3), model, passes=5,
                             dropout_p=0.0)
+
+
+@pytest.mark.parametrize("n, want", ((2000, "d7140cb4459d7b64"),
+                                     (257, "7e9a6bb6b0964d2b")))
+@pytest.mark.parametrize("threads", (1, 2))
+def test_mc_dropout_interval_bytes_are_pinned(openblas, threads, n, want):
+    """Five passes at dropout 0.2 on an untrained model keep these bytes
+    at one and two BLAS threads: 2000 is the protocol graph, 257 rows end
+    in a lone row after the 256-row blocks."""
+    openblas.scipy_openblas_set_num_threads64_(threads)
+    graph = q.gen_er(n, 8 / (n - 1), seed=1)
+    x = _features(n, 8, "er2k" if n == 2000 else f"er{n}")
+    iv = mc_dropout_interval(graph, x, init_model(ModelConfig(in_dim=8), 0),
+                             passes=5, dropout_p=0.2, seed=3)
+    digest = hashlib.sha256(np.concatenate([iv.low_values, iv.up_values])
+                            .tobytes()).hexdigest()[:16]
+    assert digest == want
 
 
 # ---------------------------------------------------------------------------
