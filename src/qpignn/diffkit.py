@@ -43,9 +43,11 @@ holds it).
 
 No op overwrites an input's value unless its caller passes ``dead``,
 saying nothing reads that value again (``model`` does, for encoder
-arrays it made).  ``dropout`` then masks in place, untaped ``sage_relu``
-computes ``h W_self`` over ``h`` and ``linear_heads``' step writes
-``h``'s gradient into ``h``'s buffer, all with the plain call's bits.
+arrays it made).  ``dropout`` then masks in place and ``linear_heads``'
+step writes ``h``'s gradient into ``h``'s buffer, both with the plain
+call's bits.  So an MC-dropout pass, which is one untaped ``encode``
+with dropout on, holds about three n x 64 arrays at once: its layers'
+outputs are masked in place and each is freed once the next is made.
 ``dropout`` draws its random numbers in fixed chunks, so no draw buffer
 grows with the input.
 
@@ -60,7 +62,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit
@@ -571,21 +573,8 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
     return out
 
 
-def _matmul_over(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` for a square ``b``, over ``a``'s buffer in 256-row
-    blocks, which gave the plain product's bits at every size tried
-    under one and two BLAS threads.  A lone last row joins the block
-    before it, since a one-row product is a GEMV with other bits."""
-    starts = list(range(0, a.shape[0], _ROW_BLOCK))
-    if a.shape[0] % _ROW_BLOCK == 1 and len(starts) > 1:
-        starts.pop()
-    for start, stop in zip(starts, starts[1:] + [a.shape[0]]):
-        a[start:stop] = a[start:stop] @ b
-    return a
-
-
 def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
-              bias: Tensor, dead: bool = False) -> Tensor:
+              bias: Tensor) -> Tensor:
     """One encoder layer, ``relu(h W_self + mean_neighbours(h) W_neigh +
     bias)``, computed in the buffer of ``h W_self`` and taped as one step.
 
@@ -593,8 +582,6 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
     ``csr_mean_aggregate``, ``matmul``, ``add``, ``add_row_bias`` and
     ``relu`` in their order, so the bits are theirs; ``h`` takes its two
     gradient parts one after the other, as from the two matmul steps.
-    ``dead`` says nothing reads ``h``'s value again: untaped, ``h W_self``
-    is then computed over ``h``'s buffer (see ``_matmul_over``).
     """
     if (h.shape[0] != graph.num_nodes or w_self.shape[0] != h.shape[1]
             or w_neigh.shape != w_self.shape
@@ -605,10 +592,7 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
     op = mean_adjacency(graph)
     agg = np.asarray(op @ h.value)
     tape = _tape_of(h, w_self, w_neigh, bias)
-    if dead and tape is None and w_self.shape[0] == w_self.shape[1]:
-        v = _matmul_over(h.value, w_self.value)
-    else:
-        v = h.value @ w_self.value
+    v = h.value @ w_self.value
     _gemm_add(agg, w_neigh.value, v)
     v += bias.value
     mask = v > 0.0 if tape is not None else None

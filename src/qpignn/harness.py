@@ -729,9 +729,9 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
 
 def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
                      kinds=SPLIT_KINDS, ratios=DEFAULT_RATIOS,
-                     split_seed: int = 0,
                      jobs: int = 1) -> list[dict]:
-    """Re-split one dataset by each strategy, retrain, report test metrics.
+    """Re-split one dataset by each strategy (split seed 0), retrain,
+    report test metrics.
 
     Each row also carries its test ``MetricsReport`` under ``"report"``.
     """
@@ -742,8 +742,7 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
     cfg = cfg or TrainConfig()
     variants = []
     for kind in kinds:
-        masks = split(ds.graph, SplitSpec(kind=kind, ratios=ratios,
-                                          seed=split_seed))
+        masks = split(ds.graph, SplitSpec(kind=kind, ratios=ratios))
         variants.append(ds.with_masks(*masks))
     reports = [rec.reports["test"]
                for _, rec in _train_all([(d, cfg) for d in variants], jobs)]

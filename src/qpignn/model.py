@@ -15,6 +15,7 @@ dropout) after each.  Heads differ:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping
@@ -145,35 +146,6 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def _first_layer(graph: Graph, x: Tensor,
-                 params: Mapping[str, Tensor]) -> Tensor:
-    """``relu(sage1(x))``: the encoder's first layer, before dropout."""
-    if x.shape[0] != graph.num_nodes:
-        raise ShapeError(f"{x.shape[0]} feature rows for {graph.num_nodes} nodes")
-    if x.shape[1] != params["sage1.self"].shape[0]:
-        raise ShapeError(
-            f"feature dim {x.shape[1]} vs encoder input "
-            f"{params['sage1.self'].shape[0]}")
-    return dk.sage_relu(graph, x, params["sage1.self"], params["sage1.neigh"],
-                        params["sage1.bias"])
-
-
-def _dropout(h: Tensor, dropout_p: float, train_mode: bool, seed: int,
-             layer: int, dead: bool) -> Tensor:
-    """The dropout after encoder layer ``layer``."""
-    return dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", layer),
-                      train_mode, dead=dead)
-
-
-def _second_layer(graph: Graph, h: Tensor, params: Mapping[str, Tensor],
-                  dropout_p: float, train_mode: bool, seed: int,
-                  dead: bool = False) -> Tensor:
-    """The rest of ``encode``, from the first layer's dropout output on."""
-    h = dk.sage_relu(graph, h, params["sage2.self"], params["sage2.neigh"],
-                     params["sage2.bias"], dead=dead)
-    return _dropout(h, dropout_p, train_mode, seed, 2, dead=True)
-
-
 def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
            dropout_p: float = 0.0, train_mode: bool = False,
            seed: int = 0) -> Tensor:
@@ -182,9 +154,19 @@ def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
     Each dropout masks the layer output it is given in place, since
     nothing else reads it; ``x`` is never written.
     """
-    h = _first_layer(graph, x, params)
-    h = _dropout(h, dropout_p, train_mode, seed, 1, dead=True)
-    return _second_layer(graph, h, params, dropout_p, train_mode, seed)
+    if x.shape[0] != graph.num_nodes:
+        raise ShapeError(f"{x.shape[0]} feature rows for {graph.num_nodes} nodes")
+    if x.shape[1] != params["sage1.self"].shape[0]:
+        raise ShapeError(
+            f"feature dim {x.shape[1]} vs encoder input "
+            f"{params['sage1.self'].shape[0]}")
+    h = x
+    for layer in (1, 2):
+        h = dk.sage_relu(graph, h, *(params[f"sage{layer}.{part}"]
+                                     for part in ("self", "neigh", "bias")))
+        h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", layer),
+                       train_mode, dead=True)
+    return h
 
 
 def _heads(h: Tensor, params: Mapping[str, Tensor], names,
@@ -258,8 +240,15 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
     return variant_forward(h, params, model.config.variant, dead=True)
 
 
+def _check_t_mult(t_mult: float) -> None:
+    # A negative multiplier crosses every interval; NaN makes NaN bounds.
+    if not 0.0 <= t_mult < np.inf:
+        raise ParameterError(f"t_mult must be finite and >= 0, got {t_mult!r}")
+
+
 def interval_from_mc_samples(samples: np.ndarray, t_mult: float) -> IntervalSet:
     """Mean +/- t_mult * sample std (ddof=1) across the first axis."""
+    _check_t_mult(t_mult)
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 2 or samples.shape[0] < 2:
         raise ParameterError("need a (passes, nodes) array with passes >= 2")
@@ -275,25 +264,24 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
 
     Runs ``passes`` forward evaluations with dropout left on and builds
     mean +/- t_mult * std per node.  Pass seeds are derived from
-    (seed, pass index), so the whole procedure is reproducible.
+    (seed, pass index), so the whole procedure is reproducible.  Every
+    argument is checked before the first pass runs.
     """
-    if passes < 2:
-        raise ParameterError("passes must be >= 2")
-    if dropout_p == 0.0:  # every pass would be the same point
-        raise ParameterError("mc_dropout_interval needs dropout_p > 0")
+    if not isinstance(passes, numbers.Integral) or passes < 2:
+        raise ParameterError(f"passes must be an integer >= 2, got {passes!r}")
+    if not 0.0 < dropout_p < 1.0:  # at 0 every pass would be the same point
+        raise ParameterError("mc_dropout_interval needs dropout_p > 0 and "
+                             f"< 1, got {dropout_p!r}")
+    _check_t_mult(t_mult)
     if "pred.weight" not in model.params:
         raise ContractError("model has no point-prediction head")
     params = model.params.constants()
-    # The first layer has no dropout yet, so every pass shares it and
-    # only its dropped copy is overwritten.
-    h1 = _first_layer(graph, constant(x), params)
+    x = constant(x)  # never written, so every pass reads it
     rows = []
     for t in range(passes):
-        s = derive_seed(seed, "mc", t)
-        h = _second_layer(graph, _dropout(h1, dropout_p, True, s, 1,
-                                          dead=False),
-                          params, dropout_p, True, s, dead=True)
-        rows.append(_heads(h, params, ("pred",))[0].value.ravel())
+        h = encode(graph, x, params, dropout_p, True,
+                   derive_seed(seed, "mc", t))
+        rows.append(_heads(h, params, ("pred",), dead=True)[0].value.ravel())
         del h  # this pass's encoder output, before the next pass starts
     return interval_from_mc_samples(np.vstack(rows), t_mult)
 

@@ -160,6 +160,17 @@ def test_eval_rejects_malformed_checkpoint(make, message, checkpoint_text,
     assert not (tmp_path / "y").exists()
 
 
+def test_eval_refuses_a_dataset_of_another_feature_dim(checkpoint_text,
+                                                       tmp_path, capsys):
+    ckpt = tmp_path / "checkpoint.json"
+    ckpt.write_text(checkpoint_text)  # trained with --feat-dim 4
+    code = run(["eval", "--checkpoint", str(ckpt), *FAST_DS, "--feat-dim",
+                "6", "--out", str(tmp_path / "y")])
+    assert code == 2
+    assert "feature dim 6 vs encoder input 4" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+
 def test_eval_rejects_unknown_checkpoint_version(tmp_path, capsys):
     assert _train(tmp_path / "run") == 0
     ckpt = tmp_path / "run" / "checkpoint.json"

@@ -10,7 +10,7 @@ from qpignn import diffkit as dk
 from qpignn.diffkit import (ParamStore, Tape, backward, constant,
                             finite_diff_check)
 from qpignn.errors import ContractError, ParameterError, ShapeError
-from qpignn.graphcore import PerturbSpec, gen_er, gen_grid, perturb
+from qpignn.graphcore import PerturbSpec, gen_er, perturb
 from qpignn.rng import keyed_rng
 
 
@@ -292,26 +292,6 @@ def test_only_a_dead_input_is_masked_in_place():
     out_dead = dk.dropout(dead, 0.5, seed=1, train_mode=True, dead=True)
     assert out_dead.value is dead.value
     assert out_dead.value.tobytes() == out.value.tobytes()
-
-
-@pytest.mark.parametrize("n", (4, 5, 257, 2000, 20022))
-@pytest.mark.parametrize("threads", (1, 2))
-def test_untaped_sage_relu_over_a_dead_input_keeps_the_bits(openblas, n,
-                                                             threads):
-    """``h W_self`` over ``h``'s buffer, in row blocks, has the plain
-    product's bits; 20,022 is the 20k grid, 257 ends in a lone row."""
-    openblas.scipy_openblas_set_num_threads64_(threads)
-    graph = (gen_grid(141, 142) if n == 20022
-             else gen_er(n, min(1.0, 8 / (n - 1)), seed=0))
-    rng = keyed_rng(n, "dk-over")
-    h = rng.standard_normal((n, 64))
-    ws, wn, b = (constant(rng.standard_normal(shape))
-                 for shape in ((64, 64), (64, 64), (1, 64)))
-    plain = dk.sage_relu(graph, constant(h), ws, wn, b).value
-    dead = constant(h)
-    out = dk.sage_relu(graph, dead, ws, wn, b, dead=True).value
-    assert out is dead.value
-    assert out.tobytes() == plain.tobytes()
 
 
 def _closure_arrays(fn) -> list[np.ndarray]:

@@ -10,7 +10,7 @@ import pytest
 import qpignn as q
 from qpignn import diffkit as dk
 from qpignn.diffkit import Tape
-from qpignn.errors import ContractError, ParameterError
+from qpignn.errors import ContractError, ParameterError, ShapeError
 from qpignn.model import (ModelConfig, forward_intervals, init_model,
                           interval_from_mc_samples, mc_dropout_interval,
                           save_checkpoint, load_checkpoint)
@@ -105,24 +105,6 @@ def test_variant_forward_overwrites_h_only_when_dead(ring6, variant):
     assert grads[0] == grads[1]
 
 
-def test_mc_dropout_leaves_the_shared_first_layer_as_it_is(ring6,
-                                                           monkeypatch):
-    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual",
-                                   dropout_p=0.3), 0)
-    shared = []
-    first = q.model._first_layer
-
-    def capture(*args):
-        out = first(*args)
-        shared.append((out, out.value.tobytes()))
-        return out
-    monkeypatch.setattr(q.model, "_first_layer", capture)
-    mc_dropout_interval(ring6, _features(6, 3), model, passes=4,
-                        dropout_p=0.3, seed=2)
-    (h1, before), = shared
-    assert h1.value.tobytes() == before
-
-
 def test_training_mode_dropout_changes_output(ring6):
     model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual",
                                    dropout_p=0.5), 0)
@@ -146,13 +128,20 @@ def test_sqr_eval_uses_the_alpha_quantile_pair(ring6):
 
 
 def test_interval_set_rejects_mismatched_bounds():
-    from qpignn.errors import ShapeError
     from qpignn.model import IntervalSet
     tape = dk.Tape()
     low = tape.leaf(np.zeros((6, 1)))
     bad = tape.leaf(np.zeros((4, 1)))
     with pytest.raises(ShapeError):
         IntervalSet(low, bad)
+
+
+def test_encode_refuses_features_of_another_shape(ring6):
+    params = init_model(ModelConfig(in_dim=3, hidden=4), 0).params.constants()
+    with pytest.raises(ShapeError, match="5 feature rows for 6 nodes"):
+        q.encode(ring6, dk.constant(_features(5, 3)), params)
+    with pytest.raises(ShapeError, match="feature dim 2 vs encoder input 3"):
+        q.encode(ring6, dk.constant(_features(6, 2)), params)
 
 
 def test_model_config_validation():
@@ -198,6 +187,32 @@ def test_mc_dropout_interval_refuses_no_dropout(ring6):
     with pytest.raises(ParameterError, match="dropout_p > 0"):
         mc_dropout_interval(ring6, _features(6, 3), model, passes=5,
                             dropout_p=0.0)
+
+
+@pytest.mark.parametrize("bad", [
+    {"passes": 2.5}, {"dropout_p": 1.0}, {"dropout_p": float("nan")},
+    {"dropout_p": -0.1}, {"t_mult": -1.0}, {"t_mult": float("nan")},
+    {"t_mult": float("inf")}],
+    ids=["passes_2.5", "p_1", "p_nan", "p_neg", "t_neg", "t_nan", "t_inf"])
+def test_mc_dropout_interval_refuses_bad_input_before_any_pass(
+        ring6, monkeypatch, bad):
+    """A negative t_mult would cross every interval and a NaN one give
+    NaN bounds; each bad value is refused before a pass costs time."""
+    model = init_model(ModelConfig(in_dim=3, hidden=4), 0)
+
+    def no_pass(*args):
+        raise AssertionError("a pass ran")
+    monkeypatch.setattr(dk, "sage_relu", no_pass)
+    with pytest.raises(ParameterError):
+        mc_dropout_interval(ring6, _features(6, 3), model,
+                            **{"passes": 5, **bad})
+
+
+@pytest.mark.parametrize("t_mult", (-1.0, float("nan"), float("inf")))
+def test_interval_from_mc_samples_refuses_bad_t_mult(t_mult):
+    samples = keyed_rng(0, "mc").standard_normal((5, 8))
+    with pytest.raises(ParameterError, match="t_mult"):
+        interval_from_mc_samples(samples, t_mult)
 
 
 @pytest.mark.parametrize("n, want", ((2000, "d7140cb4459d7b64"),
@@ -342,10 +357,11 @@ def test_untaped_eval_peak_memory_is_a_few_node_arrays(er2k):
 
 
 def test_mc_dropout_peak_memory_is_a_few_node_arrays(er2k):
-    """About 3.2 arrays over five passes: 4.1 while each pass's second
-    layer and its dropout allocated beside their dead inputs; 6.1 while
-    each pass's encoder output lived through the next pass, beside a
-    product temporary and each dropout's draws."""
+    """About 3.3 arrays over five passes, each one untaped ``encode``:
+    3.2 while the passes shared one first-layer output; 4.1 while each
+    pass's second layer and its dropout allocated beside their dead
+    inputs; 6.1 while each pass's encoder output lived through the next
+    pass, beside a product temporary and each dropout's draws."""
     graph, x, model = er2k
     peak = _peak_node_arrays(
         lambda: mc_dropout_interval(graph, x, model, passes=5),
