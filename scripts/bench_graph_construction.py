@@ -6,16 +6,17 @@ repeat, the sides alternating:
 
     python scripts/bench_graph_construction.py before=OTHER/src after=src > out.json
 
-Cases: ``er2k`` (2000-node ER, mean degree 8, random split), ``grid20k``
-(141x142 grid) and ``grid200k`` (447x448 grid), both with the community
-split.  No case runs an untimed first pass, so every timing includes
-the process's first call.  ``gen_s`` is the generator call, which
-includes the validation the ``Graph`` constructor runs; ``validate_s``
-is one more ``Graph.validate``; ``split_s`` is ``split`` alone;
-``build_s`` is the generator plus ``synth_dataset`` (features, targets
-and split), as ``perfbench`` builds a dataset.  ``digest`` hashes the
-built dataset's arrays, so two sides can be checked for identical
-output; ``peak_rss_mb`` is the process peak.
+Cases: ``er2k`` and ``er20k`` (2000- and 20,000-node ER, mean degree 8,
+random split; ``gen_er`` is quadratic, so ``er20k`` is its scale
+point), ``grid20k`` (141x142 grid) and ``grid200k`` (447x448 grid),
+both with the community split.  No case runs an untimed first pass, so
+every timing includes the process's first call.  ``gen_s`` is the
+generator call, which includes the validation the ``Graph`` constructor
+runs; ``validate_s`` is one more ``Graph.validate``; ``split_s`` is
+``split`` alone; ``build_s`` is the generator plus ``synth_dataset``
+(features, targets and split), as ``perfbench`` builds a dataset.
+``digest`` hashes the built dataset's arrays, so two sides can be
+checked for identical output; ``peak_rss_mb`` is the process peak.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ import time
 
 import driver
 
-CASES = ("er2k", "grid20k", "grid200k")
+CASES = ("er2k", "er20k", "grid20k", "grid200k")
 
 
 def _timed(fn) -> tuple[float, object]:

@@ -43,6 +43,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # generator, its shape and the split kind, all with data seed 1.
 DATASETS = {
     "er2k": ("er", (2000,), "random"),
+    "er20k": ("er", (20000,), "random"),
     "grid20k": ("grid", (141, 142), "community"),
     "grid200k": ("grid", (447, 448), "community"),
 }

@@ -48,15 +48,17 @@ step writes ``h``'s gradient into ``h``'s buffer, both with the plain
 call's bits.  So an MC-dropout pass, which is one untaped ``encode``
 with dropout on, holds about three n x 64 arrays at once: its layers'
 outputs are masked in place and each is freed once the next is made.
-``dropout`` draws its random numbers in fixed chunks, so no draw buffer
-grows with the input.
+``dropout`` draws its random numbers in ``raw_words``' fixed chunks, so
+no draw buffer grows with the input.
 
 Comparisons never flow gradient: coverage and violation indicators are
 computed on raw values and re-enter the graph as constant coefficients.
 
 At import ``_keep_freed_heap`` has glibc's malloc keep freed blocks under
 32 MiB (a 20k-node n x 64 array is 10 MB) for the next call instead of
-faulting their pages in again, so a process's RSS stays near its peak.
+faulting their pages in again, so a process's RSS stays near its peak,
+and serve every thread from the one arena, so a thread that allocates
+(a pool's pickling threads, say) adds no heap of its own to that peak.
 """
 from __future__ import annotations
 
@@ -69,7 +71,7 @@ from scipy.special import expit
 
 from .errors import ContractError, ParameterError, ShapeError
 from .graphcore import Graph, mean_adjacency
-from .rng import keyed_rng
+from .rng import keyed_rng, raw_words
 
 
 def _keep_freed_heap() -> None:
@@ -81,6 +83,7 @@ def _keep_freed_heap() -> None:
         return  # not glibc
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
     mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+    mallopt(-8, 1)  # M_ARENA_MAX
 
 
 _keep_freed_heap()
@@ -515,34 +518,27 @@ def _keep_threshold(p: float) -> int:
     return round(p * (1 << 32))
 
 
-_DRAW_CHUNK = 1 << 15  # uint64s per draw: a 256 KiB buffer
-
-
 def dropout(a: Tensor, p: float, seed: int, train_mode: bool,
             dead: bool = False) -> Tensor:
     """Inverted dropout: kept entries are rescaled by 1 / (1 - p).
 
     Outside training (or at p == 0) this is the identity.  The mask is a
     pure function of ``seed``, so a forward pass can be replayed.  An
-    entry is kept when its uint32 draw clears ``_keep_threshold(p)``.
-    Philox's uint32 stream is each raw uint64 split into its low half,
-    then its high half, so the draws are half as many uint64s viewed as
-    little-endian uint32s: the same stream as
-    ``integers(0, 1 << 32, dtype=np.uint32)`` at about half its cost.
-    A full-range uint64 draw takes one raw value, so chunks continue the
-    stream; each is compared straight into the bool mask, which the tape
-    keeps.  With ``dead``, ``a``'s own buffer is masked.
+    entry is kept when its uint32 draw clears ``_keep_threshold(p)``;
+    the draws are ``raw_words`` viewed as uint32s, each chunk compared
+    straight into the bool mask, which the tape keeps.  With ``dead``,
+    ``a``'s own buffer is masked.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError("dropout probability must lie in [0, 1)")
     if not train_mode or p == 0.0:
         return a
     keep = np.empty(a.shape, dtype=bool)
+    flat = keep.reshape(-1)
     rng = keyed_rng(seed, "dropout")
-    for start in range(0, keep.size, 2 * _DRAW_CHUNK):
-        part = keep.reshape(-1)[start:start + 2 * _DRAW_CHUNK]
-        draws = rng.integers(0, 1 << 64, (part.size + 1) // 2, np.uint64)
-        np.greater_equal(draws.astype("<u8", copy=False).view("<u4")
+    for offset, words in raw_words(rng, (keep.size + 1) // 2):
+        part = flat[2 * offset:2 * (offset + words.size)]
+        np.greater_equal(words.astype("<u8", copy=False).view("<u4")
                          [:part.size], _keep_threshold(p), out=part)
     k = 1.0 / (1.0 - p)
     v = np.multiply(a.value, keep, out=a.value if dead else None)

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ContractError, IngestionError, ParameterError
-from .rng import keyed_rng
+from .rng import keyed_rng, raw_words
 
 FEATURE_FAMILIES = ("basic", "gaussian", "uniform", "edge_weighted")
 SPLIT_KINDS = ("random", "degree", "community")
@@ -32,9 +32,6 @@ DEFAULT_RATIOS = (0.6, 0.2, 0.2)
 NEIGHBOR_MIX = 0.5
 
 _LABEL_PROP_ROUNDS = 20
-
-# Pair draws per block in ``gen_er``: 8 MB of doubles at a time.
-_ER_BLOCK = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,26 +175,32 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     ((0,1), (0,2), ..., (n-2,n-1)); the pair is included iff its draw is
     below ``p``.  Fully determined by (n, p, seed).
 
-    The draws are taken in blocks of at most ``_ER_BLOCK`` pairs from one
-    stream, which yields the same values as a single draw, so memory is
-    O(block + edges); time is still O(n^2).
+    The draws are ``raw_words``, one word per pair, and ``random()``
+    would be ``(word >> 11) * 2**-53``.  An integer ``m`` is below
+    ``p * 2**53`` iff it is below ``ceil(p * 2**53)``, so the pair is
+    kept iff ``word < ceil(p * 2**53) << 11``: bit for bit the test
+    ``random() < p``, with no double made.  At p == 1 that cut is 2**64,
+    past uint64, so words are compared with the largest kept one, and
+    at p == 0 none is kept.  Memory is one chunk of words plus the graph
+    (O(n + edges)); time is still O(n^2).
     """
     if n < 1:
         raise ParameterError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
-    rng = keyed_rng(seed, "er")
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    if p == 0.0:
+        return from_edges(n, pairs[0])
+    last = np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)
     # first[i] is the flat index of pair (i, i + 1); the n - 1 - i pairs
     # (i, j > i) follow it.
     first = np.arange(n - 1, dtype=np.int64)
     first = first * (n - 1) - first * (first - 1) // 2
-    total = n * (n - 1) // 2
-    blocks = [np.empty((0, 2), dtype=np.int64)]
-    for lo in range(0, total, _ER_BLOCK):
-        k = lo + np.flatnonzero(rng.random(min(_ER_BLOCK, total - lo)) < p)
+    for offset, words in raw_words(keyed_rng(seed, "er"), n * (n - 1) // 2):
+        k = offset + np.flatnonzero(words <= last)
         i = np.searchsorted(first, k, side="right") - 1
-        blocks.append(np.column_stack([i, k - first[i] + i + 1]))
-    return from_edges(n, np.concatenate(blocks))
+        pairs.append(np.column_stack([i, k - first[i] + i + 1]))
+    return from_edges(n, np.concatenate(pairs))
 
 
 def gen_ba(n: int, m: int, seed: int) -> Graph:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import ctypes
 import math
 import multiprocessing
+import numbers
 import os
 import signal
 import sys
@@ -95,8 +96,11 @@ class TrainConfig:
     mc_passes: int = 100
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ParameterError("epochs must be >= 1")
+        for name, least in (("epochs", 1), ("mc_passes", 2)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ParameterError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
         # The chained range checks also reject NaN, which fails every
         # comparison, and infinity.
         for name in ("lr", "weight_decay", "lambda_width"):
@@ -114,8 +118,6 @@ class TrainConfig:
                 f"loss_kind {self.loss_kind!r} cannot train model_variant "
                 f"{self.model_variant!r}; it trains {', '.join(allowed)}")
         self.model_config(1)  # hidden and dropout_p
-        if self.mc_passes < 2:
-            raise ParameterError("mc_passes must be >= 2")
         if self.loss_kind == "mse_mcdropout" and self.dropout_p == 0.0:
             # Every MC pass would be the same point: a zero-width interval.
             raise ParameterError("mse_mcdropout needs dropout_p > 0")

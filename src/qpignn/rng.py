@@ -9,10 +9,13 @@ another.
 from __future__ import annotations
 
 import hashlib
+from typing import Iterator
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+_RAW_CHUNK = 1 << 15  # raw words per draw: a 256 KiB buffer
 
 
 def _tag_entropy(tag: str) -> int:
@@ -36,3 +39,23 @@ def derive_seed(seed: int, tag: str, index: int = 0) -> int:
     """
     raw = f"{int(seed)}|{tag}|{int(index)}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(raw).digest()[:8], "little")
+
+
+def raw_words(rng: np.random.Generator,
+              count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The next ``count`` raw 64-bit words of ``rng``'s stream, in order.
+
+    Yields ``(offset, words)``: uint64 chunks of at most ``_RAW_CHUNK``
+    words, ``offset`` being the first word's place in the ``count``.  A
+    full-range uint64 draw takes exactly one raw word per value, so the
+    chunks continue one stream and the memory held is one chunk,
+    whatever ``count`` is.  For the Philox generators of ``keyed_rng``
+    the other draws are functions of these words: ``random()`` is
+    ``(word >> 11) * 2**-53``, and the uint32 stream is each word's low
+    half, then its high half, i.e. the words viewed as little-endian
+    uint32s, which is ``integers(0, 1 << 32, dtype=np.uint32)`` at about
+    half its cost.
+    """
+    for offset in range(0, count, _RAW_CHUNK):
+        size = min(_RAW_CHUNK, count - offset)
+        yield offset, rng.integers(0, 1 << 64, size, np.uint64)

@@ -1,4 +1,6 @@
 """Graph construction, synthetic data, splits, perturbations, CSV IO."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 import qpignn as q
 import qpignn.graphcore as graphcore
+import qpignn.rng as rng
 from qpignn.errors import ContractError, IngestionError, ParameterError
 from qpignn.graphcore import (DEFAULT_RATIOS, FEATURE_FAMILIES,
                               NEIGHBOR_MIX, PERTURB_KINDS, PerturbSpec,
@@ -119,16 +122,75 @@ def test_validate_allows_empty_rows_between_sorted_rows():
     assert g.num_edges == 1
 
 
-def test_gen_er_blocks_equal_one_draw(monkeypatch):
-    n, p, seed = 40, 0.2, 3
+def _er_reference(n, p, seed):
+    """G(n, p) from one ``random()`` draw over every pair."""
     iu, ju = np.triu_indices(n, k=1)
     keep = keyed_rng(seed, "er").random(iu.size) < p
-    ref = q.from_edges(n, np.column_stack([iu[keep], ju[keep]]))
-    monkeypatch.setattr(graphcore, "_ER_BLOCK", 7)  # 780 pairs: 112 blocks
-    got = q.gen_er(n, p, seed)
+    return q.from_edges(n, np.column_stack([iu[keep], ju[keep]]))
+
+
+def _assert_same_graph(got, ref):
     assert np.array_equal(got.row_offsets, ref.row_offsets)
     assert np.array_equal(got.col_indices, ref.col_indices)
+
+
+def test_gen_er_blocks_equal_one_draw(monkeypatch):
+    n, p, seed = 40, 0.2, 3
+    ref = _er_reference(n, p, seed)
+    monkeypatch.setattr(rng, "_RAW_CHUNK", 7)  # 780 pairs: 112 chunks
+    _assert_same_graph(q.gen_er(n, p, seed), ref)
     assert q.gen_er(1, 0.5, seed).num_edges == 0
+
+
+@pytest.mark.parametrize("p", [0.0, 1e-300, 2.0 ** -53, 0.1, 0.5,
+                               1.0 - 2.0 ** -53, 1.0])
+def test_gen_er_equals_the_random_draw_reference(p):
+    _assert_same_graph(q.gen_er(60, p, 5), _er_reference(60, p, 5))
+
+
+class _Words:
+    """A generator whose raw words are the given ones, in order."""
+
+    def __init__(self, words):
+        self.words = np.array(words, dtype=np.uint64)
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        out, self.words = self.words[:size], self.words[size:]
+        return out
+
+
+@pytest.mark.parametrize("p", [1e-300, 2.0 ** -53, 0.1, 1 / 3, 0.5,
+                               1.0 - 2.0 ** -53, 1.0])
+def test_gen_er_cut_is_random_below_p_at_its_edge(p, monkeypatch):
+    # The words on either side of the cut, and the stream's extremes;
+    # random() is (word >> 11) * 2**-53 for Philox.
+    cut = int(np.ceil(p * 2.0 ** 53)) << 11
+    words = [w for w in (0, 2047, 2048, cut - 2049, cut - 2048, cut - 1,
+                         cut, cut + 2047, cut + 2048, (1 << 64) - 1)
+             if 0 <= w < 1 << 64]
+    n = 1
+    while n * (n - 1) // 2 < len(words):
+        n += 1
+    words += [(1 << 64) - 1] * (n * (n - 1) // 2 - len(words))
+    monkeypatch.setattr(graphcore, "keyed_rng", lambda *a: _Words(words))
+    as_double = (np.array(words, dtype=np.uint64) >> 11) * 2.0 ** -53
+    iu, ju = np.triu_indices(n, k=1)
+    keep = as_double < p
+    ref = q.from_edges(n, np.column_stack([iu[keep], ju[keep]]))
+    _assert_same_graph(q.gen_er(n, p, 0), ref)
+
+
+def test_gen_er_peak_memory_is_a_chunk_plus_the_graph():
+    # A 2^20-pair block of doubles and its bool mask peak at 9.0 MiB
+    # here; one 256 KiB chunk of raw words at about 0.9 MiB.
+    tracemalloc.start()
+    try:
+        q.gen_er(2000, 8 / 1999, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
 
 
 @pytest.mark.parametrize("rows, cols", [(1, 1), (1, 5), (5, 1), (4, 7)])

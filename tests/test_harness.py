@@ -180,6 +180,12 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
                                                   no_kept_pool):
     with pytest.raises(ParameterError):
         TrainConfig(loss_kind="mse_mcdropout", mc_passes=1)
+    # a count that is not an integer is refused before any epoch runs
+    for bad in (dict(epochs=2.5), dict(epochs=float("nan")),
+                dict(mc_passes=2.5), dict(mc_passes=float("nan")),
+                dict(loss_kind="mse_mcdropout", mc_passes=2.5)):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            TrainConfig(**bad)
     # a bad model shape never reaches a (pooled) run either
     for bad in (dict(hidden=0), dict(dropout_p=float("nan"))):
         with pytest.raises(ParameterError):
