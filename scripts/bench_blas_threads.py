@@ -92,7 +92,7 @@ def _dropout() -> dict:
         tape = dk.Tape()
         a = tape.leaf(x)
         t0 = time.perf_counter()
-        out = dk.dropout(a, 0.2, seed=i, train_mode=True)
+        out = dk.dropout(a, 0.2, seed=i)
         t1 = time.perf_counter()
         out._slot.grad = g.copy()
         t2 = time.perf_counter()

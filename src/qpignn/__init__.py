@@ -10,8 +10,7 @@ from .diffkit import (ParamStore, Tape, Tensor, backward, constant,
                       finite_diff_check)
 from .model import (IntervalSet, Model, ModelConfig, encode, forward_intervals,
                     init_model, init_params, load_checkpoint,
-                    mc_dropout_interval, save_checkpoint, sqr_forward,
-                    variant_forward)
+                    mc_dropout_interval, save_checkpoint, sqr_forward)
 from .losses import (LossBreakdown, mse_loss, pinball_loss, qpi_total_loss,
                      rqr_adj_loss, sqr_loss, violation_loss, width_loss)
 from .optim import AdamState, adam_step, grad_norm

@@ -13,7 +13,7 @@ both training and plain inference.
 Gradient buffers are allocated on first use.  A tracked tensor owns a
 small adjoint slot holding only its ``grad``, which starts as None; the
 first gradient that reaches it becomes its buffer and later ones are
-added in place.  Pass-through adjoints (``add``, ``sub``, ``add_scalar``,
+added in place.  Pass-through adjoints (``add``, ``sub``,
 ``add_row_bias``) hand their output's gradient array on to their first
 input rather than copying it.  Adopting the first contribution gives the
 same values as adding it to zeros, up to the sign of zero entries;
@@ -463,14 +463,6 @@ def scale(a: Tensor, k: float | np.ndarray) -> Tensor:
     return out
 
 
-def add_scalar(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.value + c, a.tape)
-    if a.tape is not None:
-        _record_unary(out, a, _identity)
-    return out
-
-
 def add_row_bias(a: Tensor, bias: Tensor) -> Tensor:
     """Add a (1, d) bias row to every row of a (n, d) tensor."""
     if bias.shape != (1, a.shape[1]):
@@ -518,20 +510,19 @@ def _keep_threshold(p: float) -> int:
     return round(p * (1 << 32))
 
 
-def dropout(a: Tensor, p: float, seed: int, train_mode: bool,
-            dead: bool = False) -> Tensor:
+def dropout(a: Tensor, p: float, seed: int, dead: bool = False) -> Tensor:
     """Inverted dropout: kept entries are rescaled by 1 / (1 - p).
 
-    Outside training (or at p == 0) this is the identity.  The mask is a
-    pure function of ``seed``, so a forward pass can be replayed.  An
-    entry is kept when its uint32 draw clears ``_keep_threshold(p)``;
-    the draws are ``raw_words`` viewed as uint32s, each chunk compared
-    straight into the bool mask, which the tape keeps.  With ``dead``,
-    ``a``'s own buffer is masked.
+    At p == 0 this is the identity, which is how an evaluation pass
+    turns it off.  The mask is a pure function of ``seed``, so a forward
+    pass can be replayed.  An entry is kept when its uint32 draw clears
+    ``_keep_threshold(p)``; the draws are ``raw_words`` viewed as
+    uint32s, each chunk compared straight into the bool mask, which the
+    tape keeps.  With ``dead``, ``a``'s own buffer is masked.
     """
     if not 0.0 <= p < 1.0:
         raise ParameterError("dropout probability must lie in [0, 1)")
-    if not train_mode or p == 0.0:
+    if p == 0.0:
         return a
     keep = np.empty(a.shape, dtype=bool)
     flat = keep.reshape(-1)

@@ -245,7 +245,7 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
     else:
         tape = dk.Tape()
         iv = forward_intervals(model, ds.graph, ds.features, tape=tape,
-                               train_mode=True, seed=ep_seed, alpha=cfg.alpha)
+                               seed=ep_seed, alpha=cfg.alpha)
     if cfg.loss_kind in ("mse_only", "mse_mcdropout"):
         center = dk.scale(dk.add(iv.low, iv.up), 0.5)
         iv = IntervalSet(center, center)
@@ -693,10 +693,11 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
                  feat_dim: int = 8, jobs: int = 1) -> ShiftMatrix:
     """Train on each graph family, evaluate on every family, average runs.
 
-    Diagonal cells are scored on the source dataset's held-out test
-    nodes; off-diagonal cells score the whole target graph, since no
-    mask of a foreign graph is privileged.  The width penalty defaults
-    to 0.5, the published protocol for this table.
+    Every cell scores the intervals ``train`` reports (MC dropout for
+    ``mse_mcdropout``).  Diagonal cells are scored on the source
+    dataset's held-out test nodes; off-diagonal cells score the whole
+    target graph, since no mask of a foreign graph is privileged.  The
+    width penalty defaults to 0.5, the published protocol for this table.
     """
     families = tuple(families)
     if len(families) < 2:
@@ -715,11 +716,11 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
     k = len(families)
     picp_m = np.zeros((k, k))
     mpiw_m = np.zeros((k, k))
-    for idx, (model, _) in enumerate(trained):
+    for idx, (model, rec) in enumerate(trained):
         i = idx // runs
         for j, fj in enumerate(families):
             dj = datasets[fj]
-            iv = forward_intervals(model, dj.graph, dj.features, alpha=cfg.alpha)
+            iv = _final_intervals(model, dj, rec.config)
             mask = dj.test_mask if i == j else np.ones(dj.num_nodes, dtype=bool)
             rep = report(iv, dj.targets, mask, cfg.alpha)
             picp_m[i, j] += rep.picp

@@ -100,7 +100,7 @@ def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
         yc = constant(st.y)
         inside = dk.mul(dk.sigmoid(dk.scale(dk.sub(yc, low), inv_t)),
                         dk.sigmoid(dk.scale(dk.sub(up, yc), inv_t)))
-        miss = dk.add_scalar(dk.reduce_mean(inside), -target)
+        miss = dk.add(dk.reduce_mean(inside), constant(-target))
         cov_term = dk.mul(miss, miss)
         coverage_value = cov_term.item()
     else:
@@ -110,7 +110,7 @@ def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
     viol = violation_loss(low, up, st)
     width = width_loss(low, up, width_norm)
     partial = dk.add(viol, dk.scale(width, lambda_width))
-    node = dk.add_scalar(partial, coverage_value) if cov_term is None \
+    node = dk.add(partial, constant(coverage_value)) if cov_term is None \
         else dk.add(cov_term, partial)
 
     return LossBreakdown(
@@ -147,7 +147,7 @@ def pinball_loss(y: np.ndarray, yhat: Tensor, tau) -> Tensor:
 
 
 def sqr_loss(model: Model, dataset: Dataset, mask: np.ndarray,
-             seed: int, train_mode: bool = True) -> Tensor:
+             seed: int) -> Tensor:
     """Simultaneous-quantile objective: one fresh tau per node per call.
 
     Builds its own tape (reachable as ``loss.tape``); gradients land in
@@ -164,7 +164,7 @@ def sqr_loss(model: Model, dataset: Dataset, mask: np.ndarray,
     tape = dk.Tape()
     params = model.params.leaves(tape)
     yhat = sqr_forward(dataset.graph, dataset.features, tau, params,
-                       model.config.dropout_p, train_mode, seed)
+                       model.config.dropout_p, seed)
     yhat_m = dk.masked_select(yhat, mask)
     return pinball_loss(dataset.targets[mask], yhat_m, tau[mask])
 

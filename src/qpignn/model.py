@@ -147,12 +147,12 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 # ---------------------------------------------------------------------------
 
 def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
-           dropout_p: float = 0.0, train_mode: bool = False,
-           seed: int = 0) -> Tensor:
+           dropout_p: float = 0.0, seed: int = 0) -> Tensor:
     """Two message-passing layers with ReLU, dropout after each ReLU.
 
-    Each dropout masks the layer output it is given in place, since
-    nothing else reads it; ``x`` is never written.
+    Dropout runs whenever ``dropout_p`` > 0, with masks keyed by
+    ``seed``.  Each dropout masks the layer output it is given in place,
+    since nothing else reads it; ``x`` is never written.
     """
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"{x.shape[0]} feature rows for {graph.num_nodes} nodes")
@@ -165,33 +165,34 @@ def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
         h = dk.sage_relu(graph, h, *(params[f"sage{layer}.{part}"]
                                      for part in ("self", "neigh", "bias")))
         h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", layer),
-                       train_mode, dead=True)
+                       dead=True)
     return h
 
 
-def _heads(h: Tensor, params: Mapping[str, Tensor], names,
-           dead: bool = False) -> list[Tensor]:
-    """The output heads ``names`` of ``_HEADS`` on ``h``, as one step."""
+def _heads(h: Tensor, params: Mapping[str, Tensor], names) -> list[Tensor]:
+    """The output heads ``names`` of ``_HEADS`` on ``h``, as one step.
+    ``h`` is always an encoder output made here that nothing reads
+    again, so its buffer takes its gradient (see ``dk.linear_heads``)."""
     return dk.linear_heads(h, [(params[f"{n}.weight"], params[f"{n}.bias"])
-                               for n in names], dead)
+                               for n in names], dead=True)
 
 
-def variant_forward(h: Tensor, params: Mapping[str, Tensor],
-                    variant: str, dead: bool = False) -> IntervalSet:
-    """Intervals for the encoder-output-based variants.  ``h`` is left as
-    it is unless ``dead`` (see ``dk.linear_heads``)."""
+def _variant_forward(h: Tensor, params: Mapping[str, Tensor],
+                     variant: str) -> IntervalSet:
+    """Intervals from the encoder output ``h`` for the direct-interval
+    variants."""
     if variant == "dual":
         # A softplus half-width is never negative.
-        yhat, width = _heads(h, params, ("pred", "width"), dead)
+        yhat, width = _heads(h, params, ("pred", "width"))
         dhat = dk.softplus(width)
         return IntervalSet(dk.sub(yhat, dhat), dk.add(yhat, dhat))
     if variant == "fixed_margin":
-        (yhat,) = _heads(h, params, ("pred",), dead)
+        (yhat,) = _heads(h, params, ("pred",))
         half = dk.softplus(params["margin"])
         return IntervalSet(dk.add_row_bias(yhat, dk.scale(half, -1.0)),
                            dk.add_row_bias(yhat, half))
     if variant == "single":
-        (bounds,) = _heads(h, params, ("bounds",), dead)
+        (bounds,) = _heads(h, params, ("bounds",))
         # Raw (low, up) columns: no ordering is imposed here.
         return IntervalSet(dk.slice_cols(bounds, 0, 1),
                            dk.slice_cols(bounds, 1, 2))
@@ -199,8 +200,7 @@ def variant_forward(h: Tensor, params: Mapping[str, Tensor],
 
 
 def sqr_forward(graph: Graph, x: np.ndarray, tau, params: Mapping[str, Tensor],
-                dropout_p: float = 0.0, train_mode: bool = False,
-                seed: int = 0) -> Tensor:
+                dropout_p: float = 0.0, seed: int = 0) -> Tensor:
     """Quantile-conditioned point prediction.
 
     ``tau`` is a scalar or per-node vector in (0, 1), appended to the
@@ -216,28 +216,31 @@ def sqr_forward(graph: Graph, x: np.ndarray, tau, params: Mapping[str, Tensor],
         raise ParameterError("tau values must lie strictly inside (0, 1)")
     x_tau = constant(np.hstack([np.asarray(x, dtype=np.float64),
                                 tau_arr.reshape(-1, 1)]))
-    h = encode(graph, x_tau, params, dropout_p, train_mode, seed)
-    return _heads(h, params, ("pred",), dead=True)[0]
+    h = encode(graph, x_tau, params, dropout_p, seed)
+    return _heads(h, params, ("pred",))[0]
 
 
 def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
-                      tape: Tape | None = None, train_mode: bool = False,
-                      seed: int = 0, alpha: float = 0.1) -> IntervalSet:
+                      tape: Tape | None = None, seed: int = 0,
+                      alpha: float = 0.1) -> IntervalSet:
     """Evaluate a model into an IntervalSet.
 
-    With a tape, parameters enter as tracked leaves and the result is
-    differentiable; without one the pass is forward-only.  For the
-    ``sqr`` variant the interval is [q(alpha/2), q(1 - alpha/2)].
+    A taped forward is the training forward: parameters enter as tracked
+    leaves, dropout runs at the model's ``dropout_p`` with masks keyed
+    by ``seed``, and the result is differentiable.  Without a tape the
+    pass is forward-only and dropout is off.  For the ``sqr`` variant
+    the interval is [q(alpha/2), q(1 - alpha/2)].
     """
-    params = model.params.leaves(tape) if tape is not None \
-        else model.params.constants()
-    p = model.config.dropout_p
+    if tape is not None:
+        params, p = model.params.leaves(tape), model.config.dropout_p
+    else:
+        params, p = model.params.constants(), 0.0
     if model.config.variant == "sqr":
-        low = sqr_forward(graph, x, alpha / 2.0, params, p, train_mode, seed)
-        up = sqr_forward(graph, x, 1.0 - alpha / 2.0, params, p, train_mode, seed)
+        low = sqr_forward(graph, x, alpha / 2.0, params, p, seed)
+        up = sqr_forward(graph, x, 1.0 - alpha / 2.0, params, p, seed)
         return IntervalSet(low, up)
-    h = encode(graph, constant(x), params, p, train_mode, seed)
-    return variant_forward(h, params, model.config.variant, dead=True)
+    h = encode(graph, constant(x), params, p, seed)
+    return _variant_forward(h, params, model.config.variant)
 
 
 def _check_t_mult(t_mult: float) -> None:
@@ -279,9 +282,8 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     x = constant(x)  # never written, so every pass reads it
     rows = []
     for t in range(passes):
-        h = encode(graph, x, params, dropout_p, True,
-                   derive_seed(seed, "mc", t))
-        rows.append(_heads(h, params, ("pred",), dead=True)[0].value.ravel())
+        h = encode(graph, x, params, dropout_p, derive_seed(seed, "mc", t))
+        rows.append(_heads(h, params, ("pred",))[0].value.ravel())
         del h  # this pass's encoder output, before the next pass starts
     return interval_from_mc_samples(np.vstack(rows), t_mult)
 

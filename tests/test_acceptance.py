@@ -108,7 +108,7 @@ def test_criterion_1_gradient_fidelity():
     sqr_model = _jittered("sqr", 2)
 
     def f_sqr(params):
-        return sqr_loss(sqr_model, ds, mask, seed=7, train_mode=False)
+        return sqr_loss(sqr_model, ds, mask, seed=7)
 
     errs["sqr"] = finite_diff_check(f_sqr, sqr_model.params)
 

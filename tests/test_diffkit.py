@@ -50,7 +50,7 @@ def test_elementwise_ops_gradients():
         p = params.leaves(tape)
         t = dk.mul(dk.sigmoid(p["a"]), dk.softplus(p["b"]))
         t = dk.add(t, dk.sub(p["a"], dk.scale(p["b"], 0.7)))
-        return dk.reduce_mean(dk.add_scalar(t, 1.5))
+        return dk.reduce_mean(dk.add(t, constant(np.full(t.shape, 1.5))))
 
     _check(f, ps)
 
@@ -79,7 +79,7 @@ def test_dropout_gradient_is_exact_per_seed():
     def f(params):
         tape = Tape()
         p = params.leaves(tape)
-        out = dk.dropout(p["w"], 0.4, seed=11, train_mode=True)
+        out = dk.dropout(p["w"], 0.4, seed=11)
         return dk.reduce_mean(dk.mul(out, out))
 
     # the mask is a deterministic function of the seed, so central
@@ -90,17 +90,13 @@ def test_dropout_gradient_is_exact_per_seed():
 def test_dropout_semantics():
     tape = Tape()
     a = tape.leaf(np.ones((200, 5)))
-    out_eval = dk.dropout(a, 0.4, seed=1, train_mode=False)
-    assert np.array_equal(out_eval.value, a.value)
-
-    out_train = dk.dropout(a, 0.4, seed=1, train_mode=True)
-    kept = out_train.value != 0.0
+    out = dk.dropout(a, 0.4, seed=1)
+    kept = out.value != 0.0
     # surviving entries are rescaled by 1/(1-p)
-    np.testing.assert_allclose(out_train.value[kept], 1.0 / 0.6)
+    np.testing.assert_allclose(out.value[kept], 1.0 / 0.6)
     assert 0.5 < kept.mean() < 0.7
-    again = dk.dropout(tape.leaf(np.ones((200, 5))), 0.4, seed=1,
-                       train_mode=True)
-    assert np.array_equal(out_train.value, again.value)
+    again = dk.dropout(tape.leaf(np.ones((200, 5))), 0.4, seed=1)
+    assert np.array_equal(out.value, again.value)
 
 
 def test_blocked_weight_gradient_matches_the_plain_product():
@@ -242,8 +238,7 @@ def test_matmul_gradients_over_several_row_blocks():
 
 def test_dropout_keeps_a_binomial_fraction():
     n, p = 200 * 500, 0.3
-    out = dk.dropout(constant(np.ones((200, 500))), p, seed=4,
-                     train_mode=True)
+    out = dk.dropout(constant(np.ones((200, 500))), p, seed=4)
     kept = np.count_nonzero(out.value)
     assert abs(kept - n * (1 - p)) < 5 * np.sqrt(n * p * (1 - p))
     assert dk._keep_threshold(0.5) == 1 << 31
@@ -259,25 +254,24 @@ def test_dropout_mask_comes_from_the_uint32_stream(shape):
     draws = keyed_rng(5, "dropout").integers(0, 1 << 32, shape,
                                              dtype=np.uint32)
     for p in (0.2, 0.5):
-        out = dk.dropout(constant(np.ones(shape)), p, seed=5, train_mode=True)
+        out = dk.dropout(constant(np.ones(shape)), p, seed=5)
         np.testing.assert_array_equal(out.value != 0.0,
                                       draws >= dk._keep_threshold(p))
 
 
 def test_dropout_mask_is_a_pure_function_of_the_seed():
     a = constant(np.ones((50, 40)))
-    one = dk.dropout(a, 0.5, seed=9, train_mode=True).value
-    again = dk.dropout(a, 0.5, seed=9, train_mode=True).value
-    other = dk.dropout(a, 0.5, seed=10, train_mode=True).value
+    one = dk.dropout(a, 0.5, seed=9).value
+    again = dk.dropout(a, 0.5, seed=9).value
+    other = dk.dropout(a, 0.5, seed=10).value
     assert np.array_equal(one, again)
     assert not np.array_equal(one, other)
 
 
-def test_dropout_is_the_identity_at_p_0_and_in_eval_mode():
+def test_dropout_is_the_identity_at_p_0():
     tape = Tape()
     a = tape.leaf(np.ones((4, 3)))
-    assert dk.dropout(a, 0.0, seed=1, train_mode=True) is a
-    assert dk.dropout(a, 0.4, seed=1, train_mode=False) is a
+    assert dk.dropout(a, 0.0, seed=1) is a
     assert len(tape) == 0
 
 
@@ -285,13 +279,38 @@ def test_only_a_dead_input_is_masked_in_place():
     x = keyed_rng(0, "dk-dead").standard_normal((40, 8))
     tape = Tape()
     a = tape.leaf(x.copy())
-    out = dk.dropout(a, 0.5, seed=1, train_mode=True)
+    out = dk.dropout(a, 0.5, seed=1)
     backward(tape, dk.reduce_mean(out))
     assert a.value.tobytes() == x.tobytes()
     dead = constant(x)
-    out_dead = dk.dropout(dead, 0.5, seed=1, train_mode=True, dead=True)
+    out_dead = dk.dropout(dead, 0.5, seed=1, dead=True)
     assert out_dead.value is dead.value
     assert out_dead.value.tobytes() == out.value.tobytes()
+
+
+@pytest.mark.parametrize("widths", [(1,), (2,), (1, 1)],
+                         ids=["pred", "bounds", "pred_width"])
+def test_linear_heads_overwrite_h_only_when_dead(widths):
+    """By default the heads leave ``h`` as it is; marked dead, ``h``'s
+    buffer takes its gradient, and every gradient keeps its bits."""
+    rng = keyed_rng(0, "dk-heads")
+    h0 = rng.standard_normal((300, 8))  # two 256-row blocks
+    ws = [(rng.standard_normal((8, k)), rng.standard_normal((1, k)))
+          for k in widths]
+    grads = []
+    for dead in (False, True):
+        tape = Tape()
+        h = tape.leaf(h0.copy())
+        heads = [(tape.leaf(w.copy()), tape.leaf(b.copy())) for w, b in ws]
+        outs = dk.linear_heads(h, heads, dead=dead)
+        loss = dk.reduce_mean(dk.mul(outs[0], dk.sigmoid(outs[-1])))
+        backward(tape, loss)
+        assert (h.grad is h.value) == dead
+        if not dead:
+            assert h.value.tobytes() == h0.tobytes()
+        grads.append([h.grad.tobytes()] + [t.grad.tobytes()
+                                           for pair in heads for t in pair])
+    assert grads[0] == grads[1]
 
 
 def _closure_arrays(fn) -> list[np.ndarray]:
@@ -311,7 +330,7 @@ def _closure_arrays(fn) -> list[np.ndarray]:
 def test_dropout_tape_holds_a_bool_mask():
     tape = Tape()
     a = tape.leaf(keyed_rng(0, "dk-mask").standard_normal((30, 4)))
-    out = dk.dropout(a, 0.25, seed=2, train_mode=True)
+    out = dk.dropout(a, 0.25, seed=2)
     held = _closure_arrays(tape._steps[-1])
     assert [arr.dtype for arr in held] == [np.bool_]
     assert held[0].shape == a.shape
@@ -394,7 +413,7 @@ def test_shape_and_contract_errors():
     with pytest.raises(ContractError, match="not recorded on this tape"):
         backward(None, constant(np.ones((1, 1))))  # untracked loss
     with pytest.raises(ParameterError):
-        dk.dropout(a, 1.0, seed=0, train_mode=True)
+        dk.dropout(a, 1.0, seed=0)
 
 
 def test_tensor_item_requires_scalar():
@@ -473,7 +492,8 @@ def test_passed_on_adjoints_do_not_alias():
         p = params.leaves(tape)
         h = dk.matmul(dk.sigmoid(p["a"]), p["w"])
         h = dk.add_row_bias(dk.add_row_bias(h, p["c"]), p["d"])
-        g = dk.add_scalar(dk.add_row_bias(h, p["c"]), 0.3)
+        g = dk.add(dk.add_row_bias(h, p["c"]),
+                   constant(np.full(h.shape, 0.3)))
         return dk.reduce_mean(dk.mul(g, dk.relu(h)))
 
     def scatter_into_used(params):
@@ -495,7 +515,7 @@ def test_passed_on_adjoints_do_not_alias():
         tape = Tape()
         p = params.leaves(tape)
         r = dk.relu(dk.matmul(p["a"], p["w"]))
-        d = dk.dropout(dk.softplus(p["b"]), 0.5, seed=4, train_mode=True)
+        d = dk.dropout(dk.softplus(p["b"]), 0.5, seed=4)
         return dk.reduce_mean(dk.add(dk.mul(dk.add(r, r), dk.sigmoid(r)),
                                      dk.mul(dk.add(d, d), dk.softplus(d))))
 
@@ -505,7 +525,7 @@ def test_passed_on_adjoints_do_not_alias():
         p = params.leaves(tape)
         t = dk.add_row_bias(dk.matmul(p["a"], p["w"]), p["c"])
         r = dk.relu(t)
-        d = dk.dropout(r, 0.5, seed=5, train_mode=True)
+        d = dk.dropout(r, 0.5, seed=5)
         e = dk.relu(dk.sub(d, dk.sigmoid(p["b"])))
         first = dk.mul(dk.sigmoid(d), dk.softplus(r))
         second = dk.add_row_bias(dk.mul(e, d), p["d"])
@@ -570,7 +590,7 @@ def _layer_loss(graph, tape, params, x):
     total = dk.add(own, nbr)
     pre = dk.add_row_bias(total, params["b"])
     post = dk.relu(pre)
-    out = dk.dropout(post, 0.5, seed=3, train_mode=True)
+    out = dk.dropout(post, 0.5, seed=3)
     loss = dk.reduce_mean(dk.matmul(out, params["u"]))
     return loss, dict(h=h, agg=agg, own=own, nbr=nbr, total=total, pre=pre,
                       post=post, out=out)
@@ -651,7 +671,7 @@ def _sage_run(layer, graph, x, ps, h_kind):
     p = ps.leaves(tape)
     h = constant(x) if h_kind == "constant" else tape.leaf(x)
     out = layer(graph, h, p["s"], p["n"], p["b"])
-    head = dk.matmul(dk.dropout(out, 0.2, seed=7, train_mode=True), p["u"])
+    head = dk.matmul(dk.dropout(out, 0.2, seed=7), p["u"])
     loss = dk.reduce_mean(dk.softplus(head))
     if h_kind == "shared":
         loss = dk.add(loss, dk.reduce_mean(dk.mul(h, dk.sigmoid(h))))
@@ -730,7 +750,7 @@ def test_sage_relu_step_holds_only_what_backward_reads(ring6):
     p = ps.leaves(tape)
     h = tape.leaf(x)
     out = dk.sage_relu(ring6, h, p["s"], p["n"], p["b"])
-    second = dk.add_scalar(out, 1.0)
+    second = dk.add(out, constant(np.ones(out.shape)))
     assert len(tape) == 2
     inputs = {id(h.value), id(p["s"].value), id(p["n"].value)}
     held = _closure_arrays(tape._steps[0])

@@ -500,20 +500,49 @@ def test_csv_round_trip(tmp_path, small_ds):
     np.testing.assert_allclose(back.targets, small_ds.targets)
 
 
+def test_csv_round_trip_with_header_lines(tmp_path, small_ds):
+    paths = [tmp_path / n for n in ("e.csv", "f.csv", "t.csv")]
+    q.save_csv(small_ds, *paths)
+    for path in paths:
+        path.write_text(f"head\n{path.read_text()}")
+    back = q.load_csv(*paths, header=True)
+    assert np.array_equal(back.graph.row_offsets, small_ds.graph.row_offsets)
+    assert np.array_equal(back.graph.col_indices, small_ds.graph.col_indices)
+    assert back.features.tobytes() == small_ds.features.tobytes()
+    assert back.targets.tobytes() == small_ds.targets.tobytes()
+
+
+# (file, its text, header, the error it must raise); every other file is
+# the valid two-node default below.
+_GARBAGE = [
+    ("e", "0,notanint\n", False, r"e\.csv:1: bad node index"),
+    ("e", "0,9\n", False, r"e\.csv:1: node index 9 out of range for 2 nodes"),
+    ("e", "0,1,1\n", False, r"e\.csv:1: expected 'src,dst'"),
+    ("f", "1.0,2.0\n0.5\n", False, r"f\.csv:2: expected 2 columns, got 1"),
+    ("t", "1.0\n", False, r"f\.csv: 2 feature rows for 1 targets"),
+    ("t", "1.0\nabc\n", False, r"t\.csv:2: bad float 'abc'"),
+    ("t", "1.0\n2.0,3.0\n", False, r"t\.csv:2: expected a single target"),
+    ("t", "", False, r"t\.csv: no target rows"),
+    # line numbers count the skipped header line
+    ("t", "y\n1.0\nabc\n", True, r"t\.csv:3: bad float 'abc'"),
+    ("t", None, False, r"t\.csv: \[Errno 2\]"),
+]
+
+
 def test_load_csv_rejects_garbage(tmp_path):
-    e, f, t = tmp_path / "e.csv", tmp_path / "f.csv", tmp_path / "t.csv"
-    f.write_text("1.0,2.0\n0.5,0.5\n")
-    t.write_text("1.0\n2.0\n")
-    e.write_text("0,notanint\n")
-    with pytest.raises(IngestionError):
-        q.load_csv(e, f, t)
-    e.write_text("0,9\n")  # endpoint out of range for 2 nodes
-    with pytest.raises(IngestionError):
-        q.load_csv(e, f, t)
-    t.write_text("1.0\n")  # row count mismatch with features
-    e.write_text("0,1\n")
-    with pytest.raises(IngestionError):
-        q.load_csv(e, f, t)
+    """Each malformed input raises an error citing its file and line."""
+    for name, text, header, match in _GARBAGE:
+        files = {"e": "0,1\n", "f": "1.0,2.0\n0.5,0.5\n", "t": "1.0\n2.0\n"}
+        if header:
+            files = {k: f"head\n{v}" for k, v in files.items()}
+        files[name] = text
+        paths = [tmp_path / f"{k}.csv" for k in "eft"]
+        for path, k in zip(paths, "eft"):
+            path.unlink(missing_ok=True)
+            if files[k] is not None:
+                path.write_text(files[k])
+        with pytest.raises(IngestionError, match=match):
+            q.load_csv(*paths, header=header)
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

@@ -213,6 +213,20 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
             shift_matrix(cfg=cfg, nodes=40, runs=runs)
 
 
+@pytest.mark.parametrize("kind,variant", [("qpi", "dual"), ("sqr", "sqr"),
+                                          ("mse_mcdropout", "dual")])
+def test_shift_diagonal_is_the_runs_own_test_report(kind, variant):
+    """A diagonal cell scores the intervals ``train`` reports, MC dropout
+    included, so with one run it equals that run's test report."""
+    cfg = TrainConfig(epochs=20, hidden=8, mc_passes=5, loss_kind=kind,
+                      model_variant=variant)
+    sm = shift_matrix(cfg=cfg, nodes=120, runs=1)
+    for i, family in enumerate(sm.families):
+        _, rec = train_qpignn(dataset_preset(family, 120, 11), cfg)
+        assert sm.picp[i, i] == rec.reports["test"].picp
+        assert sm.mpiw[i, i] == rec.reports["test"].mpiw
+
+
 def test_sweep_result_requires_chosen_in_entries():
     e = SweepEntry(0.1, _report(), _report(), 1.0)
     with pytest.raises(ContractError):

@@ -187,12 +187,9 @@ def test_sqr_loss_contract(small_ds):
         sqr_loss(dual, small_ds, small_ds.train_mask, seed=0)
     model = init_model(ModelConfig(in_dim=small_ds.feat_dim, hidden=8,
                                    variant="sqr"), 0)
-    a = sqr_loss(model, small_ds, small_ds.train_mask, seed=3,
-                 train_mode=False)
-    b = sqr_loss(model, small_ds, small_ds.train_mask, seed=3,
-                 train_mode=False)
-    c = sqr_loss(model, small_ds, small_ds.train_mask, seed=4,
-                 train_mode=False)
+    a = sqr_loss(model, small_ds, small_ds.train_mask, seed=3)
+    b = sqr_loss(model, small_ds, small_ds.train_mask, seed=3)
+    c = sqr_loss(model, small_ds, small_ds.train_mask, seed=4)
     assert a.item() == b.item()          # same tau draw per seed
     assert a.item() != c.item()
 
@@ -252,7 +249,7 @@ def test_gradient_through_the_dropped_encoder(tiny_ds, variant):
     def f(params):
         tape = Tape()
         iv = q.forward_intervals(model, tiny_ds.graph, tiny_ds.features,
-                                 tape=tape, train_mode=True, seed=0)
+                                 tape=tape, seed=0)
         return qpi_total_loss(
             *_masked(iv, tiny_ds.targets, tiny_ds.train_mask),
             alpha=0.1, lambda_width=0.5).node

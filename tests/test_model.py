@@ -85,35 +85,16 @@ def test_forward_is_pure(ring6):
     assert np.array_equal(a.low_values, b.low_values)
 
 
-@pytest.mark.parametrize("variant", ("dual", "fixed_margin", "single"))
-def test_variant_forward_overwrites_h_only_when_dead(ring6, variant):
-    """By default the heads leave ``h`` as it is; marked dead, ``h``'s
-    buffer takes its gradient, with the same bits."""
-    model = init_model(ModelConfig(in_dim=3, hidden=4, variant=variant), 0)
-    h0 = np.abs(_features(6, 4, "h"))
-    grads = []
-    for dead in (False, True):
-        tape = Tape()
-        h = tape.leaf(h0.copy())
-        iv = q.variant_forward(h, model.params.leaves(tape), variant,
-                               dead=dead)
-        dk.backward(tape, dk.reduce_mean(dk.mul(iv.low, iv.up)))
-        assert (h.grad is h.value) == dead
-        if not dead:
-            assert h.value.tobytes() == h0.tobytes()
-        grads.append(h.grad.tobytes())
-    assert grads[0] == grads[1]
-
-
 def test_training_mode_dropout_changes_output(ring6):
     model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual",
                                    dropout_p=0.5), 0)
     x = _features(6, 3)
-    eval_iv = forward_intervals(model, ring6, x, train_mode=False)
-    train_iv = forward_intervals(model, ring6, x, train_mode=True, seed=1)
+    eval_iv = forward_intervals(model, ring6, x)
+    # a taped forward is the training forward, with dropout on
+    train_iv = forward_intervals(model, ring6, x, tape=Tape(), seed=1)
     assert not np.array_equal(eval_iv.low_values, train_iv.low_values)
     # same seed reproduces the same masks
-    again = forward_intervals(model, ring6, x, train_mode=True, seed=1)
+    again = forward_intervals(model, ring6, x, tape=Tape(), seed=1)
     assert np.array_equal(train_iv.low_values, again.low_values)
 
 
