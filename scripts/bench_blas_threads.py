@@ -107,6 +107,7 @@ def _dropout() -> dict:
 
 
 _RUN_LOG = None  # set before a sweep's pool forks its workers
+_TRAIN = None  # the unpatched ``harness.train``, set likewise
 
 
 def _proc_mb(pid, field: str, file: str = "status") -> float:
@@ -158,9 +159,8 @@ def _peak_with_workers(call) -> dict:
 def _timed_train(ds, cfg):
     """``harness.train`` that appends one JSON line per run to
     ``_RUN_LOG``: wall and process CPU ms, OS threads, pid and VmHWM."""
-    import qpignn.harness as harness
     t0, c0 = time.perf_counter(), time.process_time()
-    out = harness.train_qpignn(ds, cfg)  # the alias the patch leaves alone
+    out = _TRAIN(ds, cfg)
     row = {"wall_ms": (time.perf_counter() - t0) * 1e3,
            "cpu_ms": (time.process_time() - c0) * 1e3,
            "os_threads": len(os.listdir("/proc/self/task")),
@@ -176,8 +176,9 @@ def _runs() -> list[dict]:
 
 
 def _sweep(epochs: int) -> dict:
-    global _RUN_LOG
+    global _RUN_LOG, _TRAIN
     import qpignn.harness as harness
+    _TRAIN = harness.train
     ds = driver.dataset("er2k")
     cfg = harness.TrainConfig(epochs=epochs, seed=0)
     row = {}
@@ -202,13 +203,14 @@ def _sweep(epochs: int) -> dict:
 def _repeat_sweep() -> dict:
     """``REPEAT_SWEEPS`` pooled one-epoch sweeps, each after an
     MC-dropout call."""
-    global _RUN_LOG
+    global _RUN_LOG, _TRAIN
     import qpignn.harness as harness
     import qpignn.metrics as metrics
     import qpignn.model as model
+    _TRAIN = harness.train
     ds = driver.dataset("er2k")
     cfg = harness.TrainConfig(epochs=1, seed=0)
-    fitted, _ = harness.train_qpignn(ds, cfg)
+    fitted, _ = harness.train(ds, cfg)
     sweeps = []
 
     def mc(seed):

@@ -6,8 +6,7 @@ from .rng import derive_seed, keyed_rng
 from .graphcore import (Dataset, Graph, PerturbSpec, SplitSpec, from_edges,
                         gen_ba, gen_chain, gen_er, gen_grid, gen_tree,
                         load_csv, perturb, save_csv, split, synth_dataset)
-from .diffkit import (ParamStore, Tape, Tensor, backward, constant,
-                      finite_diff_check)
+from .diffkit import ParamStore, Tape, Tensor, backward, constant
 from .model import (IntervalSet, Model, ModelConfig, encode, forward_intervals,
                     init_model, init_params, load_checkpoint,
                     mc_dropout_interval, save_checkpoint, sqr_forward)

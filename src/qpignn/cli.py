@@ -17,6 +17,7 @@ import inspect
 import json
 import math
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -572,11 +573,12 @@ def run(argv=None) -> int:
     except ParameterError as exc:
         sys.stderr.write(f"qpignn: usage error: {exc}\n")
         return 1
-    except QpignnError as exc:
+    except (QpignnError, OSError, BrokenProcessPool) as exc:
+        # BrokenProcessPool: a pool worker died (the OOM killer's, say).
         sys.stderr.write(f"qpignn: error: {exc}\n")
         return 2
-    except OSError as exc:
-        sys.stderr.write(f"qpignn: error: {exc}\n")
+    except MemoryError as exc:
+        sys.stderr.write(f"qpignn: error: {str(exc) or 'out of memory'}\n")
         return 2
 
 

@@ -416,7 +416,12 @@ def _blocked_column(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b``, as a head without a bias (see ``linear_heads``)."""
+    """``a @ b``, as a head without a bias (see ``linear_heads``).
+
+    Nothing in ``qpignn`` calls it.  It stays only because
+    ``perfbench/spans.py`` wraps it, until those spans time
+    ``linear_heads`` instead.
+    """
     return linear_heads(a, [(b, None)])[0]
 
 
@@ -549,6 +554,9 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
 
     Isolated nodes get a zero row.  The adjoint scatters the incoming
     gradient back through the same 1/deg weights (transposed operator).
+    Nothing in ``qpignn`` calls it; ``sage_relu`` runs the same product.
+    It stays only because ``perfbench/spans.py`` wraps it, until those
+    spans time ``sage_relu`` instead.
     """
     if h.shape[0] != graph.num_nodes:
         raise ShapeError(
@@ -740,41 +748,3 @@ class ParamStore:
         """Untracked views for forward-only evaluation."""
         return {name: Tensor(self._values[name])
                 for name in self.names()}
-
-
-def finite_diff_check(f: Callable[[ParamStore], Tensor], params: ParamStore,
-                      h: float = 1e-5) -> float:
-    """Compare tape gradients of ``f`` against central differences.
-
-    ``f`` must build a fresh graph from the store and return a scalar
-    tensor.  Returns the worst relative error over every parameter
-    coordinate.  The relative-error denominator is floored so that
-    coordinates whose true gradient is zero only contribute finite-
-    difference roundoff, not a blow-up.
-    """
-    if h <= 0:
-        raise ParameterError("h must be positive")
-    params.zero_grads()
-    out = f(params)
-    if out.tape is None:
-        raise ContractError("f must return a tracked tensor")
-    backward(out.tape, out)
-    analytic = {name: params.grad(name).copy() for name in params.names()}
-    floor = 1e-6 * max(1.0, abs(out.item()))
-    worst = 0.0
-    for name in params.names():
-        flat = params.value(name).ravel()
-        grad_flat = analytic[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = f(params).item()
-            flat[i] = orig - h
-            lo = f(params).item()
-            flat[i] = orig
-            fd = (hi - lo) / (2.0 * h)
-            a = grad_flat[i]
-            err = abs(a - fd) / max(abs(a), abs(fd), floor)
-            worst = max(worst, err)
-    params.zero_grads()
-    return worst

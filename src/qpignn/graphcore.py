@@ -93,9 +93,6 @@ class Graph:
         """Number of undirected edges."""
         return self.col_indices.size // 2
 
-    def neighbors(self, v: int) -> np.ndarray:
-        return self.col_indices[self.row_offsets[v]:self.row_offsets[v + 1]]
-
     def edge_pairs(self) -> np.ndarray:
         """All undirected edges as (u, v) rows with u < v, lexicographic."""
         rows = np.repeat(np.arange(self.num_nodes, dtype=np.int64),
@@ -188,19 +185,20 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
         raise ParameterError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
-    pairs = [np.empty((0, 2), dtype=np.int64)]
     if p == 0.0:
-        return from_edges(n, pairs[0])
+        return from_edges(n, np.empty((0, 2), dtype=np.int64))
     last = np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)
+    chunks = raw_words(keyed_rng(seed, "er"), n * (n - 1) // 2)
+    # The flat indices of the kept pairs, decoded once below.  No chunk
+    # outlives the generator, and the empty head covers n == 1.
+    k = np.concatenate([np.empty(0, dtype=np.int64), *(
+        offset + np.flatnonzero(words <= last) for offset, words in chunks)])
     # first[i] is the flat index of pair (i, i + 1); the n - 1 - i pairs
     # (i, j > i) follow it.
     first = np.arange(n - 1, dtype=np.int64)
     first = first * (n - 1) - first * (first - 1) // 2
-    for offset, words in raw_words(keyed_rng(seed, "er"), n * (n - 1) // 2):
-        k = offset + np.flatnonzero(words <= last)
-        i = np.searchsorted(first, k, side="right") - 1
-        pairs.append(np.column_stack([i, k - first[i] + i + 1]))
-    return from_edges(n, np.concatenate(pairs))
+    i = np.searchsorted(first, k, side="right") - 1
+    return from_edges(n, np.column_stack([i, k - first[i] + i + 1]))
 
 
 def gen_ba(n: int, m: int, seed: int) -> Graph:

@@ -90,9 +90,6 @@ class IntervalSet:
     def up_values(self) -> np.ndarray:
         return self.up.value.ravel()
 
-    def widths(self) -> np.ndarray:
-        return self.up_values - self.low_values
-
     def crossing_rate(self) -> float:
         """Fraction of nodes with low > up (possible for raw 2-output heads)."""
         return float(np.mean(self.low_values > self.up_values))

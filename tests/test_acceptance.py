@@ -11,16 +11,17 @@ import pytest
 
 import qpignn as q
 from qpignn import diffkit as dk
-from qpignn.diffkit import Tape, finite_diff_check
+from qpignn.diffkit import Tape
 from qpignn.graphcore import Dataset, PerturbSpec, perturb
 from qpignn.harness import (DEFAULT_LAMBDA_GRID, TrainConfig, _train_all,
                             concentration_check, convergence_check,
                             gaussian_optimal_halfwidth, lambda_sweep,
-                            lambda_tune, train_qpignn)
+                            lambda_tune, train)
 from qpignn.losses import qpi_total_loss, rqr_adj_loss, sqr_loss
 from qpignn.metrics import interval_stats, report
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from qpignn.rng import derive_seed, keyed_rng
+from reference import finite_diff_check
 
 ALPHA = 0.1
 
@@ -187,8 +188,7 @@ def test_criterion_3_tuned_coverage_width(ds_main):
     result = lambda_tune(ds_main, TrainConfig(), budget=9)
     tune_secs = time.perf_counter() - t0
 
-    model, rec = train_qpignn(ds_main,
-                              TrainConfig(lambda_width=result.chosen))
+    model, rec = train(ds_main, TrainConfig(lambda_width=result.chosen))
     rep = rec.reports["test"]
     iv = q.forward_intervals(model, ds_main.graph, ds_main.features,
                              alpha=ALPHA)

@@ -1,9 +1,12 @@
 """End-to-end command-line runs against temporary directories."""
 import json
+import os
+import signal
 from pathlib import Path
 
 import pytest
 
+from qpignn import cli, harness
 from qpignn.cli import run
 
 FAST_DS = ["--nodes", "120", "--feat-dim", "4", "--noise-sigma", "0.5",
@@ -105,6 +108,50 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     code = run(["eval", "--checkpoint", str(tmp_path / "missing.json"),
                 *FAST_DS, "--out", str(tmp_path / "y")])
     assert code == 2
+
+
+_TRAIN = harness.train
+
+
+def _killed_at_half(ds, cfg):
+    """``train``, except that the pool worker given the width penalty 0.5
+    kills itself, as the OOM killer would."""
+    if cfg.lambda_width == 0.5:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _TRAIN(ds, cfg)
+
+
+def test_a_lost_worker_exits_2(tmp_path, capsys, monkeypatch):
+    sweep = ["sweep", *FAST_DS, *FAST_TRAIN, "--grid", "0.1,0.5",
+             "--no-timestamp"]
+    assert run([*sweep, "--out", str(tmp_path / "untouched")]) == 0
+    harness._close_pool()
+    try:
+        monkeypatch.setattr(harness, "train", _killed_at_half)
+        capsys.readouterr()
+        assert run([*sweep, "--jobs", "2", "--out",
+                    str(tmp_path / "killed")]) == 2
+        err = capsys.readouterr().err
+        monkeypatch.undo()
+        # the failed batch shut its pool down; the next one starts afresh
+        assert run([*sweep, "--jobs", "2", "--out",
+                    str(tmp_path / "again")]) == 0
+    finally:
+        harness._close_pool()
+    assert err.count("qpignn: error:") == 1 and "Traceback" not in err
+    assert not (tmp_path / "killed").exists()
+    assert (tmp_path / "again" / "sweep.csv").read_bytes() == \
+        (tmp_path / "untouched" / "sweep.csv").read_bytes()
+
+
+def test_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "lambda_sweep", exhausted)
+    assert run(["sweep", *FAST_DS, *FAST_TRAIN, "--grid", "0.1",
+                "--out", str(tmp_path / "x")]) == 2
+    assert capsys.readouterr().err == "qpignn: error: out of memory\n"
 
 
 def test_eval_rejects_non_finite_checkpoint(tmp_path, capsys):

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from qpignn import diffkit as dk
-from qpignn.diffkit import (ParamStore, Tape, backward, constant,
-                            finite_diff_check)
+from qpignn.diffkit import ParamStore, Tape, backward, constant
 from qpignn.errors import ContractError, ParameterError, ShapeError
 from qpignn.graphcore import PerturbSpec, gen_er, perturb
 from qpignn.rng import keyed_rng
+from reference import finite_diff_check
 
 
 def _store(**arrays) -> ParamStore:

@@ -32,8 +32,7 @@ from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
                             _train_all, convergence_check, dataset_preset,
                             lambda_sweep, lambda_tune, robustness_suite,
                             selection_objective, shift_matrix,
-                            split_experiment, train_qpignn,
-                            ablation_suite)
+                            split_experiment, ablation_suite)
 from qpignn.metrics import MetricsReport
 from qpignn.rng import keyed_rng
 
@@ -96,7 +95,7 @@ def test_train_config_validation():
 
 
 def test_train_is_the_single_entry_point(small_ds):
-    assert train_qpignn is q.train
+    assert q.harness.train_qpignn is q.train
     for kind, variant in (("qpi", "dual"), ("rqr_adj", "single"),
                           ("rqr_adj", "dual"), ("rqr_adj", "fixed_margin")):
         cfg = TrainConfig(epochs=3, hidden=8, loss_kind=kind,
@@ -130,7 +129,7 @@ def test_non_finite_gradient_norm_stops_before_adam(small_ds, monkeypatch):
     monkeypatch.setattr(q.harness, "adam_step", step)
     with pytest.raises(q.TrainingError,
                        match="gradient norm nan at epoch 2 ") as err:
-        train_qpignn(small_ds, TrainConfig(epochs=5, hidden=8, seed=0))
+        q.train(small_ds, TrainConfig(epochs=5, hidden=8, seed=0))
     assert err.value.epoch == 2
     assert np.isfinite(err.value.diagnostics["loss"])
     assert len(stepped) == 2
@@ -222,9 +221,49 @@ def test_shift_diagonal_is_the_runs_own_test_report(kind, variant):
                       model_variant=variant)
     sm = shift_matrix(cfg=cfg, nodes=120, runs=1)
     for i, family in enumerate(sm.families):
-        _, rec = train_qpignn(dataset_preset(family, 120, 11), cfg)
+        _, rec = q.train(dataset_preset(family, 120, 11), cfg)
         assert sm.picp[i, i] == rec.reports["test"].picp
         assert sm.mpiw[i, i] == rec.reports["test"].mpiw
+
+
+@pytest.mark.parametrize("kind", ["qpi", "mse_mcdropout"])
+def test_shift_matrix_scores_only_off_diagonal_cells(kind, monkeypatch):
+    """After training, only the k(k - 1) off-diagonal cells of each run
+    are scored; the matrix keeps the bits of scoring every cell."""
+    families, runs = ("er", "ba", "grid"), 2
+    cfg = TrainConfig(epochs=10, hidden=8, mc_passes=5, loss_kind=kind,
+                      lambda_width=0.5)
+    datasets = {f: dataset_preset(f, 60, 11) for f in families}
+    picp, mpiw = np.zeros((3, 3)), np.zeros((3, 3))
+    for i, fi in enumerate(families):
+        for s in range(runs):
+            model, rec = q.train(datasets[fi], replace(cfg, seed=s))
+            for j, fj in enumerate(families):
+                dj = datasets[fj]
+                mask = dj.test_mask if i == j else np.ones(dj.num_nodes, bool)
+                iv = q.harness._final_intervals(model, dj, rec.config)
+                rep = q.report(iv, dj.targets, mask, cfg.alpha)
+                picp[i, j] += rep.picp
+                mpiw[i, j] += rep.mpiw
+
+    scored = []
+    final_intervals, train_all = (q.harness._final_intervals,
+                                  q.harness._train_all)
+
+    def counted(model, ds, cfg):
+        scored.append(ds)
+        return final_intervals(model, ds, cfg)
+
+    def train_then_count(batch, jobs):
+        trained = train_all(batch, jobs)
+        monkeypatch.setattr(q.harness, "_final_intervals", counted)
+        return trained
+
+    monkeypatch.setattr(q.harness, "_train_all", train_then_count)
+    sm = shift_matrix(families, cfg, nodes=60, runs=runs)
+    assert len(scored) == 3 * 2 * runs
+    assert sm.picp.tobytes() == (picp / runs).tobytes()
+    assert sm.mpiw.tobytes() == (mpiw / runs).tobytes()
 
 
 def test_sweep_result_requires_chosen_in_entries():
@@ -249,13 +288,13 @@ def test_selection_objective():
 
 def test_run_is_deterministic(small_ds):
     cfg = TrainConfig(epochs=50, seed=4)
-    _, a = train_qpignn(small_ds, cfg)
-    _, b = train_qpignn(small_ds, cfg)
+    _, a = q.train(small_ds, cfg)
+    _, b = q.train(small_ds, cfg)
     assert np.array_equal(a.loss, b.loss)
     assert np.array_equal(a.coverage, b.coverage)
     assert np.array_equal(a.grad_norm, b.grad_norm)
     assert a.reports["test"] == b.reports["test"]
-    _, c = train_qpignn(small_ds, TrainConfig(epochs=50, seed=5))
+    _, c = q.train(small_ds, TrainConfig(epochs=50, seed=5))
     assert not np.array_equal(a.loss, c.loss)
 
 
@@ -270,8 +309,8 @@ def test_train_steps_adam_on_the_sqrt_schedule(decay, small_ds, monkeypatch):
         steps.append((lr, weight_decay))
         return adam(params, state, lr, weight_decay)
     monkeypatch.setattr(q.harness, "adam_step", recorded)
-    train_qpignn(small_ds, TrainConfig(epochs=3, hidden=8, lr=0.01,
-                                       weight_decay=0.5, sqrt_lr_decay=decay))
+    q.train(small_ds, TrainConfig(epochs=3, hidden=8, lr=0.01,
+                                  weight_decay=0.5, sqrt_lr_decay=decay))
     want = [0.01 / np.sqrt(t) if decay else 0.01 for t in (1, 2, 3)]
     assert steps == [(lr, 0.5) for lr in want]
 
@@ -307,7 +346,7 @@ def test_train_keeps_at_most_two_tapes_alive(small_ds, monkeypatch):
     enabled = gc.isenabled()
     gc.disable()
     try:
-        train_qpignn(small_ds, TrainConfig(epochs=30, hidden=16, seed=0))
+        q.train(small_ds, TrainConfig(epochs=30, hidden=16, seed=0))
     finally:
         if enabled:
             gc.enable()
@@ -333,7 +372,7 @@ def test_training_peak_memory_is_a_few_node_arrays():
     cfg = TrainConfig(epochs=5, seed=0)
     tracemalloc.start()
     try:
-        train_qpignn(ds, cfg)
+        q.train(ds, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -341,7 +380,7 @@ def test_training_peak_memory_is_a_few_node_arrays():
 
 
 def test_violation_decays_as_coverage_rises(small_ds):
-    _, rec = train_qpignn(small_ds, TrainConfig(epochs=300, seed=1))
+    _, rec = q.train(small_ds, TrainConfig(epochs=300, seed=1))
     assert rec.coverage[0] == pytest.approx(0.378, abs=1e-3)
     assert rec.coverage[-1] == pytest.approx(0.906, abs=1e-3)
     assert rec.violation[0] == pytest.approx(0.5061, abs=1e-3)
@@ -356,7 +395,7 @@ def test_pure_noise_coverage_without_width_penalty(small_ds):
     y = keyed_rng(3, "pure-noise").standard_normal(small_ds.num_nodes)
     ds = replace(small_ds, targets=y)
     cfg = TrainConfig(epochs=400, lambda_width=0.0, seed=0)
-    _, rec = train_qpignn(ds, cfg)
+    _, rec = q.train(ds, cfg)
     assert rec.coverage[-1] > 0.98
     assert rec.coverage[-1] == pytest.approx(0.9889, abs=2e-3)
 
@@ -415,7 +454,7 @@ def test_mc_dropout_intervals_come_from_sampling(small_ds):
 
 def test_convergence_check_passes_on_smooth_descent(small_ds):
     cfg = TrainConfig(loss_kind="mse_only", epochs=300, dropout_p=0.0)
-    _, rec = train_qpignn(small_ds, cfg)
+    _, rec = q.train(small_ds, cfg)
     chk = convergence_check(rec)
     assert chk.passed, (chk.grad_ratio, chk.note)
     assert chk.grad_ratio <= 0.25
@@ -428,7 +467,7 @@ def test_indicator_rattle_fails_decile_test_on_small_graphs(small_ds):
     the start; the diagnostic reports that honestly (and distinguishes
     it from a flat no-descent trajectory).  Protocol-scale graphs pass;
     the acceptance suite checks those."""
-    _, rec = train_qpignn(small_ds, TrainConfig())
+    _, rec = q.train(small_ds, TrainConfig())
     chk = convergence_check(rec)
     assert not chk.passed
     assert chk.grad_ratio > 0.25
@@ -438,7 +477,7 @@ def test_indicator_rattle_fails_decile_test_on_small_graphs(small_ds):
 
 def test_frozen_params_report_no_descent(small_ds):
     cfg = TrainConfig(epochs=30, lr=0.0, dropout_p=0.0, seed=0)
-    _, rec = train_qpignn(small_ds, cfg)
+    _, rec = q.train(small_ds, cfg)
     chk = convergence_check(rec)
     assert chk.note == "no descent: loss trajectory is constant"
     assert not chk.passed

@@ -4,12 +4,13 @@ import pytest
 
 import qpignn as q
 from qpignn import diffkit as dk
-from qpignn.diffkit import ParamStore, Tape, backward, finite_diff_check
+from qpignn.diffkit import Tape, backward
 from qpignn.errors import ContractError, ParameterError
 from qpignn.losses import (mse_loss, pinball_loss, qpi_total_loss,
                            rqr_adj_loss, sqr_loss, violation_loss, width_loss)
 from qpignn.metrics import interval_stats
 from qpignn.model import IntervalSet, ModelConfig, init_model
+from reference import finite_diff_check
 from qpignn.rng import keyed_rng
 
 

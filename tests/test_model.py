@@ -47,7 +47,7 @@ def test_fixed_margin_width_is_constant(ring6):
     model = init_model(ModelConfig(in_dim=3, hidden=4,
                                    variant="fixed_margin"), 1)
     iv = forward_intervals(model, ring6, _features(6, 3))
-    w = iv.widths()
+    w = iv.up_values - iv.low_values
     assert np.allclose(w, w[0])
 
 
@@ -153,7 +153,7 @@ def test_mc_dropout_interval_properties(ring6):
     iv = mc_dropout_interval(ring6, x, model, passes=40, dropout_p=0.3,
                              t_mult=1.6449, seed=9)
     assert len(iv) == 6
-    assert (iv.widths() >= 0).all()
+    assert (iv.up_values >= iv.low_values).all()
     again = mc_dropout_interval(ring6, x, model, passes=40, dropout_p=0.3,
                                 t_mult=1.6449, seed=9)
     assert np.array_equal(iv.low_values, again.low_values)
