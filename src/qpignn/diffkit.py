@@ -22,7 +22,8 @@ unchanged bit for bit.
 
 The tape keeps only what backward reads, and only until it is read.
 Each adjoint closes over slots and the few arrays it needs (a matmul the
-other operand's value, relu and dropout their bool masks), so every
+other operand's value, relu and dropout their bool masks, an encoder
+layer one bool mask for its ReLU and its dropout together), so every
 other forward value is freed as soon as the forward pass drops it.
 Once a step has run, ``backward`` empties its closure cells, so the
 arrays it read are freed before the steps below it run; the closure
@@ -42,12 +43,14 @@ An adjoint owns the gradient it takes, so ``relu``, ``dropout`` and
 holds it).
 
 No op overwrites an input's value unless its caller passes ``dead``,
-saying nothing reads that value again (``model`` does, for encoder
-arrays it made).  ``dropout`` then masks in place and ``linear_heads``'
-step writes ``h``'s gradient into ``h``'s buffer, both with the plain
-call's bits.  So an MC-dropout pass, which is one untaped ``encode``
-with dropout on, holds about three n x 64 arrays at once: its layers'
-outputs are masked in place and each is freed once the next is made.
+saying nothing reads that value again (``sage_relu`` does for the
+output it has just made, ``model`` for encoder arrays it made).
+``dropout`` then masks in place and ``linear_heads``' step writes
+``h``'s gradient into ``h``'s buffer, both with the plain call's bits.
+So an MC-dropout pass, which is one untaped ``encode`` with dropout
+on, holds about three n x 64 arrays at once, the second layer's input,
+``A @ h`` and output: each layer frees ``A @ h`` before it masks its
+output in place, and each output is freed once the next is made.
 ``dropout`` draws its random numbers in ``raw_words``' fixed chunks, so
 no draw buffer grows with the input.
 
@@ -569,14 +572,20 @@ def csr_mean_aggregate(graph: Graph, h: Tensor) -> Tensor:
 
 
 def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
-              bias: Tensor) -> Tensor:
-    """One encoder layer, ``relu(h W_self + mean_neighbours(h) W_neigh +
-    bias)``, computed in the buffer of ``h W_self`` and taped as one step.
+              bias: Tensor, dropout_p: float = 0.0, seed: int = 0) -> Tensor:
+    """One encoder layer, ``dropout(relu(h W_self + mean_neighbours(h)
+    W_neigh + bias))``, computed in the buffer of ``h W_self`` and taped
+    as one step.
 
     Forward and backward run the float operations of ``matmul``,
-    ``csr_mean_aggregate``, ``matmul``, ``add``, ``add_row_bias`` and
-    ``relu`` in their order, so the bits are theirs; ``h`` takes its two
-    gradient parts one after the other, as from the two matmul steps.
+    ``csr_mean_aggregate``, ``matmul``, ``add``, ``add_row_bias``,
+    ``relu`` and ``dropout`` in their order, so the bits are theirs;
+    ``h`` takes its two gradient parts one after the other, as from the
+    two matmul steps.  The step keeps one bool mask, ``out > 0``: as
+    1 / (1 - p) >= 1, a dropped-out ReLU output is positive exactly
+    where the ReLU passed and dropout kept, so masking by it and then
+    scaling gives dropout's and ReLU's product for every gradient whose
+    scaled value is finite.
     """
     if (h.shape[0] != graph.num_nodes or w_self.shape[0] != h.shape[1]
             or w_neigh.shape != w_self.shape
@@ -590,11 +599,15 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
     v = h.value @ w_self.value
     _gemm_add(agg, w_neigh.value, v)
     v += bias.value
-    mask = v > 0.0 if tape is not None else None
     np.maximum(v, 0.0, out=v)
+    if tape is None:
+        agg = None  # freed before dropout's draw
+    # Through the module global, so a wrapped ``dropout`` sees each draw.
+    v = dropout(Tensor(v), dropout_p, seed, dead=True).value
     out = Tensor(v, tape)
     if tape is None:
         return out
+    mask = v > 0.0
 
     so, sh, ss, sn, sb = (out._slot, h._slot, w_self._slot, w_neigh._slot,
                           bias._slot)
@@ -607,6 +620,8 @@ def sage_relu(graph: Graph, h: Tensor, w_self: Tensor, w_neigh: Tensor,
         if g is None:
             return
         g *= mask
+        if dropout_p > 0.0:
+            g *= 1.0 / (1.0 - dropout_p)
         if sb is not None:
             _accumulate(sb, g.sum(axis=0, keepdims=True))
         if sn is not None:

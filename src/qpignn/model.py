@@ -23,7 +23,7 @@ from typing import Mapping
 import numpy as np
 
 from . import diffkit as dk
-from .diffkit import ParamStore, Tape, Tensor, constant
+from .diffkit import ParamStore, Tape, Tensor, _as_matrix, constant
 from .errors import ContractError, ParameterError, ShapeError
 from .graphcore import Graph
 from .rng import derive_seed, keyed_rng
@@ -143,13 +143,20 @@ def init_model(config: ModelConfig, seed: int) -> Model:
 # Forward passes
 # ---------------------------------------------------------------------------
 
+def _features(x) -> Tensor:
+    """``constant(x)``, but an array already in its layout is not copied:
+    ``encode`` never writes ``x``."""
+    return Tensor(np.ascontiguousarray(_as_matrix(x)))
+
+
 def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
            dropout_p: float = 0.0, seed: int = 0) -> Tensor:
     """Two message-passing layers with ReLU, dropout after each ReLU.
 
     Dropout runs whenever ``dropout_p`` > 0, with masks keyed by
-    ``seed``.  Each dropout masks the layer output it is given in place,
-    since nothing else reads it; ``x`` is never written.
+    ``seed``.  Each layer runs its own dropout (``dk.sage_relu``),
+    masking the output it has just made in place; ``x`` is never
+    written, so callers hand it over uncopied.
     """
     if x.shape[0] != graph.num_nodes:
         raise ShapeError(f"{x.shape[0]} feature rows for {graph.num_nodes} nodes")
@@ -160,9 +167,8 @@ def encode(graph: Graph, x: Tensor, params: Mapping[str, Tensor],
     h = x
     for layer in (1, 2):
         h = dk.sage_relu(graph, h, *(params[f"sage{layer}.{part}"]
-                                     for part in ("self", "neigh", "bias")))
-        h = dk.dropout(h, dropout_p, derive_seed(seed, "enc-drop", layer),
-                       dead=True)
+                                     for part in ("self", "neigh", "bias")),
+                         dropout_p, derive_seed(seed, "enc-drop", layer))
     return h
 
 
@@ -211,8 +217,8 @@ def sqr_forward(graph: Graph, x: np.ndarray, tau, params: Mapping[str, Tensor],
         raise ShapeError("tau must be scalar or one value per node")
     if np.any((tau_arr <= 0.0) | (tau_arr >= 1.0)):
         raise ParameterError("tau values must lie strictly inside (0, 1)")
-    x_tau = constant(np.hstack([np.asarray(x, dtype=np.float64),
-                                tau_arr.reshape(-1, 1)]))
+    x_tau = Tensor(np.hstack([np.asarray(x, dtype=np.float64),
+                              tau_arr.reshape(-1, 1)]))
     h = encode(graph, x_tau, params, dropout_p, seed)
     return _heads(h, params, ("pred",))[0]
 
@@ -236,7 +242,7 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
         low = sqr_forward(graph, x, alpha / 2.0, params, p, seed)
         up = sqr_forward(graph, x, 1.0 - alpha / 2.0, params, p, seed)
         return IntervalSet(low, up)
-    h = encode(graph, constant(x), params, p, seed)
+    h = encode(graph, _features(x), params, p, seed)
     return _variant_forward(h, params, model.config.variant)
 
 
@@ -276,7 +282,7 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     if "pred.weight" not in model.params:
         raise ContractError("model has no point-prediction head")
     params = model.params.constants()
-    x = constant(x)  # never written, so every pass reads it
+    x = _features(x)
     rows = []
     for t in range(passes):
         h = encode(graph, x, params, dropout_p, derive_seed(seed, "mc", t))

@@ -687,18 +687,26 @@ def test_sage_relu_matches_the_six_step_composition_bit_for_bit():
     x = rng.standard_normal((600, 16))
     ps = _store(s=rng.standard_normal((16, 32)), n=rng.standard_normal((16, 32)),
                 b=rng.standard_normal((1, 32)), u=rng.standard_normal((32, 1)))
-    for h_kind in ("leaf", "constant", "shared"):
-        fused = _sage_run(dk.sage_relu, graph, x, ps, h_kind)
-        six = _sage_run(_six_step_layer, graph, x, ps, h_kind)
-        np.testing.assert_array_equal(fused[0], six[0])
-        if h_kind == "constant":
-            assert fused[1] is None and six[1] is None
-        else:
-            np.testing.assert_array_equal(fused[1], six[1])
-        for name in ps.names():
-            assert np.abs(fused[2][name]).sum() > 0, (h_kind, name)
-            np.testing.assert_array_equal(fused[2][name], six[2][name],
-                                          err_msg=f"{h_kind}: {name}")
+    for p in (0.0, 0.2, 0.5):
+        def fused(*args):
+            return dk.sage_relu(*args, dropout_p=p, seed=3)
+
+        def seven(*args):  # the six steps, then a taped dropout
+            return dk.dropout(_six_step_layer(*args), p, seed=3)
+        for h_kind in ("leaf", "constant", "shared"):
+            case = f"p={p}, {h_kind}"
+            one = _sage_run(fused, graph, x, ps, h_kind)
+            ref = _sage_run(seven, graph, x, ps, h_kind)
+            # bytes, so a zero of the other sign fails too
+            assert one[0].tobytes() == ref[0].tobytes(), case
+            if h_kind == "constant":
+                assert one[1] is None and ref[1] is None
+            else:
+                assert one[1].tobytes() == ref[1].tobytes(), case
+            for name in ps.names():
+                assert np.abs(one[2][name]).sum() > 0, (case, name)
+                assert one[2][name].tobytes() == ref[2][name].tobytes(), (
+                    case, name)
 
 
 def test_sage_relu_gradients(ring6):
@@ -746,21 +754,25 @@ def test_backward_frees_what_each_step_read_and_keeps_the_steps(ring6):
 
 def test_sage_relu_step_holds_only_what_backward_reads(ring6):
     ps, x = _layer_case()
-    tape = Tape()
-    p = ps.leaves(tape)
-    h = tape.leaf(x)
-    out = dk.sage_relu(ring6, h, p["s"], p["n"], p["b"])
-    second = dk.add(out, constant(np.ones(out.shape)))
-    assert len(tape) == 2
-    inputs = {id(h.value), id(p["s"].value), id(p["n"].value)}
-    held = _closure_arrays(tape._steps[0])
-    rest = [arr for arr in held if id(arr) not in inputs]
-    assert len(held) == 5 and len(rest) == 2
-    mask, agg = sorted(rest, key=lambda arr: arr.dtype != np.bool_)
-    assert mask.dtype == np.bool_ and mask.shape == out.shape
-    np.testing.assert_array_equal(agg, dk.mean_adjacency(ring6) @ x)
-    # the output's (pre-ReLU) buffer is not held: it dies with its
-    # tensors, and so does the second consumer's array
-    refs = [weakref.ref(out.value), weakref.ref(second.value)]
-    del out, second
-    assert all(ref() is None for ref in refs)
+    for p in (0.0, 0.5):
+        tape = Tape()
+        params = ps.leaves(tape)
+        h = tape.leaf(x)
+        out = dk.sage_relu(ring6, h, params["s"], params["n"], params["b"],
+                           p, seed=1)
+        second = dk.add(out, constant(np.ones(out.shape)))
+        assert len(tape) == 2
+        inputs = {id(h.value), id(params["s"].value), id(params["n"].value)}
+        held = _closure_arrays(tape._steps[0])
+        rest = [arr for arr in held if id(arr) not in inputs]
+        # with dropout too, one bool mask and no keep array
+        assert len(held) == 5 and len(rest) == 2, p
+        mask, agg = sorted(rest, key=lambda arr: arr.dtype != np.bool_)
+        assert mask.dtype == np.bool_ and mask.shape == out.shape
+        np.testing.assert_array_equal(mask, out.value > 0)
+        np.testing.assert_array_equal(agg, dk.mean_adjacency(ring6) @ x)
+        # the output's buffer is not held: it dies with its tensors, and
+        # so does the second consumer's array
+        refs = [weakref.ref(out.value), weakref.ref(second.value)]
+        del out, second
+        assert all(ref() is None for ref in refs), p

@@ -85,6 +85,32 @@ def test_forward_is_pure(ring6):
     assert np.array_equal(a.low_values, b.low_values)
 
 
+def _first_step_holds(tape: Tape, arr: np.ndarray) -> bool:
+    return any(cell.cell_contents is arr
+               for cell in tape._steps[0].__closure__)
+
+
+def test_taped_forward_reads_the_features_uncopied(ring6, monkeypatch):
+    """Layer 1's step keeps its input for W_self's gradient: for
+    ``dual`` the caller's own feature array, for ``sqr`` the x||tau
+    stack it made, not a copy that lives as long as the tape."""
+    x = _features(6, 3)
+    tape = Tape()
+    model = init_model(ModelConfig(in_dim=3, hidden=4), 0)
+    forward_intervals(model, ring6, x, tape=tape)
+    assert _first_step_holds(tape, x)
+    hstack, stacks = np.hstack, []
+
+    def recorded(arrays):
+        stacks.append(hstack(arrays))
+        return stacks[-1]
+    monkeypatch.setattr(np, "hstack", recorded)
+    tape = Tape()
+    model = init_model(ModelConfig(in_dim=3, hidden=4, variant="sqr"), 0)
+    forward_intervals(model, ring6, x, tape=tape)
+    assert len(stacks) == 2 and _first_step_holds(tape, stacks[0])
+
+
 def test_training_mode_dropout_changes_output(ring6):
     model = init_model(ModelConfig(in_dim=3, hidden=4, variant="dual",
                                    dropout_p=0.5), 0)
@@ -329,22 +355,25 @@ def _peak_node_arrays(fn, nodes: int) -> float:
 
 
 def test_untaped_eval_peak_memory_is_a_few_node_arrays(er2k):
-    """About 3.2 arrays: 4.1 while each layer made an ``agg @ W_neigh``
-    temporary and the first layer's output lived through the second."""
+    """About 3.07 arrays: 3.2 while ``forward_intervals`` copied the
+    features; 4.1 while each layer made an ``agg @ W_neigh`` temporary
+    and the first layer's output lived through the second."""
     graph, x, model = er2k
     peak = _peak_node_arrays(lambda: forward_intervals(model, graph, x),
                              graph.num_nodes)
-    assert peak < 3.6, peak
+    assert peak < 3.15, peak
 
 
 def test_mc_dropout_peak_memory_is_a_few_node_arrays(er2k):
-    """About 3.3 arrays over five passes, each one untaped ``encode``:
-    3.2 while the passes shared one first-layer output; 4.1 while each
-    pass's second layer and its dropout allocated beside their dead
-    inputs; 6.1 while each pass's encoder output lived through the next
-    pass, beside a product temporary and each dropout's draws."""
+    """About 3.13 arrays over five passes, each one untaped ``encode``:
+    3.26 while each call copied the features and each layer's ``A @ h``
+    lived through its dropout's draw; 3.2 while the passes shared one
+    first-layer output; 4.1 while each pass's second layer and its
+    dropout allocated beside their dead inputs; 6.1 while each pass's
+    encoder output lived through the next pass, beside a product
+    temporary and each dropout's draws."""
     graph, x, model = er2k
     peak = _peak_node_arrays(
         lambda: mc_dropout_interval(graph, x, model, passes=5),
         graph.num_nodes)
-    assert peak < 3.9, peak
+    assert peak < 3.2, peak
