@@ -11,7 +11,7 @@ from .model import (IntervalSet, Model, ModelConfig, encode, forward_intervals,
                     init_model, init_params, load_checkpoint,
                     mc_dropout_interval, save_checkpoint, sqr_forward)
 from .losses import (LossBreakdown, mse_loss, pinball_loss, qpi_total_loss,
-                     rqr_adj_loss, sqr_loss, violation_loss, width_loss)
+                     rqr_adj_loss, violation_loss, width_loss)
 from .optim import AdamState, adam_step, grad_norm
 from .metrics import IntervalStats, MetricsReport, cwc, interval_stats, report
 from .harness import (ConcentrationReport, ConvergenceReport, RunRecord,

@@ -30,11 +30,11 @@ from .errors import ContractError, ParameterError, TrainingError
 from .graphcore import (DEFAULT_RATIOS, SPLIT_KINDS, Dataset, PerturbSpec,
                         SplitSpec, gen_ba, gen_chain, gen_er, gen_grid,
                         gen_tree, perturb, split, synth_dataset)
-from .losses import (WIDTH_NORMS, mse_loss, qpi_total_loss, rqr_adj_loss,
-                     sqr_loss, width_loss)
+from .losses import (WIDTH_NORMS, mse_loss, pinball_loss, qpi_total_loss,
+                     rqr_adj_loss, sqr_taus, width_loss)
 from .metrics import METRIC_FIELDS, MetricsReport, interval_stats, report
 from .model import (IntervalSet, Model, ModelConfig, forward_intervals,
-                    init_model, mc_dropout_interval)
+                    init_model, mc_dropout_interval, sqr_forward)
 from .optim import AdamState, adam_step, grad_norm
 from .rng import derive_seed, keyed_rng
 
@@ -227,7 +227,7 @@ class ConcentrationReport:
 # ---------------------------------------------------------------------------
 
 def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
-    """Build one epoch's loss node.
+    """Build one epoch's loss node on the epoch's one tape.
 
     Returns (node, stats) where ``node.tape`` is the epoch's tape and
     stats carries the float values for the RunRecord arrays.
@@ -238,12 +238,16 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
     """
     y, mask = ds.targets, ds.train_mask
     ep_seed = derive_seed(cfg.seed, "epoch", ep)
+    tape = dk.Tape()
 
     if cfg.loss_kind == "sqr":
-        node = sqr_loss(model, ds, mask, seed=ep_seed)
+        # Trains q(tau) at fresh levels; records [q(alpha/2), q(1 - alpha/2)].
+        tau = sqr_taus(ds.num_nodes, ep_seed)
+        yhat = sqr_forward(ds.graph, ds.features, tau,
+                           model.params.leaves(tape), model.config.dropout_p,
+                           ep_seed)
         iv = forward_intervals(model, ds.graph, ds.features, alpha=cfg.alpha)
     else:
-        tape = dk.Tape()
         iv = forward_intervals(model, ds.graph, ds.features, tape=tape,
                                seed=ep_seed, alpha=cfg.alpha)
     if cfg.loss_kind in ("mse_only", "mse_mcdropout"):
@@ -267,20 +271,36 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
                             RQR_GAMMA_ORDER)
     elif cfg.loss_kind in ("mse_only", "mse_mcdropout"):
         node = mse_loss(low, st.y)
-    elif cfg.loss_kind != "sqr":
-        raise ContractError(f"unhandled loss_kind {cfg.loss_kind!r}")
+    else:  # "sqr"; TrainConfig refuses any other kind
+        node = pinball_loss(st.y, dk.masked_select(yhat, st.mask),
+                            tau[st.mask])
     return node, dict(coverage=st.coverage, width=float(st.width.mean()),
                       loss=node.item(), violation=float(st.violation.mean()))
 
 
+def mc_scoring(cfg: TrainConfig) -> dict | None:
+    """The pass count and seed with which MC dropout scores the model of
+    ``cfg``'s run; None for a run scored by its model's heads."""
+    if cfg.loss_kind != "mse_mcdropout":
+        return None
+    return {"passes": cfg.mc_passes, "seed": derive_seed(cfg.seed, "mc-final")}
+
+
+def score_intervals(model: Model, graph, x: np.ndarray, alpha: float,
+                    mc: dict | None = None) -> IntervalSet:
+    """A trained model's intervals: MC dropout under the ``mc_scoring``
+    settings ``mc``, or the model's own heads when ``mc`` is None."""
+    if mc is None:
+        return forward_intervals(model, graph, x, alpha=alpha)
+    return mc_dropout_interval(graph, x, model, passes=mc["passes"],
+                               dropout_p=model.config.dropout_p,
+                               t_mult=gaussian_optimal_halfwidth(1.0, alpha),
+                               seed=mc["seed"])
+
+
 def _final_intervals(model: Model, ds: Dataset, cfg: TrainConfig) -> IntervalSet:
-    if cfg.loss_kind == "mse_mcdropout":
-        z = gaussian_optimal_halfwidth(1.0, cfg.alpha)
-        return mc_dropout_interval(ds.graph, ds.features, model,
-                                   passes=cfg.mc_passes,
-                                   dropout_p=cfg.dropout_p, t_mult=z,
-                                   seed=derive_seed(cfg.seed, "mc-final"))
-    return forward_intervals(model, ds.graph, ds.features, alpha=cfg.alpha)
+    return score_intervals(model, ds.graph, ds.features, cfg.alpha,
+                           mc_scoring(cfg))
 
 
 def train(ds: Dataset,

@@ -12,9 +12,9 @@ Indicator functions are evaluated on raw values and re-enter the graph
 as constant coefficients: the coverage-squared term contributes no
 gradient (unless the logistic surrogate is switched on) and the
 violation term differentiates only through the distance magnitudes.
-All losses are evaluated on the caller-supplied node mask only: the
-interval losses and ``mse_loss`` take values already masked, and
-``sqr_loss`` takes the mask.
+Every loss is a function of the epoch's taped tensors, evaluated on
+values the caller has already masked.  SQR is ``pinball_loss`` at the
+per-node levels ``sqr_taus`` draws.
 """
 from __future__ import annotations
 
@@ -26,9 +26,7 @@ import numpy as np
 from . import diffkit as dk
 from .diffkit import Tensor, constant
 from .errors import ContractError, ParameterError
-from .graphcore import Dataset
 from .metrics import IntervalStats
-from .model import Model, sqr_forward
 from .rng import keyed_rng
 
 # Temperature of the optional logistic coverage surrogate.
@@ -146,27 +144,9 @@ def pinball_loss(y: np.ndarray, yhat: Tensor, tau) -> Tensor:
     return dk.reduce_mean(dk.scale(dk.sub(constant(ym), yhat), coeff))
 
 
-def sqr_loss(model: Model, dataset: Dataset, mask: np.ndarray,
-             seed: int) -> Tensor:
-    """Simultaneous-quantile objective: one fresh tau per node per call.
-
-    Builds its own tape (reachable as ``loss.tape``); gradients land in
-    the model's parameter store after ``backward``.
-    """
-    if model.config.variant != "sqr":
-        raise ContractError("sqr_loss needs an sqr-variant model")
-    mask = np.asarray(mask).astype(bool)
-    if not mask.any():
-        raise ContractError("mask selects no nodes")
-    n = dataset.num_nodes
-    # Draws are clipped away from the open-interval endpoints.
-    tau = keyed_rng(seed, "sqr-tau").uniform(1e-6, 1.0 - 1e-6, size=n)
-    tape = dk.Tape()
-    params = model.params.leaves(tape)
-    yhat = sqr_forward(dataset.graph, dataset.features, tau, params,
-                       model.config.dropout_p, seed)
-    yhat_m = dk.masked_select(yhat, mask)
-    return pinball_loss(dataset.targets[mask], yhat_m, tau[mask])
+def sqr_taus(n: int, seed: int) -> np.ndarray:
+    """SQR's quantile levels: one uniform draw per node, inside (0, 1)."""
+    return keyed_rng(seed, "sqr-tau").uniform(1e-6, 1.0 - 1e-6, size=n)
 
 
 def rqr_adj_loss(low: Tensor, up: Tensor, st: IntervalStats,

@@ -298,9 +298,11 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
 CHECKPOINT_FORMAT = 1
 
 
-def save_checkpoint(model: Model, path: str | Path) -> None:
+def save_checkpoint(model: Model, path: str | Path,
+                    mc_dropout: Mapping[str, int] | None = None) -> None:
     """JSON checkpoint: format version, config, and name -> shape and
-    row-major values."""
+    row-major values; for a model scored by MC dropout, also the pass
+    count and seed of its scoring, ``mc_dropout``."""
     payload = {
         "format_version": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
@@ -312,15 +314,23 @@ def save_checkpoint(model: Model, path: str | Path) -> None:
             for name in model.params.names()
         },
     }
+    if mc_dropout is not None:
+        payload["mc_dropout"] = dict(mc_dropout)
     Path(path).write_text(json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> Model:
+    """The model of a checkpoint; see ``read_checkpoint``."""
+    return read_checkpoint(path)[0]
+
+
+def read_checkpoint(path: str | Path) -> tuple[Model, dict | None]:
     """Rebuild a model, validating every parameter's shape against the
-    config and rejecting non-finite values.  A checkpoint without a
-    ``format_version`` is version 1; any other version is rejected.
-    Every malformed checkpoint raises ``ContractError``, an unknown
-    variant included."""
+    config and rejecting non-finite values, and return it with its
+    ``mc_dropout`` scoring settings (None when it has none).  A
+    checkpoint without a ``format_version`` is version 1; any other
+    version is rejected.  Every malformed checkpoint raises
+    ``ContractError``, an unknown variant included."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -359,4 +369,11 @@ def load_checkpoint(path: str | Path) -> Model:
             # json reads NaN and Infinity without complaint.
             raise ContractError(f"checkpoint parameter {name!r} is not finite")
         params.add(name, arr.reshape(want))
-    return Model(config, params)
+    mc = payload.get("mc_dropout")
+    if "mc_dropout" in payload and not (
+            isinstance(mc, dict) and set(mc) == {"passes", "seed"}
+            and all(type(v) is int and v >= 0 for v in mc.values())
+            and mc["passes"] >= 2 and config.dropout_p > 0.0):
+        raise ContractError(f"checkpoint mc_dropout {mc!r} needs integer "
+                            "passes >= 2 and seed >= 0, and dropout_p > 0")
+    return Model(config, params), mc

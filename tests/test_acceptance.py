@@ -17,7 +17,8 @@ from qpignn.harness import (DEFAULT_LAMBDA_GRID, TrainConfig, _train_all,
                             concentration_check, convergence_check,
                             gaussian_optimal_halfwidth, lambda_sweep,
                             lambda_tune, train)
-from qpignn.losses import qpi_total_loss, rqr_adj_loss, sqr_loss
+from qpignn.losses import (pinball_loss, qpi_total_loss, rqr_adj_loss,
+                           sqr_taus)
 from qpignn.metrics import interval_stats, report
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from qpignn.rng import derive_seed, keyed_rng
@@ -107,9 +108,13 @@ def test_criterion_1_gradient_fidelity():
     errs["qpi"] = finite_diff_check(f_qpi, model.params)
 
     sqr_model = _jittered("sqr", 2)
+    tau = sqr_taus(ds.num_nodes, 7)
 
     def f_sqr(params):
-        return sqr_loss(sqr_model, ds, mask, seed=7)
+        yhat = q.sqr_forward(ds.graph, ds.features, tau,
+                             params.leaves(Tape()))
+        return pinball_loss(ds.targets[mask], dk.masked_select(yhat, mask),
+                            tau[mask])
 
     errs["sqr"] = finite_diff_check(f_sqr, sqr_model.params)
 

@@ -105,8 +105,8 @@ def test_graph_construction_er2k():
 
 def test_blas_threads_dropout():
     row = bench_blas_threads.measure("dropout")
-    assert set(row) == {"forward_ms", "backward_ms", "minflt_per_call"}
-    assert row["forward_ms"] > 0 and row["backward_ms"] > 0
+    assert set(row) == {"forward_ms", "minflt_per_call"}
+    assert row["forward_ms"] > 0
 
 
 def test_epoch_er2k_and_its_timers_are_removed():

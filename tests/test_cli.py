@@ -1,4 +1,5 @@
 """End-to-end command-line runs against temporary directories."""
+import csv
 import json
 import os
 import signal
@@ -8,6 +9,7 @@ import pytest
 
 from qpignn import cli, harness
 from qpignn.cli import run
+from qpignn.metrics import METRIC_FIELDS
 
 FAST_DS = ["--nodes", "120", "--feat-dim", "4", "--noise-sigma", "0.5",
            "--data-seed", "1"]
@@ -194,8 +196,17 @@ def _edited(text, edit):
      "no 'params' object"),
     (lambda t: t[:-1], "not JSON"),
     (lambda t: json.dumps([json.loads(t)]), "not a JSON object"),
+    *[(lambda t, mc=mc: _edited(t, lambda p: p.update(mc_dropout=mc)),
+       "needs integer passes >= 2 and seed >= 0")
+      for mc in ({"passes": 1, "seed": 0}, {"passes": 3, "seed": -1},
+                 {"passes": 3.0, "seed": 0}, {"passes": 3}, None, [3, 0])],
+    (lambda t: _edited(t, lambda p: (p["config"].update(dropout_p=0.0),
+                                     p.update(mc_dropout={"passes": 3,
+                                                          "seed": 0}))),
+     "and dropout_p > 0"),
 ], ids=["rqr_variant", "hidden_0", "extra_key", "no_params", "not_json",
-        "list"])
+        "list", "mc_passes_1", "mc_seed_negative", "mc_passes_float",
+        "mc_no_seed", "mc_null", "mc_list", "mc_dropout_0"])
 def test_eval_rejects_malformed_checkpoint(make, message, checkpoint_text,
                                            tmp_path, capsys):
     ckpt = tmp_path / "checkpoint.json"
@@ -288,19 +299,25 @@ def test_train_outputs(tmp_path, capsys):
     assert (out / "config.json").exists()
 
 
-def test_train_eval_round_trip(tmp_path, capsys):
+@pytest.mark.parametrize("loss", ["qpi", "sqr", "rqr_adj", "width_only",
+                                  "mse_only", "mse_mcdropout"])
+def test_train_eval_round_trip(loss, tmp_path, capsys):
+    """On the data it was trained on, a checkpoint evaluates to the
+    metric cells ``train`` wrote for every mask: MC-scored runs by MC
+    dropout, every other run by its heads."""
     out = tmp_path / "run"
-    assert _train(out) == 0
-    capsys.readouterr()
+    assert _train(out, ["--loss", loss, "--mc-passes", "5"]) == 0
     out2 = tmp_path / "eval"
     assert run(["eval", "--checkpoint", str(out / "checkpoint.json"),
                 *FAST_DS, "--out", str(out2), "--no-timestamp"]) == 0
-    train_rows = (out / "metrics.csv").read_text().strip().split("\n")[1:]
-    eval_rows = (out2 / "metrics.csv").read_text().strip().split("\n")[1:]
-    # same dataset, same checkpoint: per-mask picp columns must agree
-    train_picps = sorted(r.split(",")[5] for r in train_rows)
-    eval_picps = sorted(r.split(",")[5] for r in eval_rows)
-    assert train_picps == eval_picps
+    capsys.readouterr()
+
+    def cells(path):
+        with open(path / "metrics.csv", newline="") as f:
+            return {r["kind"]: [r[m] for m in METRIC_FIELDS]
+                    for r in csv.DictReader(f)}
+    assert cells(out2) == cells(out)
+    assert sorted(cells(out)) == ["test", "train", "val"]
 
 
 def test_train_reruns_are_byte_identical(tmp_path):

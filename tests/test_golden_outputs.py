@@ -128,7 +128,7 @@ GOLDEN = {
     },
     "train_mse_mcdropout": {
         "checkpoint.json":
-            "fc3f0f7b29b20d2ba5842e36a52e8e10efb413d2d0fdc8f68dfd6ec93db5bea8",
+            "3dc72486a798246e28ed53ce79ff1c547a1fd6cd40ef2a1548d3ca17b5bc51e4",
         "config.json":
             "5543770d3feb1256c2ee08a550a22e0ec1b1906f052625fd253bd4ad71b82b16",
         "metrics.csv":

@@ -26,9 +26,10 @@ import pytest
 import qpignn as q
 from qpignn.cli import RUN_COLUMNS, RUN_KEYS, _run_row, _write_outputs
 from qpignn.errors import ContractError, ParameterError
-from qpignn.harness import (ABLATION_SETTINGS, DEFAULT_LAMBDA_GRID,
-                            DEFAULT_TUNE_BOUNDS, COVERAGE_PENALTY_WEIGHT,
-                            SweepEntry, SweepResult, TrainConfig,
+from qpignn.harness import (ABLATION_SETTINGS, ALLOWED_VARIANTS,
+                            DEFAULT_LAMBDA_GRID, DEFAULT_TUNE_BOUNDS,
+                            COVERAGE_PENALTY_WEIGHT, SweepEntry,
+                            SweepResult, TrainConfig,
                             _train_all, convergence_check, dataset_preset,
                             lambda_sweep, lambda_tune, robustness_suite,
                             selection_objective, shift_matrix,
@@ -173,6 +174,36 @@ def test_one_masked_bound_pair_per_epoch(kind, variant, small_ds,
     model = q.init_model(cfg.model_config(small_ds.feat_dim), cfg.seed)
     q.harness._epoch_loss(model, small_ds, cfg, 0)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("kind", sorted(ALLOWED_VARIANTS))
+def test_one_tape_per_epoch(kind, small_ds, monkeypatch):
+    """Every loss kind records its epoch on the one tape _epoch_loss makes."""
+    tapes = []
+
+    class Counted(q.diffkit.Tape):
+        def __init__(self):
+            super().__init__()
+            tapes.append(self)
+    monkeypatch.setattr(q.diffkit, "Tape", Counted)
+    cfg = TrainConfig(epochs=1, hidden=8, loss_kind=kind,
+                      model_variant=ALLOWED_VARIANTS[kind][0])
+    model = q.init_model(cfg.model_config(small_ds.feat_dim), cfg.seed)
+    node, _ = q.harness._epoch_loss(model, small_ds, cfg, 0)
+    assert len(tapes) == 1 and node.tape is tapes[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", sorted(ALLOWED_VARIANTS))
+def test_an_empty_train_mask_is_refused(kind, small_ds):
+    """Every loss kind refuses a train mask that selects no node, before
+    any loss takes a mean over the empty selection."""
+    ds = replace(small_ds, train_mask=np.zeros(small_ds.num_nodes, bool),
+                 val_mask=small_ds.train_mask | small_ds.val_mask)
+    cfg = TrainConfig(epochs=1, hidden=8, loss_kind=kind,
+                      model_variant=ALLOWED_VARIANTS[kind][0])
+    with pytest.raises(ContractError, match="mask selects no nodes"):
+        q.train(ds, cfg)
 
 
 def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,

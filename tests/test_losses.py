@@ -7,7 +7,7 @@ from qpignn import diffkit as dk
 from qpignn.diffkit import Tape, backward
 from qpignn.errors import ContractError, ParameterError
 from qpignn.losses import (mse_loss, pinball_loss, qpi_total_loss,
-                           rqr_adj_loss, sqr_loss, violation_loss, width_loss)
+                           rqr_adj_loss, sqr_taus, violation_loss, width_loss)
 from qpignn.metrics import interval_stats
 from qpignn.model import IntervalSet, ModelConfig, init_model
 from reference import finite_diff_check
@@ -181,18 +181,11 @@ def test_rqr_adj_penalises_crossing():
         assert adj == pytest.approx(base + gamma * 2.0)
 
 
-def test_sqr_loss_contract(small_ds):
-    dual = init_model(ModelConfig(in_dim=small_ds.feat_dim, hidden=8,
-                                  variant="dual"), 0)
-    with pytest.raises(ContractError):
-        sqr_loss(dual, small_ds, small_ds.train_mask, seed=0)
-    model = init_model(ModelConfig(in_dim=small_ds.feat_dim, hidden=8,
-                                   variant="sqr"), 0)
-    a = sqr_loss(model, small_ds, small_ds.train_mask, seed=3)
-    b = sqr_loss(model, small_ds, small_ds.train_mask, seed=3)
-    c = sqr_loss(model, small_ds, small_ds.train_mask, seed=4)
-    assert a.item() == b.item()          # same tau draw per seed
-    assert a.item() != c.item()
+def test_sqr_taus_contract():
+    a, b, c = sqr_taus(500, 3), sqr_taus(500, 3), sqr_taus(500, 4)
+    assert a.shape == (500,) and a.tobytes() == b.tobytes()
+    assert a.tobytes() != c.tobytes()
+    assert np.all((a > 0.0) & (a < 1.0)) and np.all((c > 0.0) & (c < 1.0))
 
 
 def test_loss_config_validation():

@@ -13,7 +13,7 @@ from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError, ShapeError
 from qpignn.model import (ModelConfig, forward_intervals, init_model,
                           interval_from_mc_samples, mc_dropout_interval,
-                          save_checkpoint, load_checkpoint)
+                          read_checkpoint, save_checkpoint, load_checkpoint)
 from qpignn.rng import keyed_rng
 
 
@@ -257,6 +257,18 @@ def test_checkpoint_round_trip(tmp_path, ring6):
     a = forward_intervals(model, ring6, x)
     b = forward_intervals(back, ring6, x)
     assert np.array_equal(a.low_values, b.low_values)
+
+
+def test_checkpoint_keeps_mc_dropout_settings_only_when_given(tmp_path):
+    model = init_model(ModelConfig(in_dim=3, hidden=4, dropout_p=0.2), 5)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    assert "mc_dropout" not in path.read_text()
+    assert read_checkpoint(path)[1] is None
+    save_checkpoint(model, path, {"passes": 7, "seed": 2**64 - 1})
+    back, mc = read_checkpoint(path)
+    assert mc == {"passes": 7, "seed": 2**64 - 1}
+    assert back.config == model.config
 
 
 def test_checkpoint_rejects_tampering(tmp_path):
