@@ -8,8 +8,8 @@ from .graphcore import (Dataset, Graph, PerturbSpec, SplitSpec, from_edges,
                         load_csv, perturb, save_csv, split, synth_dataset)
 from .diffkit import ParamStore, Tape, Tensor, backward, constant
 from .model import (IntervalSet, Model, ModelConfig, encode, forward_intervals,
-                    init_model, init_params, load_checkpoint,
-                    mc_dropout_interval, save_checkpoint, sqr_forward)
+                    init_model, init_params, mc_dropout_interval,
+                    read_checkpoint, save_checkpoint, sqr_forward)
 from .losses import (LossBreakdown, mse_loss, pinball_loss, qpi_total_loss,
                      rqr_adj_loss, violation_loss, width_loss)
 from .optim import AdamState, adam_step, grad_norm
@@ -21,6 +21,6 @@ from .harness import (ConcentrationReport, ConvergenceReport, RunRecord,
                       hoeffding_epsilon, inv_norm_cdf, lambda_sweep,
                       lambda_tune, mcdiarmid_prob, robustness_suite,
                       selection_objective, shift_matrix, split_experiment,
-                      train, train_qpignn)
+                      train)
 
 __version__ = "0.1.0"

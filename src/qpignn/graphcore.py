@@ -309,10 +309,6 @@ class Dataset:
         return {"train": self.train_mask, "val": self.val_mask,
                 "test": self.test_mask}
 
-    def with_masks(self, train: np.ndarray, val: np.ndarray,
-                   test: np.ndarray) -> "Dataset":
-        return replace(self, train_mask=train, val_mask=val, test_mask=test)
-
 
 @dataclass(frozen=True)
 class SplitSpec:

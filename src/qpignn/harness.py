@@ -101,6 +101,8 @@ class TrainConfig:
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ParameterError(
                     f"{name} must be an integer >= {least}, got {value!r}")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
         # The chained range checks also reject NaN, which fails every
         # comparison, and infinity.
         for name in ("lr", "weight_decay", "lambda_width"):
@@ -539,8 +541,8 @@ def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < lo < hi < math.inf:
         raise ParameterError("bounds must be finite and satisfy 0 < lo < hi")
-    if budget < 3:
-        raise ParameterError("budget must be >= 3")
+    if not isinstance(budget, numbers.Integral) or budget < 3:
+        raise ParameterError(f"budget must be an integer >= 3, got {budget!r}")
 
     evaluated: dict[float, SweepEntry] = {}
 
@@ -684,8 +686,8 @@ def dataset_preset(name: str, nodes: int, seed: int, family: str = "basic",
     `tree` is binary with the smallest depth reaching `nodes`; those
     two may therefore exceed `nodes` slightly.
     """
-    if nodes < 1:
-        raise ParameterError(f"nodes must be >= 1, got {nodes}")
+    if not isinstance(nodes, numbers.Integral) or nodes < 1:
+        raise ParameterError(f"nodes must be an integer >= 1, got {nodes!r}")
     if name == "er":
         if nodes < 2:
             raise ParameterError("er preset needs >= 2 nodes")
@@ -726,8 +728,8 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
     if len(families) < 2:
         raise ParameterError("shift matrix needs at least 2 families")
     _refuse_duplicates(families, "shift matrix families")
-    if runs < 1:
-        raise ParameterError("shift matrix needs runs >= 1")
+    if not isinstance(runs, numbers.Integral) or runs < 1:
+        raise ParameterError(f"runs must be an integer >= 1, got {runs!r}")
     cfg = cfg or TrainConfig(lambda_width=SHIFT_LAMBDA)
     datasets = {f: dataset_preset(f, nodes, data_seed, family=family,
                                   noise_sigma=noise_sigma, feat_dim=feat_dim)
@@ -768,8 +770,10 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
     cfg = cfg or TrainConfig()
     variants = []
     for kind in kinds:
-        masks = split(ds.graph, SplitSpec(kind=kind, ratios=ratios))
-        variants.append(ds.with_masks(*masks))
+        train_mask, val_mask, test_mask = split(
+            ds.graph, SplitSpec(kind=kind, ratios=ratios))
+        variants.append(replace(ds, train_mask=train_mask, val_mask=val_mask,
+                                test_mask=test_mask))
     reports = [rec.reports["test"]
                for _, rec in _train_all([(d, cfg) for d in variants], jobs)]
     return [{"kind": kind, "train_size": int(d.train_mask.sum()),

@@ -40,15 +40,13 @@ WIDTH_NORMS = ("l1", "l2")
 class LossBreakdown:
     """Scalar summary of one joint-loss evaluation.
 
-    ``node`` is the tape-connected total for backward; the float fields
-    satisfy total == coverage_term + violation_term + lambda * width_term.
+    ``node`` is the tape-connected total for backward, and
+    ``node.item()`` == coverage_term + violation_term + lambda * width_term.
     """
 
-    total: float
     coverage_term: float
     violation_term: float
     width_term: float
-    empirical_coverage: float
     node: Tensor = field(repr=False)
 
 
@@ -111,14 +109,9 @@ def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
     node = dk.add(partial, constant(coverage_value)) if cov_term is None \
         else dk.add(cov_term, partial)
 
-    return LossBreakdown(
-        total=node.item(),
-        coverage_term=coverage_value,
-        violation_term=viol.item(),
-        width_term=width.item(),
-        empirical_coverage=st.coverage,
-        node=node,
-    )
+    return LossBreakdown(coverage_term=coverage_value,
+                         violation_term=viol.item(), width_term=width.item(),
+                         node=node)
 
 
 # ---------------------------------------------------------------------------

@@ -46,8 +46,10 @@ class ModelConfig:
     dropout_p: float = 0.0
 
     def __post_init__(self):
-        if self.in_dim < 1 or self.hidden < 1:
-            raise ParameterError("in_dim and hidden must be positive")
+        if not all(isinstance(v, numbers.Integral) and v >= 1
+                   for v in (self.in_dim, self.hidden)):
+            raise ParameterError("in_dim and hidden must be positive integers, "
+                                 f"got {self.in_dim!r} and {self.hidden!r}")
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -73,11 +75,6 @@ class IntervalSet:
     def __post_init__(self):
         if self.low.shape != self.up.shape or self.low.shape[1] != 1:
             raise ShapeError("bounds must both be (n, 1)")
-
-    @classmethod
-    def from_arrays(cls, low, up) -> "IntervalSet":
-        return cls(constant(np.asarray(low).reshape(-1, 1)),
-                   constant(np.asarray(up).reshape(-1, 1)))
 
     def __len__(self) -> int:
         return self.low.shape[0]
@@ -180,28 +177,6 @@ def _heads(h: Tensor, params: Mapping[str, Tensor], names) -> list[Tensor]:
                                for n in names], dead=True)
 
 
-def _variant_forward(h: Tensor, params: Mapping[str, Tensor],
-                     variant: str) -> IntervalSet:
-    """Intervals from the encoder output ``h`` for the direct-interval
-    variants."""
-    if variant == "dual":
-        # A softplus half-width is never negative.
-        yhat, width = _heads(h, params, ("pred", "width"))
-        dhat = dk.softplus(width)
-        return IntervalSet(dk.sub(yhat, dhat), dk.add(yhat, dhat))
-    if variant == "fixed_margin":
-        (yhat,) = _heads(h, params, ("pred",))
-        half = dk.softplus(params["margin"])
-        return IntervalSet(dk.add_row_bias(yhat, dk.scale(half, -1.0)),
-                           dk.add_row_bias(yhat, half))
-    if variant == "single":
-        (bounds,) = _heads(h, params, ("bounds",))
-        # Raw (low, up) columns: no ordering is imposed here.
-        return IntervalSet(dk.slice_cols(bounds, 0, 1),
-                           dk.slice_cols(bounds, 1, 2))
-    raise ParameterError(f"variant {variant!r} has no direct interval head")
-
-
 def sqr_forward(graph: Graph, x: np.ndarray, tau, params: Mapping[str, Tensor],
                 dropout_p: float = 0.0, seed: int = 0) -> Tensor:
     """Quantile-conditioned point prediction.
@@ -243,7 +218,20 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
         up = sqr_forward(graph, x, 1.0 - alpha / 2.0, params, p, seed)
         return IntervalSet(low, up)
     h = encode(graph, _features(x), params, p, seed)
-    return _variant_forward(h, params, model.config.variant)
+    if model.config.variant == "dual":
+        # A softplus half-width is never negative.
+        yhat, width = _heads(h, params, ("pred", "width"))
+        dhat = dk.softplus(width)
+        return IntervalSet(dk.sub(yhat, dhat), dk.add(yhat, dhat))
+    if model.config.variant == "fixed_margin":
+        (yhat,) = _heads(h, params, ("pred",))
+        half = dk.softplus(params["margin"])
+        return IntervalSet(dk.add_row_bias(yhat, dk.scale(half, -1.0)),
+                           dk.add_row_bias(yhat, half))
+    # "single"; ModelConfig refuses any other variant.  Raw (low, up)
+    # columns: no ordering is imposed here.
+    (bounds,) = _heads(h, params, ("bounds",))
+    return IntervalSet(dk.slice_cols(bounds, 0, 1), dk.slice_cols(bounds, 1, 2))
 
 
 def _check_t_mult(t_mult: float) -> None:
@@ -260,7 +248,8 @@ def interval_from_mc_samples(samples: np.ndarray, t_mult: float) -> IntervalSet:
         raise ParameterError("need a (passes, nodes) array with passes >= 2")
     mu = samples.mean(axis=0)
     sd = samples.std(axis=0, ddof=1)
-    return IntervalSet.from_arrays(mu - t_mult * sd, mu + t_mult * sd)
+    return IntervalSet(constant((mu - t_mult * sd).reshape(-1, 1)),
+                       constant((mu + t_mult * sd).reshape(-1, 1)))
 
 
 def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
@@ -317,11 +306,6 @@ def save_checkpoint(model: Model, path: str | Path,
     if mc_dropout is not None:
         payload["mc_dropout"] = dict(mc_dropout)
     Path(path).write_text(json.dumps(payload))
-
-
-def load_checkpoint(path: str | Path) -> Model:
-    """The model of a checkpoint; see ``read_checkpoint``."""
-    return read_checkpoint(path)[0]
 
 
 def read_checkpoint(path: str | Path) -> tuple[Model, dict | None]:

@@ -243,6 +243,33 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
             shift_matrix(cfg=cfg, nodes=40, runs=runs)
 
 
+# A float count used to pass validation and then fail inside training or
+# graph construction; a float seed trained the run of its integer part.
+@pytest.mark.parametrize("call", [
+    lambda ds: TrainConfig(hidden=8.0),
+    lambda ds: TrainConfig(hidden=2.5),
+    lambda ds: q.ModelConfig(in_dim=3.5),
+    lambda ds: TrainConfig(seed=0.5),
+    lambda ds: TrainConfig(seed="3"),
+    lambda ds: ablation_suite(ds, TrainConfig(epochs=2), seeds=(0, 0.5)),
+    lambda ds: lambda_tune(ds, TrainConfig(epochs=2), budget=3.5),
+    lambda ds: shift_matrix(cfg=TrainConfig(epochs=2), nodes=40, runs=1.5),
+    lambda ds: shift_matrix(cfg=TrainConfig(epochs=2), nodes=60.5, runs=1),
+    lambda ds: dataset_preset("er", 60.5, 1),
+], ids=["hidden_8.0", "hidden_2.5", "in_dim_3.5", "seed_0.5", "seed_str",
+        "ablation_seed_0.5", "tune_budget_3.5", "shift_runs_1.5",
+        "shift_nodes_60.5", "preset_nodes_60.5"])
+def test_non_integer_counts_and_seeds_are_refused_before_any_work(
+        call, small_ds, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("a rejected call built a graph or trained")
+    for name in ("train", "gen_er", "gen_ba", "gen_grid", "gen_chain",
+                 "gen_tree"):
+        monkeypatch.setattr(q.harness, name, no_work)
+    with pytest.raises(ParameterError, match="must be"):
+        call(small_ds)
+
+
 @pytest.mark.parametrize("kind,variant", [("qpi", "dual"), ("sqr", "sqr"),
                                           ("mse_mcdropout", "dual")])
 def test_shift_diagonal_is_the_runs_own_test_report(kind, variant):

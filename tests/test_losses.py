@@ -66,14 +66,14 @@ def test_width_loss_l1_l2():
 def test_qpi_total_decomposition():
     iv, _ = _iv([0, 0, 0, 0], [1, 1, 1, 1])
     y = np.array([-0.5, 2.0, 0.5, 1.0])
-    br = qpi_total_loss(*_masked(iv, y), alpha=0.1, lambda_width=0.3)
-    assert br.empirical_coverage == 0.5
+    low, up, st = _masked(iv, y)
+    br = qpi_total_loss(low, up, st, alpha=0.1, lambda_width=0.3)
+    assert st.coverage == 0.5
     assert br.coverage_term == pytest.approx((0.5 - 0.9) ** 2)
     assert br.violation_term == pytest.approx(0.375)
     assert br.width_term == pytest.approx(1.0)
-    assert br.total == pytest.approx(br.coverage_term + br.violation_term
-                                     + 0.3 * br.width_term)
-    assert br.node.item() == pytest.approx(br.total)
+    assert br.node.item() == pytest.approx(br.coverage_term + br.violation_term
+                                           + 0.3 * br.width_term)
 
 
 def test_hard_coverage_term_is_stop_gradient():

@@ -13,7 +13,7 @@ from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError, ShapeError
 from qpignn.model import (ModelConfig, forward_intervals, init_model,
                           interval_from_mc_samples, mc_dropout_interval,
-                          read_checkpoint, save_checkpoint, load_checkpoint)
+                          read_checkpoint, save_checkpoint)
 from qpignn.rng import keyed_rng
 
 
@@ -248,7 +248,7 @@ def test_checkpoint_round_trip(tmp_path, ring6):
                                    dropout_p=0.2), 5)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
-    back = load_checkpoint(path)
+    back = read_checkpoint(path)[0]
     assert back.config == model.config
     for name in model.params.names():
         np.testing.assert_array_equal(back.params.value(name),
@@ -280,7 +280,7 @@ def test_checkpoint_rejects_tampering(tmp_path):
     payload["params"]["pred.weight"]["shape"] = [2, 2]
     path.write_text(json.dumps(payload))
     with pytest.raises((ContractError, q.IngestionError)):
-        load_checkpoint(path)
+        read_checkpoint(path)[0]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -293,7 +293,7 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     payload["params"]["pred.weight"]["values"][1] = bad
     path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
     with pytest.raises(ContractError, match="'pred.weight' is not finite"):
-        load_checkpoint(path)
+        read_checkpoint(path)[0]
 
 
 def test_checkpoint_carries_format_version_1(tmp_path, ring6):
@@ -306,7 +306,7 @@ def test_checkpoint_carries_format_version_1(tmp_path, ring6):
     # a checkpoint written before the field existed reads as version 1
     del payload["format_version"]
     path.write_text(json.dumps(payload))
-    back = load_checkpoint(path)
+    back = read_checkpoint(path)[0]
     x = _features(6, 3)
     assert np.array_equal(forward_intervals(back, ring6, x).low_values,
                           forward_intervals(model, ring6, x).low_values)
@@ -322,7 +322,7 @@ def test_checkpoint_rejects_other_format_versions(tmp_path, version):
     payload["format_version"] = version
     path.write_text(json.dumps(payload))
     with pytest.raises(ContractError, match=f"format_version {version!r}"):
-        load_checkpoint(path)
+        read_checkpoint(path)[0]
 
 
 @pytest.mark.skipif(sys.platform != "linux"
