@@ -31,13 +31,13 @@ from .harness import (ALLOWED_VARIANTS, DEFAULT_LAMBDA_GRID,
                       SHIFT_LAMBDA, RunRecord, TrainConfig, ablation_suite,
                       concentration_check, convergence_check, dataset_preset,
                       gaussian_optimal_halfwidth, hoeffding_epsilon,
-                      lambda_sweep, lambda_tune, mc_scoring, mcdiarmid_prob,
-                      robustness_suite, score_intervals, shift_matrix,
-                      split_experiment, train)
+                      lambda_sweep, lambda_tune, mcdiarmid_prob,
+                      robustness_suite, shift_matrix, split_experiment, train)
 from .losses import WIDTH_NORMS
 from .metrics import METRIC_FIELDS
 from .metrics import report as metrics_report
-from .model import VARIANTS, read_checkpoint, save_checkpoint
+from .model import (VARIANTS, forward_intervals, read_checkpoint,
+                    save_checkpoint)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -283,7 +283,7 @@ def _cmd_train(args) -> int:
                   for ep in range(cfg.epochs)]
     out = _write_outputs(args, "train", metrics=(RUN_COLUMNS, rows),
                          trajectory=(TRAJECTORY_COLUMNS, trajectory))
-    save_checkpoint(model, out / "checkpoint.json", mc_scoring(cfg))
+    save_checkpoint(model, out / "checkpoint.json")
 
     conv = convergence_check(rec)
     test = rec.reports["test"]
@@ -294,8 +294,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     ds, label = _dataset_from_args(args)
-    model, mc = read_checkpoint(args.checkpoint)
-    iv = score_intervals(model, ds.graph, ds.features, args.alpha, mc)
+    model = read_checkpoint(args.checkpoint)
+    iv = forward_intervals(model, ds.graph, ds.features, alpha=args.alpha)
     run_id = f"eval-{Path(args.checkpoint).stem}"
     rows = [_run_row(metrics_report(iv, ds.targets, mask, args.alpha), run_id,
                      label, model.config.variant, float("nan"), -1, "eval",

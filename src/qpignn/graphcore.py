@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ContractError, IngestionError, ParameterError
-from .rng import keyed_rng, raw_words
+from .rng import check_seed, keyed_rng, raw_words
 
 FEATURE_FAMILIES = ("basic", "gaussian", "uniform", "edge_weighted")
 SPLIT_KINDS = ("random", "degree", "community")
@@ -185,6 +185,7 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
         raise ParameterError("n must be >= 1")
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
+    check_seed(seed)
     if p == 0.0:
         return from_edges(n, np.empty((0, 2), dtype=np.int64))
     last = np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)
@@ -212,6 +213,7 @@ def gen_ba(n: int, m: int, seed: int) -> Graph:
         raise ParameterError("m must be >= 1")
     if n < m + 1:
         raise ParameterError("n must be at least m + 1")
+    check_seed(seed)
     rng = keyed_rng(seed, "ba")
     edges: list[tuple[int, int]] = []
     repeated: list[int] = []
@@ -325,6 +327,7 @@ class SplitSpec:
             raise ParameterError("ratios must be three fractions in (0, 1)")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ParameterError("ratios must sum to 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -343,6 +346,7 @@ class PerturbSpec:
             raise ParameterError("level must be finite and >= 0")
         if self.kind == "edge_dropout" and self.level > 1.0:
             raise ParameterError("edge_dropout level must lie in [0, 1]")
+        check_seed(self.seed)
 
 
 def _mask_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int, int]:
@@ -450,6 +454,7 @@ def synth_dataset(graph: Graph, family: str, feat_dim: int,
         raise ParameterError("feat_dim must be >= 1")
     if not 0.0 <= noise_sigma < math.inf:
         raise ParameterError("noise_sigma must be finite and non-negative")
+    check_seed(seed)
     n = graph.num_nodes
     feat_rng = keyed_rng(seed, "features")
     if family == "uniform":

@@ -34,9 +34,9 @@ from .losses import (WIDTH_NORMS, mse_loss, pinball_loss, qpi_total_loss,
                      rqr_adj_loss, sqr_taus, width_loss)
 from .metrics import METRIC_FIELDS, MetricsReport, interval_stats, report
 from .model import (IntervalSet, Model, ModelConfig, forward_intervals,
-                    init_model, mc_dropout_interval, sqr_forward)
+                    init_model, sqr_forward)
 from .optim import AdamState, adam_step, grad_norm
-from .rng import derive_seed, keyed_rng
+from .rng import check_seed, derive_seed, keyed_rng
 
 # Variants each loss kind may train, its default first.  The interval
 # losses run on any of the interval heads; the quantile and baseline
@@ -101,8 +101,7 @@ class TrainConfig:
             if not isinstance(value, numbers.Integral) or value < least:
                 raise ParameterError(
                     f"{name} must be an integer >= {least}, got {value!r}")
-        if not isinstance(self.seed, numbers.Integral):
-            raise ParameterError(f"seed must be an integer, got {self.seed!r}")
+        check_seed(self.seed)
         # The chained range checks also reject NaN, which fails every
         # comparison, and infinity.
         for name in ("lr", "weight_decay", "lambda_width"):
@@ -280,31 +279,6 @@ def _epoch_loss(model: Model, ds: Dataset, cfg: TrainConfig, ep: int):
                       loss=node.item(), violation=float(st.violation.mean()))
 
 
-def mc_scoring(cfg: TrainConfig) -> dict | None:
-    """The pass count and seed with which MC dropout scores the model of
-    ``cfg``'s run; None for a run scored by its model's heads."""
-    if cfg.loss_kind != "mse_mcdropout":
-        return None
-    return {"passes": cfg.mc_passes, "seed": derive_seed(cfg.seed, "mc-final")}
-
-
-def score_intervals(model: Model, graph, x: np.ndarray, alpha: float,
-                    mc: dict | None = None) -> IntervalSet:
-    """A trained model's intervals: MC dropout under the ``mc_scoring``
-    settings ``mc``, or the model's own heads when ``mc`` is None."""
-    if mc is None:
-        return forward_intervals(model, graph, x, alpha=alpha)
-    return mc_dropout_interval(graph, x, model, passes=mc["passes"],
-                               dropout_p=model.config.dropout_p,
-                               t_mult=gaussian_optimal_halfwidth(1.0, alpha),
-                               seed=mc["seed"])
-
-
-def _final_intervals(model: Model, ds: Dataset, cfg: TrainConfig) -> IntervalSet:
-    return score_intervals(model, ds.graph, ds.features, cfg.alpha,
-                           mc_scoring(cfg))
-
-
 def train(ds: Dataset,
           cfg: TrainConfig | None = None) -> tuple[Model, RunRecord]:
     """Full-batch training of any loss kind: forward, loss, backward, Adam.
@@ -340,7 +314,11 @@ def train(ds: Dataset,
         for name, arr in traj.items():
             arr[ep] = stats[name]
 
-    iv = _final_intervals(model, ds, cfg)
+    if cfg.loss_kind == "mse_mcdropout":
+        # Scored by MC dropout, not by the width head MSE never trains.
+        model = replace(model, mc={"passes": cfg.mc_passes,
+                                   "seed": derive_seed(cfg.seed, "mc-final")})
+    iv = forward_intervals(model, ds.graph, ds.features, alpha=cfg.alpha)
     reports = {name: report(iv, ds.targets, mask, cfg.alpha)
                for name, mask in sorted(ds.masks().items())}
     rec = RunRecord(**traj, reports=reports,
@@ -688,6 +666,7 @@ def dataset_preset(name: str, nodes: int, seed: int, family: str = "basic",
     """
     if not isinstance(nodes, numbers.Integral) or nodes < 1:
         raise ParameterError(f"nodes must be an integer >= 1, got {nodes!r}")
+    check_seed(seed)
     if name == "er":
         if nodes < 2:
             raise ParameterError("er preset needs >= 2 nodes")
@@ -746,7 +725,8 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
         for j, fj in enumerate(families):
             dj = datasets[fj]
             rep = rec.reports["test"] if i == j else report(
-                _final_intervals(model, dj, rec.config), dj.targets,
+                forward_intervals(model, dj.graph, dj.features,
+                                  alpha=cfg.alpha), dj.targets,
                 np.ones(dj.num_nodes, dtype=bool), cfg.alpha)
             picp_m[i, j] += rep.picp
             mpiw_m[i, j] += rep.mpiw

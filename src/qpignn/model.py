@@ -21,6 +21,7 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
+from scipy.special import ndtri
 
 from . import diffkit as dk
 from .diffkit import ParamStore, Tape, Tensor, _as_matrix, constant
@@ -128,8 +129,12 @@ def init_params(config: ModelConfig, seed: int) -> ParamStore:
 
 @dataclass(frozen=True, eq=False)
 class Model:
+    """A model's config and parameters; ``mc``, for a model scored by MC
+    dropout, holds the ``passes`` and ``seed`` of its scoring."""
+
     config: ModelConfig
     params: ParamStore
+    mc: Mapping[str, int] | None = None
 
 
 def init_model(config: ModelConfig, seed: int) -> Model:
@@ -206,9 +211,18 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
     A taped forward is the training forward: parameters enter as tracked
     leaves, dropout runs at the model's ``dropout_p`` with masks keyed
     by ``seed``, and the result is differentiable.  Without a tape the
-    pass is forward-only and dropout is off.  For the ``sqr`` variant
+    pass is forward-only and dropout is off, except for a model with
+    ``mc`` settings: it is scored by ``mc_dropout_interval`` under them,
+    at the Gaussian multiplier of ``alpha``.  For the ``sqr`` variant
     the interval is [q(alpha/2), q(1 - alpha/2)].
     """
+    if tape is None and model.mc is not None:
+        if not 0.0 < alpha < 1.0:
+            raise ParameterError("alpha must lie in (0, 1)")
+        return mc_dropout_interval(graph, x, model, model.mc["passes"],
+                                   model.config.dropout_p,
+                                   float(ndtri(1.0 - alpha / 2.0)),
+                                   model.mc["seed"])
     if tape is not None:
         params, p = model.params.leaves(tape), model.config.dropout_p
     else:
@@ -234,31 +248,13 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
     return IntervalSet(dk.slice_cols(bounds, 0, 1), dk.slice_cols(bounds, 1, 2))
 
 
-def _check_t_mult(t_mult: float) -> None:
-    # A negative multiplier crosses every interval; NaN makes NaN bounds.
-    if not 0.0 <= t_mult < np.inf:
-        raise ParameterError(f"t_mult must be finite and >= 0, got {t_mult!r}")
-
-
-def interval_from_mc_samples(samples: np.ndarray, t_mult: float) -> IntervalSet:
-    """Mean +/- t_mult * sample std (ddof=1) across the first axis."""
-    _check_t_mult(t_mult)
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 2 or samples.shape[0] < 2:
-        raise ParameterError("need a (passes, nodes) array with passes >= 2")
-    mu = samples.mean(axis=0)
-    sd = samples.std(axis=0, ddof=1)
-    return IntervalSet(constant((mu - t_mult * sd).reshape(-1, 1)),
-                       constant((mu + t_mult * sd).reshape(-1, 1)))
-
-
 def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
                         passes: int = 100, dropout_p: float = 0.2,
                         t_mult: float = 1.6449, seed: int = 0) -> IntervalSet:
     """Stochastic-forward intervals from a point predictor.
 
     Runs ``passes`` forward evaluations with dropout left on and builds
-    mean +/- t_mult * std per node.  Pass seeds are derived from
+    mean +/- t_mult * std (ddof=1) per node.  Pass seeds are derived from
     (seed, pass index), so the whole procedure is reproducible.  Every
     argument is checked before the first pass runs.
     """
@@ -267,7 +263,9 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     if not 0.0 < dropout_p < 1.0:  # at 0 every pass would be the same point
         raise ParameterError("mc_dropout_interval needs dropout_p > 0 and "
                              f"< 1, got {dropout_p!r}")
-    _check_t_mult(t_mult)
+    # A negative multiplier crosses every interval; NaN makes NaN bounds.
+    if not 0.0 <= t_mult < np.inf:
+        raise ParameterError(f"t_mult must be finite and >= 0, got {t_mult!r}")
     if "pred.weight" not in model.params:
         raise ContractError("model has no point-prediction head")
     params = model.params.constants()
@@ -277,7 +275,11 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
         h = encode(graph, x, params, dropout_p, derive_seed(seed, "mc", t))
         rows.append(_heads(h, params, ("pred",))[0].value.ravel())
         del h  # this pass's encoder output, before the next pass starts
-    return interval_from_mc_samples(np.vstack(rows), t_mult)
+    samples = np.vstack(rows)
+    mu = samples.mean(axis=0)
+    sd = samples.std(axis=0, ddof=1)
+    return IntervalSet(constant((mu - t_mult * sd).reshape(-1, 1)),
+                       constant((mu + t_mult * sd).reshape(-1, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +289,10 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
 CHECKPOINT_FORMAT = 1
 
 
-def save_checkpoint(model: Model, path: str | Path,
-                    mc_dropout: Mapping[str, int] | None = None) -> None:
+def save_checkpoint(model: Model, path: str | Path) -> None:
     """JSON checkpoint: format version, config, and name -> shape and
-    row-major values; for a model scored by MC dropout, also the pass
-    count and seed of its scoring, ``mc_dropout``."""
+    row-major values; for a model scored by MC dropout, also its ``mc``
+    settings, under ``mc_dropout``."""
     payload = {
         "format_version": CHECKPOINT_FORMAT,
         "config": asdict(model.config),
@@ -303,18 +304,17 @@ def save_checkpoint(model: Model, path: str | Path,
             for name in model.params.names()
         },
     }
-    if mc_dropout is not None:
-        payload["mc_dropout"] = dict(mc_dropout)
+    if model.mc is not None:
+        payload["mc_dropout"] = dict(model.mc)
     Path(path).write_text(json.dumps(payload))
 
 
-def read_checkpoint(path: str | Path) -> tuple[Model, dict | None]:
-    """Rebuild a model, validating every parameter's shape against the
-    config and rejecting non-finite values, and return it with its
-    ``mc_dropout`` scoring settings (None when it has none).  A
-    checkpoint without a ``format_version`` is version 1; any other
-    version is rejected.  Every malformed checkpoint raises
-    ``ContractError``, an unknown variant included."""
+def read_checkpoint(path: str | Path) -> Model:
+    """Rebuild a model, its ``mc`` settings from ``mc_dropout`` included,
+    validating every parameter's shape against the config and rejecting
+    non-finite values.  A checkpoint without a ``format_version`` is
+    version 1; any other version is rejected.  Every malformed
+    checkpoint raises ``ContractError``, an unknown variant included."""
     try:
         payload = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -360,4 +360,4 @@ def read_checkpoint(path: str | Path) -> tuple[Model, dict | None]:
             and mc["passes"] >= 2 and config.dropout_p > 0.0):
         raise ContractError(f"checkpoint mc_dropout {mc!r} needs integer "
                             "passes >= 2 and seed >= 0, and dropout_p > 0")
-    return Model(config, params), mc
+    return Model(config, params, mc)

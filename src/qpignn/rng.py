@@ -9,9 +9,12 @@ another.
 from __future__ import annotations
 
 import hashlib
+import numbers
 from typing import Iterator
 
 import numpy as np
+
+from .errors import ParameterError
 
 _MASK64 = (1 << 64) - 1
 
@@ -22,6 +25,13 @@ def _tag_entropy(tag: str) -> int:
     # Stable across processes, unlike the builtin salted str hash.
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def check_seed(seed) -> None:
+    """Refuse a seed that is not an integer: its streams would be keyed
+    by its integer part."""
+    if not isinstance(seed, numbers.Integral):
+        raise ParameterError(f"seed must be an integer, got {seed!r}")
 
 
 def keyed_rng(seed: int, tag: str, index: int = 0) -> np.random.Generator:

@@ -320,6 +320,20 @@ def test_train_eval_round_trip(loss, tmp_path, capsys):
     assert sorted(cells(out)) == ["test", "train", "val"]
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "0"])
+def test_eval_refuses_mc_alpha_outside_unit_interval(alpha, tmp_path, capsys):
+    """An MC-scored checkpoint's interval multiplier needs alpha in
+    (0, 1); any other alpha is a usage error, with no output written."""
+    out = tmp_path / "run"
+    assert _train(out, ["--loss", "mse_mcdropout", "--mc-passes", "5"]) == 0
+    capsys.readouterr()
+    code = run(["eval", "--checkpoint", str(out / "checkpoint.json"),
+                *FAST_DS, "--alpha", alpha, "--out", str(tmp_path / "y")])
+    assert code == 1
+    assert "alpha must lie in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "y").exists()
+
+
 def test_train_reruns_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     assert _train(a) == 0

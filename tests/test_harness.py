@@ -244,7 +244,8 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
 
 
 # A float count used to pass validation and then fail inside training or
-# graph construction; a float seed trained the run of its integer part.
+# graph construction; a float seed trained the run, or drew the data, of
+# its integer part.
 @pytest.mark.parametrize("call", [
     lambda ds: TrainConfig(hidden=8.0),
     lambda ds: TrainConfig(hidden=2.5),
@@ -256,18 +257,43 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
     lambda ds: shift_matrix(cfg=TrainConfig(epochs=2), nodes=40, runs=1.5),
     lambda ds: shift_matrix(cfg=TrainConfig(epochs=2), nodes=60.5, runs=1),
     lambda ds: dataset_preset("er", 60.5, 1),
+    lambda ds: dataset_preset("er", 60, 0.5),
+    lambda ds: q.SplitSpec(seed=0.5),
+    lambda ds: q.PerturbSpec("feature_noise", 0.1, seed=0.5),
+    lambda ds: q.gen_er(60, 0.1, seed=1.5),
+    lambda ds: q.synth_dataset(ds.graph, "basic", 4, 0.3, seed=2.7),
+    lambda ds: shift_matrix(cfg=TrainConfig(epochs=2), nodes=60, runs=1,
+                            data_seed=0.5),
 ], ids=["hidden_8.0", "hidden_2.5", "in_dim_3.5", "seed_0.5", "seed_str",
         "ablation_seed_0.5", "tune_budget_3.5", "shift_runs_1.5",
-        "shift_nodes_60.5", "preset_nodes_60.5"])
+        "shift_nodes_60.5", "preset_nodes_60.5", "preset_seed_0.5",
+        "split_seed_0.5", "perturb_seed_0.5", "gen_er_seed_1.5",
+        "synth_seed_2.7", "shift_data_seed_0.5"])
 def test_non_integer_counts_and_seeds_are_refused_before_any_work(
         call, small_ds, monkeypatch):
     def no_work(*args, **kwargs):
-        raise AssertionError("a rejected call built a graph or trained")
+        raise AssertionError("a rejected call drew, built a graph or trained")
     for name in ("train", "gen_er", "gen_ba", "gen_grid", "gen_chain",
                  "gen_tree"):
         monkeypatch.setattr(q.harness, name, no_work)
+    monkeypatch.setattr(q.graphcore, "keyed_rng", no_work)
     with pytest.raises(ParameterError, match="must be"):
         call(small_ds)
+
+
+@pytest.mark.parametrize("kind", list(ALLOWED_VARIANTS))
+def test_trained_model_scores_itself_as_train_reported(kind, small_ds):
+    """An untaped ``forward_intervals`` of a trained model gives the
+    intervals ``train`` reported, for every loss kind: MC dropout for
+    ``mse_mcdropout``, the model's heads for the rest."""
+    cfg = TrainConfig(epochs=20, hidden=8, mc_passes=5, loss_kind=kind,
+                      model_variant=ALLOWED_VARIANTS[kind][0])
+    model, rec = q.train(small_ds, cfg)
+    iv = q.forward_intervals(model, small_ds.graph, small_ds.features,
+                             alpha=cfg.alpha)
+    for name, mask in small_ds.masks().items():
+        assert q.report(iv, small_ds.targets, mask, cfg.alpha) == \
+            rec.reports[name], name
 
 
 @pytest.mark.parametrize("kind,variant", [("qpi", "dual"), ("sqr", "sqr"),
@@ -299,22 +325,22 @@ def test_shift_matrix_scores_only_off_diagonal_cells(kind, monkeypatch):
             for j, fj in enumerate(families):
                 dj = datasets[fj]
                 mask = dj.test_mask if i == j else np.ones(dj.num_nodes, bool)
-                iv = q.harness._final_intervals(model, dj, rec.config)
+                iv = q.forward_intervals(model, dj.graph, dj.features,
+                                         alpha=cfg.alpha)
                 rep = q.report(iv, dj.targets, mask, cfg.alpha)
                 picp[i, j] += rep.picp
                 mpiw[i, j] += rep.mpiw
 
     scored = []
-    final_intervals, train_all = (q.harness._final_intervals,
-                                  q.harness._train_all)
+    forward, train_all = q.harness.forward_intervals, q.harness._train_all
 
-    def counted(model, ds, cfg):
-        scored.append(ds)
-        return final_intervals(model, ds, cfg)
+    def counted(model, graph, x, **kwargs):
+        scored.append(graph)
+        return forward(model, graph, x, **kwargs)
 
     def train_then_count(batch, jobs):
         trained = train_all(batch, jobs)
-        monkeypatch.setattr(q.harness, "_final_intervals", counted)
+        monkeypatch.setattr(q.harness, "forward_intervals", counted)
         return trained
 
     monkeypatch.setattr(q.harness, "_train_all", train_then_count)

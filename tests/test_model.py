@@ -1,4 +1,5 @@
 """Encoder, head variants, MC dropout, and checkpointing."""
+import dataclasses
 import hashlib
 import platform
 import sys
@@ -12,9 +13,9 @@ from qpignn import diffkit as dk
 from qpignn.diffkit import Tape
 from qpignn.errors import ContractError, ParameterError, ShapeError
 from qpignn.model import (ModelConfig, forward_intervals, init_model,
-                          interval_from_mc_samples, mc_dropout_interval,
-                          read_checkpoint, save_checkpoint)
-from qpignn.rng import keyed_rng
+                          mc_dropout_interval, read_checkpoint,
+                          save_checkpoint)
+from qpignn.rng import derive_seed, keyed_rng
 
 
 def _features(n, d, tag="x"):
@@ -162,14 +163,24 @@ def test_model_config_validation():
 # MC dropout
 # ---------------------------------------------------------------------------
 
-def test_interval_from_mc_samples_oracle():
-    samples = keyed_rng(0, "mc").standard_normal((50, 8))
-    t = 1.6449
-    iv = interval_from_mc_samples(samples, t)
+def test_mc_dropout_interval_oracle(ring6):
+    """Mean +/- t_mult * sample std (ddof=1) of the point head over
+    passes whose masks are keyed by ``derive_seed(seed, "mc", pass)``,
+    bit for bit."""
+    model = init_model(ModelConfig(in_dim=3, hidden=4, dropout_p=0.3), 0)
+    x, t = _features(6, 3), 1.6449
+    params = model.params.constants()
+    head = [(params["pred.weight"], params["pred.bias"])]
+    samples = np.vstack([
+        dk.linear_heads(q.encode(ring6, dk.constant(x), params, 0.3,
+                                 derive_seed(9, "mc", k)), head)[0]
+        .value.ravel() for k in range(50)])
     mu = samples.mean(axis=0)
     sd = samples.std(axis=0, ddof=1)
-    np.testing.assert_allclose(iv.low_values, mu - t * sd, atol=1e-12)
-    np.testing.assert_allclose(iv.up_values, mu + t * sd, atol=1e-12)
+    iv = mc_dropout_interval(ring6, x, model, passes=50, dropout_p=0.3,
+                             t_mult=t, seed=9)
+    assert np.array_equal(iv.low_values, mu - t * sd)
+    assert np.array_equal(iv.up_values, mu + t * sd)
 
 
 def test_mc_dropout_interval_properties(ring6):
@@ -215,13 +226,6 @@ def test_mc_dropout_interval_refuses_bad_input_before_any_pass(
                             **{"passes": 5, **bad})
 
 
-@pytest.mark.parametrize("t_mult", (-1.0, float("nan"), float("inf")))
-def test_interval_from_mc_samples_refuses_bad_t_mult(t_mult):
-    samples = keyed_rng(0, "mc").standard_normal((5, 8))
-    with pytest.raises(ParameterError, match="t_mult"):
-        interval_from_mc_samples(samples, t_mult)
-
-
 @pytest.mark.parametrize("n, want", ((2000, "d7140cb4459d7b64"),
                                      (257, "7e9a6bb6b0964d2b")))
 @pytest.mark.parametrize("threads", (1, 2))
@@ -248,8 +252,9 @@ def test_checkpoint_round_trip(tmp_path, ring6):
                                    dropout_p=0.2), 5)
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
-    back = read_checkpoint(path)[0]
+    back = read_checkpoint(path)
     assert back.config == model.config
+    assert back.mc is None
     for name in model.params.names():
         np.testing.assert_array_equal(back.params.value(name),
                                       model.params.value(name))
@@ -264,10 +269,13 @@ def test_checkpoint_keeps_mc_dropout_settings_only_when_given(tmp_path):
     path = tmp_path / "ckpt.json"
     save_checkpoint(model, path)
     assert "mc_dropout" not in path.read_text()
-    assert read_checkpoint(path)[1] is None
-    save_checkpoint(model, path, {"passes": 7, "seed": 2**64 - 1})
-    back, mc = read_checkpoint(path)
-    assert mc == {"passes": 7, "seed": 2**64 - 1}
+    assert read_checkpoint(path).mc is None
+    mc = {"passes": 7, "seed": 2**64 - 1}
+    save_checkpoint(dataclasses.replace(model, mc=mc), path)
+    assert f'"mc_dropout": {{"passes": 7, "seed": {2**64 - 1}}}' in \
+        path.read_text()
+    back = read_checkpoint(path)
+    assert back.mc == mc
     assert back.config == model.config
 
 
@@ -280,7 +288,7 @@ def test_checkpoint_rejects_tampering(tmp_path):
     payload["params"]["pred.weight"]["shape"] = [2, 2]
     path.write_text(json.dumps(payload))
     with pytest.raises((ContractError, q.IngestionError)):
-        read_checkpoint(path)[0]
+        read_checkpoint(path)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -293,7 +301,7 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, bad):
     payload["params"]["pred.weight"]["values"][1] = bad
     path.write_text(json.dumps(payload))  # writes NaN / Infinity literals
     with pytest.raises(ContractError, match="'pred.weight' is not finite"):
-        read_checkpoint(path)[0]
+        read_checkpoint(path)
 
 
 def test_checkpoint_carries_format_version_1(tmp_path, ring6):
@@ -306,7 +314,7 @@ def test_checkpoint_carries_format_version_1(tmp_path, ring6):
     # a checkpoint written before the field existed reads as version 1
     del payload["format_version"]
     path.write_text(json.dumps(payload))
-    back = read_checkpoint(path)[0]
+    back = read_checkpoint(path)
     x = _features(6, 3)
     assert np.array_equal(forward_intervals(back, ring6, x).low_values,
                           forward_intervals(model, ring6, x).low_values)
@@ -322,7 +330,7 @@ def test_checkpoint_rejects_other_format_versions(tmp_path, version):
     payload["format_version"] = version
     path.write_text(json.dumps(payload))
     with pytest.raises(ContractError, match=f"format_version {version!r}"):
-        read_checkpoint(path)[0]
+        read_checkpoint(path)
 
 
 @pytest.mark.skipif(sys.platform != "linux"
