@@ -18,8 +18,9 @@ from typing import Iterable, Sequence
 import numpy as np
 from scipy import sparse
 
-from .errors import ContractError, IngestionError, ParameterError
-from .rng import check_seed, keyed_rng, raw_words
+from .errors import (ContractError, IngestionError, ParameterError,
+                     check_integer)
+from .rng import keyed_rng, raw_words
 
 FEATURE_FAMILIES = ("basic", "gaussian", "uniform", "edge_weighted")
 SPLIT_KINDS = ("random", "degree", "community")
@@ -108,8 +109,7 @@ def from_edges(num_nodes: int, edges: Iterable[tuple[int, int]]) -> Graph:
     callers may hand over edges in any order and direction.  Anything
     but integer (u, v) pairs raises ParameterError.
     """
-    if num_nodes < 1:
-        raise ParameterError("num_nodes must be >= 1")
+    check_integer("num_nodes", num_nodes, 1)
     try:
         arr = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
     except (TypeError, ValueError) as exc:
@@ -181,15 +181,14 @@ def gen_er(n: int, p: float, seed: int) -> Graph:
     at p == 0 none is kept.  Memory is one chunk of words plus the graph
     (O(n + edges)); time is still O(n^2).
     """
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    check_integer("n", n, 1)
     if not 0.0 <= p <= 1.0:
         raise ParameterError("p must lie in [0, 1]")
-    check_seed(seed)
+    rng = keyed_rng(seed, "er")  # so that p == 0 refuses a bad seed too
     if p == 0.0:
         return from_edges(n, np.empty((0, 2), dtype=np.int64))
     last = np.uint64((math.ceil(p * 2.0 ** 53) << 11) - 1)
-    chunks = raw_words(keyed_rng(seed, "er"), n * (n - 1) // 2)
+    chunks = raw_words(rng, n * (n - 1) // 2)
     # The flat indices of the kept pairs, decoded once below.  No chunk
     # outlives the generator, and the empty head covers n == 1.
     k = np.concatenate([np.empty(0, dtype=np.int64), *(
@@ -209,11 +208,8 @@ def gen_ba(n: int, m: int, seed: int) -> Graph:
     ``m`` distinct existing nodes sampled proportionally to their current
     degree (rejection sampling over the degree-repeated node list).
     """
-    if m < 1:
-        raise ParameterError("m must be >= 1")
-    if n < m + 1:
-        raise ParameterError("n must be at least m + 1")
-    check_seed(seed)
+    check_integer("m", m, 1)
+    check_integer("n", n, m + 1)
     rng = keyed_rng(seed, "ba")
     edges: list[tuple[int, int]] = []
     repeated: list[int] = []
@@ -236,8 +232,8 @@ def gen_ba(n: int, m: int, seed: int) -> Graph:
 
 def gen_grid(rows: int, cols: int) -> Graph:
     """Two-dimensional 4-neighbour lattice; node id is row * cols + col."""
-    if rows < 1 or cols < 1:
-        raise ParameterError("grid dimensions must be positive")
+    check_integer("rows", rows, 1)
+    check_integer("cols", cols, 1)
     ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
     right = np.column_stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()])
     down = np.column_stack([ids[:-1].ravel(), ids[1:].ravel()])
@@ -246,16 +242,15 @@ def gen_grid(rows: int, cols: int) -> Graph:
 
 def gen_chain(n: int) -> Graph:
     """Path graph on n nodes."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    check_integer("n", n, 1)
     ids = np.arange(n, dtype=np.int64)
     return from_edges(n, np.column_stack([ids[:-1], ids[1:]]))
 
 
 def gen_tree(branching: int, depth: int) -> Graph:
     """Complete b-ary tree with ``depth`` levels below the root."""
-    if branching < 1 or depth < 0:
-        raise ParameterError("branching must be >= 1 and depth >= 0")
+    check_integer("branching", branching, 1)
+    check_integer("depth", depth, 0)
     if branching == 1:
         return gen_chain(depth + 1)
     total = (branching ** (depth + 1) - 1) // (branching - 1)
@@ -327,7 +322,7 @@ class SplitSpec:
             raise ParameterError("ratios must be three fractions in (0, 1)")
         if abs(sum(self.ratios) - 1.0) > 1e-9:
             raise ParameterError("ratios must sum to 1")
-        check_seed(self.seed)
+        check_integer("seed", self.seed)
 
 
 @dataclass(frozen=True)
@@ -346,7 +341,7 @@ class PerturbSpec:
             raise ParameterError("level must be finite and >= 0")
         if self.kind == "edge_dropout" and self.level > 1.0:
             raise ParameterError("edge_dropout level must lie in [0, 1]")
-        check_seed(self.seed)
+        check_integer("seed", self.seed)
 
 
 def _mask_sizes(n: int, ratios: Sequence[float]) -> tuple[int, int, int]:
@@ -450,11 +445,9 @@ def synth_dataset(graph: Graph, family: str, feat_dim: int,
     """
     if family not in FEATURE_FAMILIES:
         raise ParameterError(f"unknown feature family {family!r}")
-    if feat_dim < 1:
-        raise ParameterError("feat_dim must be >= 1")
+    check_integer("feat_dim", feat_dim, 1)
     if not 0.0 <= noise_sigma < math.inf:
         raise ParameterError("noise_sigma must be finite and non-negative")
-    check_seed(seed)
     n = graph.num_nodes
     feat_rng = keyed_rng(seed, "features")
     if family == "uniform":

@@ -14,7 +14,6 @@ from __future__ import annotations
 import ctypes
 import math
 import multiprocessing
-import numbers
 import os
 import signal
 import sys
@@ -26,7 +25,8 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import diffkit as dk
-from .errors import ContractError, ParameterError, TrainingError
+from .errors import (ContractError, ParameterError, TrainingError,
+                     check_alpha, check_integer)
 from .graphcore import (DEFAULT_RATIOS, SPLIT_KINDS, Dataset, PerturbSpec,
                         SplitSpec, gen_ba, gen_chain, gen_er, gen_grid,
                         gen_tree, perturb, split, synth_dataset)
@@ -36,7 +36,7 @@ from .metrics import METRIC_FIELDS, MetricsReport, interval_stats, report
 from .model import (IntervalSet, Model, ModelConfig, forward_intervals,
                     init_model, sqr_forward)
 from .optim import AdamState, adam_step, grad_norm
-from .rng import check_seed, derive_seed, keyed_rng
+from .rng import derive_seed, keyed_rng
 
 # Variants each loss kind may train, its default first.  The interval
 # losses run on any of the interval heads; the quantile and baseline
@@ -96,19 +96,15 @@ class TrainConfig:
     mc_passes: int = 100
 
     def __post_init__(self):
-        for name, least in (("epochs", 1), ("mc_passes", 2)):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ParameterError(
-                    f"{name} must be an integer >= {least}, got {value!r}")
-        check_seed(self.seed)
+        check_integer("epochs", self.epochs, 1)
+        check_integer("mc_passes", self.mc_passes, 2)
+        check_integer("seed", self.seed)
         # The chained range checks also reject NaN, which fails every
         # comparison, and infinity.
         for name in ("lr", "weight_decay", "lambda_width"):
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ParameterError(f"{name} must be finite and >= 0")
-        if not 0.0 < self.alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         if self.width_norm not in WIDTH_NORMS:
             raise ParameterError(f"width_norm must be one of {WIDTH_NORMS}")
         if self.loss_kind not in ALLOWED_VARIANTS:
@@ -440,8 +436,7 @@ def _train_all(runs: list, jobs: int) -> list[tuple[Model, RunRecord]]:
     ships its own dataset: pickling one costs under a millisecond even
     at 20k nodes, against about 100 ms for a pooled training run.
     """
-    if jobs < 1:
-        raise ParameterError("jobs must be >= 1")
+    check_integer("jobs", jobs, 1)
     workers = min(jobs, len(runs))
     if workers <= 1:
         return [train(ds, cfg) for ds, cfg in runs]
@@ -519,8 +514,7 @@ def lambda_tune(ds: Dataset, cfg: TrainConfig | None = None,
     lo, hi = float(bounds[0]), float(bounds[1])
     if not 0.0 < lo < hi < math.inf:
         raise ParameterError("bounds must be finite and satisfy 0 < lo < hi")
-    if not isinstance(budget, numbers.Integral) or budget < 3:
-        raise ParameterError(f"budget must be an integer >= 3, got {budget!r}")
+    check_integer("budget", budget, 3)
 
     evaluated: dict[float, SweepEntry] = {}
 
@@ -664,12 +658,11 @@ def dataset_preset(name: str, nodes: int, seed: int, family: str = "basic",
     `tree` is binary with the smallest depth reaching `nodes`; those
     two may therefore exceed `nodes` slightly.
     """
-    if not isinstance(nodes, numbers.Integral) or nodes < 1:
-        raise ParameterError(f"nodes must be an integer >= 1, got {nodes!r}")
-    check_seed(seed)
+    # Before the graph is built: synth_dataset checks feat_dim only after.
+    check_integer("nodes", nodes, 2 if name == "er" else 1)
+    check_integer("seed", seed)
+    check_integer("feat_dim", feat_dim, 1)
     if name == "er":
-        if nodes < 2:
-            raise ParameterError("er preset needs >= 2 nodes")
         g = gen_er(nodes, min(1.0, 8.0 / (nodes - 1)), seed=seed)
     elif name == "ba":
         g = gen_ba(nodes, 4, seed=seed)
@@ -707,8 +700,8 @@ def shift_matrix(families=SHIFT_FAMILIES, cfg: TrainConfig | None = None,
     if len(families) < 2:
         raise ParameterError("shift matrix needs at least 2 families")
     _refuse_duplicates(families, "shift matrix families")
-    if not isinstance(runs, numbers.Integral) or runs < 1:
-        raise ParameterError(f"runs must be an integer >= 1, got {runs!r}")
+    check_integer("runs", runs, 1)
+    check_integer("jobs", jobs, 1)  # before the datasets are built
     cfg = cfg or TrainConfig(lambda_width=SHIFT_LAMBDA)
     datasets = {f: dataset_preset(f, nodes, data_seed, family=family,
                                   noise_sigma=noise_sigma, feat_dim=feat_dim)
@@ -769,8 +762,7 @@ def split_experiment(ds: Dataset, cfg: TrainConfig | None = None,
 
 def hoeffding_epsilon(n: int, delta: float) -> float:
     """Two-sided Hoeffding radius for a mean of n bounded indicators."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    check_integer("n", n, 1)
     if not 0.0 < delta < 1.0:
         raise ParameterError("delta must lie in (0, 1)")
     return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
@@ -778,8 +770,7 @@ def hoeffding_epsilon(n: int, delta: float) -> float:
 
 def mcdiarmid_prob(n: int, eps: float) -> float:
     """Bounded-differences tail bound 2 exp(-2 n eps^2)."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    check_integer("n", n, 1)
     if not 0.0 < eps < math.inf:
         raise ParameterError("eps must be finite and > 0")
     return 2.0 * math.exp(-2.0 * n * eps * eps)
@@ -796,8 +787,7 @@ def gaussian_optimal_halfwidth(sigma: float, alpha: float) -> float:
     """Half-width of the narrowest symmetric interval with 1 - alpha mass."""
     if not 0.0 < sigma < math.inf:
         raise ParameterError("sigma must be finite and > 0")
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     return sigma * inv_norm_cdf(1.0 - alpha / 2.0)
 
 
@@ -825,8 +815,9 @@ def concentration_check(interval_rule: tuple[float, float],
     delta, and the estimate's std shrinks like 1/sqrt(N) across the
     size ladder (halving within +/-20% per quadrupling).
     """
-    if trials < 2:
-        raise ParameterError("trials must be >= 2")
+    check_integer("trials", trials, 2)
+    for size in sizes:
+        check_integer("size", size, 1)
     low, up = float(interval_rule[0]), float(interval_rule[1])
     p = _rule_cover_prob(low, up, distribution)
     eps = hoeffding_epsilon(n, delta)

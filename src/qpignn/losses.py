@@ -25,7 +25,7 @@ import numpy as np
 
 from . import diffkit as dk
 from .diffkit import Tensor, constant
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_alpha
 from .metrics import IntervalStats
 from .rng import keyed_rng
 
@@ -81,9 +81,8 @@ def qpi_total_loss(low: Tensor, up: Tensor, st: IntervalStats, alpha: float,
                    smooth_coverage: bool = False) -> LossBreakdown:
     """Joint coverage/violation/width objective; ``low`` and ``up`` are
     the bounds on ``st``'s mask, and every term reads that one pair."""
-    # The chained range checks also reject NaN and infinity.
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
+    # The chained range check also rejects NaN and infinity.
     if not 0.0 <= lambda_width < math.inf:
         raise ParameterError("lambda_width must be finite and >= 0")
     target = 1.0 - alpha

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ParameterError
+from .errors import ContractError, ParameterError, check_alpha
 from .model import IntervalSet
 
 # CWC shape constants: penalty weight, steepness, and the coverage level
@@ -82,11 +82,6 @@ def interval_stats(iv: IntervalSet, y: np.ndarray,
         overshoot=np.maximum(0.0, np.maximum(low - ym, ym - up)))
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ParameterError("alpha must lie in (0, 1)")
-
-
 def cwc(nmpiw_value: float, picp_value: float, alpha: float) -> float:
     """Coverage-width criterion.
 
@@ -94,7 +89,7 @@ def cwc(nmpiw_value: float, picp_value: float, alpha: float) -> float:
     equal to nmpiw at exactly nominal coverage, exploding exponentially
     as coverage falls below it.
     """
-    _check_alpha(alpha)
+    check_alpha(alpha)
     mu = 1.0 - alpha
     return float(nmpiw_value * (1.0 + CWC_GAMMA * np.exp(-CWC_ETA * (picp_value - mu))))
 
@@ -111,7 +106,7 @@ def report(iv: IntervalSet, y: np.ndarray, mask: np.ndarray,
     span = float(st.y.max() - st.y.min())
     if span <= 0.0:
         raise ParameterError("nmpiw undefined: targets are constant on the mask")
-    _check_alpha(alpha)
+    check_alpha(alpha)
     mpiw = float(np.mean(st.width))
     nmpiw = mpiw / span
     return MetricsReport(

@@ -15,7 +15,6 @@ dropout) after each.  Heads differ:
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass, asdict
 from pathlib import Path
 from typing import Mapping
@@ -25,7 +24,8 @@ from scipy.special import ndtri
 
 from . import diffkit as dk
 from .diffkit import ParamStore, Tape, Tensor, _as_matrix, constant
-from .errors import ContractError, ParameterError, ShapeError
+from .errors import (ContractError, ParameterError, ShapeError, check_alpha,
+                     check_integer)
 from .graphcore import Graph
 from .rng import derive_seed, keyed_rng
 
@@ -47,10 +47,8 @@ class ModelConfig:
     dropout_p: float = 0.0
 
     def __post_init__(self):
-        if not all(isinstance(v, numbers.Integral) and v >= 1
-                   for v in (self.in_dim, self.hidden)):
-            raise ParameterError("in_dim and hidden must be positive integers, "
-                                 f"got {self.in_dim!r} and {self.hidden!r}")
+        check_integer("in_dim", self.in_dim, 1)
+        check_integer("hidden", self.hidden, 1)
         if self.variant not in VARIANTS:
             raise ParameterError(f"unknown variant {self.variant!r}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -217,8 +215,7 @@ def forward_intervals(model: Model, graph: Graph, x: np.ndarray,
     the interval is [q(alpha/2), q(1 - alpha/2)].
     """
     if tape is None and model.mc is not None:
-        if not 0.0 < alpha < 1.0:
-            raise ParameterError("alpha must lie in (0, 1)")
+        check_alpha(alpha)
         return mc_dropout_interval(graph, x, model, model.mc["passes"],
                                    model.config.dropout_p,
                                    float(ndtri(1.0 - alpha / 2.0)),
@@ -258,8 +255,7 @@ def mc_dropout_interval(graph: Graph, x: np.ndarray, model: Model,
     (seed, pass index), so the whole procedure is reproducible.  Every
     argument is checked before the first pass runs.
     """
-    if not isinstance(passes, numbers.Integral) or passes < 2:
-        raise ParameterError(f"passes must be an integer >= 2, got {passes!r}")
+    check_integer("passes", passes, 2)
     if not 0.0 < dropout_p < 1.0:  # at 0 every pass would be the same point
         raise ParameterError("mc_dropout_interval needs dropout_p > 0 and "
                              f"< 1, got {dropout_p!r}")

@@ -9,12 +9,11 @@ another.
 from __future__ import annotations
 
 import hashlib
-import numbers
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import check_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,15 +26,15 @@ def _tag_entropy(tag: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
-def check_seed(seed) -> None:
-    """Refuse a seed that is not an integer: its streams would be keyed
-    by its integer part."""
-    if not isinstance(seed, numbers.Integral):
-        raise ParameterError(f"seed must be an integer, got {seed!r}")
-
-
 def keyed_rng(seed: int, tag: str, index: int = 0) -> np.random.Generator:
-    """Return a fresh generator for the stream named by (seed, tag, index)."""
+    """Return a fresh generator for the stream named by (seed, tag, index).
+
+    A seed or index that is not an integer raises ``ParameterError``,
+    here and in ``derive_seed``: keyed by its integer part, seed 0.5
+    would replay seed 0, and every draw is keyed through one of the two.
+    """
+    check_integer("seed", seed)
+    check_integer("index", index)
     entropy = (int(seed) & _MASK64, _tag_entropy(tag), int(index) & _MASK64)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
@@ -47,6 +46,8 @@ def derive_seed(seed: int, tag: str, index: int = 0) -> int:
     to the keyed-stream contract (per-epoch dropout masks, per-pass
     stochastic forward evaluations, and so on).
     """
+    check_integer("seed", seed)
+    check_integer("index", index)
     raw = f"{int(seed)}|{tag}|{int(index)}".encode("utf-8")
     return int.from_bytes(hashlib.sha256(raw).digest()[:8], "little")
 

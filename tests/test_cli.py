@@ -189,7 +189,7 @@ def _edited(text, edit):
     (lambda t: _edited(t, lambda p: p["config"].update(variant="rqr")),
      "unknown variant 'rqr'"),
     (lambda t: _edited(t, lambda p: p["config"].update(hidden=0)),
-     "hidden must be positive"),
+     "hidden must be an integer >= 1, got 0"),
     (lambda t: _edited(t, lambda p: p["config"].update(width=3)),
      "unexpected keyword argument 'width'"),
     (lambda t: _edited(t, lambda p: p.pop("params")),

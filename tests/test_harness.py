@@ -245,7 +245,8 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
 
 # A float count used to pass validation and then fail inside training or
 # graph construction; a float seed trained the run, or drew the data, of
-# its integer part.
+# its integer part.  The generators and ``synth_dataset`` draw at once, so
+# their seeds are refused by the keyed stream (tests/test_input_rules.py).
 @pytest.mark.parametrize("call", [
     lambda ds: TrainConfig(hidden=8.0),
     lambda ds: TrainConfig(hidden=2.5),
@@ -260,15 +261,12 @@ def test_bad_jobs_and_mc_passes_rejected_up_front(small_ds, monkeypatch,
     lambda ds: dataset_preset("er", 60, 0.5),
     lambda ds: q.SplitSpec(seed=0.5),
     lambda ds: q.PerturbSpec("feature_noise", 0.1, seed=0.5),
-    lambda ds: q.gen_er(60, 0.1, seed=1.5),
-    lambda ds: q.synth_dataset(ds.graph, "basic", 4, 0.3, seed=2.7),
     lambda ds: shift_matrix(cfg=TrainConfig(epochs=2), nodes=60, runs=1,
                             data_seed=0.5),
 ], ids=["hidden_8.0", "hidden_2.5", "in_dim_3.5", "seed_0.5", "seed_str",
         "ablation_seed_0.5", "tune_budget_3.5", "shift_runs_1.5",
         "shift_nodes_60.5", "preset_nodes_60.5", "preset_seed_0.5",
-        "split_seed_0.5", "perturb_seed_0.5", "gen_er_seed_1.5",
-        "synth_seed_2.7", "shift_data_seed_0.5"])
+        "split_seed_0.5", "perturb_seed_0.5", "shift_data_seed_0.5"])
 def test_non_integer_counts_and_seeds_are_refused_before_any_work(
         call, small_ds, monkeypatch):
     def no_work(*args, **kwargs):

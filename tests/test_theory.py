@@ -102,3 +102,10 @@ def test_concentration_validation():
         concentration_check((-1, 1), trials=1)
     with pytest.raises(ParameterError):
         concentration_check((-1, 1), distribution="cauchy")
+
+
+def test_concentration_sizes_are_integers():
+    """A fractional size was keyed, and drawn, as its integer part."""
+    for sizes in ((250.5, 1000), (250, True)):
+        with pytest.raises(ParameterError, match="size must be an integer"):
+            concentration_check((-1, 1), n=20, trials=4, sizes=sizes)
